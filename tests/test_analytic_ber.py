@@ -5,8 +5,9 @@ import pytest
 
 from chirpfield import analytic_ber as ab
 from chirpfield.channel import FadingConfig, GammaFit
-from chirpfield.interference import chi_of_I
+from chirpfield.interference import chi_of_I, chi_of_I_table
 from chirpfield.lora_phy import LoRaParams
+from chirpfield.specfun import NumericError
 
 SF7 = LoRaParams(7)
 FADING_25 = FadingConfig.uniform(2.0, 25)
@@ -146,6 +147,60 @@ class TestInterferenceBranch:
             ab.interf_ser(cfg, "case_c", "noncoherent")
         with pytest.raises(ValueError):
             ab.interf_ser(cfg, "case_a", "semi")
+
+
+def brute_force_interf_ser(cfg: ab.AnalyticConfig, case: str, detection: str) -> float:
+    """Weighted mean of the double sum over every multiplier of the unrounded
+    peak-bound table (and of the staircase), one double sum per exact value."""
+    if detection == "noncoherent":
+        cosines = np.ones(1)
+    else:
+        # the angles 2*pi*j/M and 2*pi*(M-j)/M share one cosine
+        m = cfg.staircase_m
+        j = np.arange(1, m + 1)
+        cosines = np.cos(2.0 * np.pi * np.minimum(j, m - j) / m)
+    multipliers, counts = np.unique(
+        np.outer(cosines, chi_of_I_table(cfg.params)), return_counts=True
+    )
+    sums = np.clip(ab._conditional_sums(cfg, case, multipliers, "exact"), 0.0, 1.0)
+    return float(sums @ counts) / counts.sum()
+
+
+class TestInterpolatedSum:
+    @pytest.mark.parametrize(
+        "snr_db, case, detection",
+        [
+            (-12.0, "case_a", "noncoherent"),
+            (-12.0, "case_b", "noncoherent"),
+            (-12.0, "case_a", "coherent"),
+            (-12.0, "case_b", "coherent"),
+            (-24.0, "case_a", "noncoherent"),
+            (-36.0, "case_b", "noncoherent"),
+        ],
+    )
+    def test_matches_brute_force_sum(self, snr_db, case, detection):
+        # at -12 dB f spans hundreds of decades and one global degree-64
+        # interpolant misses by up to 4e-4; the pieces must still meet 1e-8
+        cfg = config(snr_db)
+        oracle = brute_force_interf_ser(cfg, case, detection)
+        assert ab.interf_ser(cfg, case, detection) == pytest.approx(oracle, rel=1e-8)
+
+    def test_unreachable_tolerance_fails_loudly(self, monkeypatch):
+        calls = []
+        original = ab._conditional_sums
+
+        def counted(*args):
+            calls.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(ab, "_conditional_sums", counted)
+        monkeypatch.setattr(ab, "_CHEB_TOL", 0.0)
+        with pytest.raises(
+            NumericError, match=r"case=case_b, detection=coherent, SNR=-12 dB.*piece \["
+        ):
+            ab.ber(config(-12.0), "case_b", "coherent")
+        # bisection stops at the depth limit on the first unresolved piece
+        assert len(calls) <= ab._CHEB_MAX_DEPTH + 1
 
 
 class TestCombinedBer:
