@@ -107,7 +107,6 @@ class EffectiveGains:
 
     h_eff: np.ndarray
     h_int: np.ndarray
-    case_tag: str
 
 
 def sample_nakagami(shape: float, rng: np.random.Generator, size=None):
@@ -183,7 +182,7 @@ def aggregate(draw: ChannelDraw, phases: RisPhases | None, case: str) -> Effecti
     direct links only (phases ignored).
     """
     if case == "ris_free":
-        return EffectiveGains(h_eff=draw.h_td, h_int=draw.h_id, case_tag=case)
+        return EffectiveGains(h_eff=draw.h_td, h_int=draw.h_id)
     if phases is None:
         raise ValueError(f"case {case!r} requires surface phases")
     rot_t = np.exp(1j * phases.target)
@@ -197,7 +196,7 @@ def aggregate(draw: ChannelDraw, phases: RisPhases | None, case: str) -> Effecti
         h_int = (draw.h_i * rot_i * draw.g_i).sum(axis=-1) + draw.h_id
     else:
         raise ValueError(f"unknown case {case!r}")
-    return EffectiveGains(h_eff=h_eff, h_int=h_int, case_tag=case)
+    return EffectiveGains(h_eff=h_eff, h_int=h_int)
 
 
 # ---------------------------------------------------------------------------

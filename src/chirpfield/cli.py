@@ -29,8 +29,6 @@ from .channel import FadingConfig
 from .lora_phy import LoRaParams
 from .specfun import NumericError
 
-DEFAULT_BANDWIDTH_HZ = 125e3
-
 _ANALYTIC_SCENARIOS = ("case_a", "case_b", "no_interference")
 
 _CSV_COLUMNS = (
@@ -300,7 +298,7 @@ def _analytic_task(args):
     """Evaluate the closed forms for one CSV row; runs in worker processes."""
     (scenario, detection, sf, n, m, snr_db,
      literal, v1, v2, staircase_m) = args
-    params = LoRaParams(sf, DEFAULT_BANDWIDTH_HZ)
+    params = LoRaParams(sf)
     fading = FadingConfig.uniform(m, n)
     try:
         cfg = analytic_ber.AnalyticConfig.from_fading(
@@ -358,7 +356,7 @@ def run(spec: ExperimentSpec) -> int:
                     sim_points = None
                     if want_sim:
                         cfg = montecarlo.SimConfig(
-                            params=LoRaParams(sf, DEFAULT_BANDWIDTH_HZ),
+                            params=LoRaParams(sf),
                             fading=FadingConfig.uniform(m, n),
                             scenario=scenario,
                             detection=detection,
@@ -402,7 +400,7 @@ def run(spec: ExperimentSpec) -> int:
 
 
 def _run_validation(spec: ExperimentSpec) -> int:
-    params = LoRaParams(spec.sf_values[0], DEFAULT_BANDWIDTH_HZ)
+    params = LoRaParams(spec.sf_values[0])
     fading = FadingConfig.uniform(spec.m_values[0], spec.n_values[0])
     results = validation.run_validation(params, fading, spec.trials, spec.seed)
     width = max(len(r.name) for r in results)

@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .lora_phy import LoRaParams, modulate, modulate_many
+from .lora_phy import LoRaParams, _check_symbols, _chirps
 
 
 @dataclass(frozen=True)
@@ -43,25 +43,23 @@ def _check_state(state: InterfererState, params: LoRaParams) -> None:
 def build_interferer_frame(state: InterfererState, params: LoRaParams) -> np.ndarray:
     """Samples of the misaligned interferer over one target-symbol window."""
     _check_state(state, params)
-    frame = modulate(state.i2, params).copy()
-    if state.tau:
-        frame[: state.tau] = modulate(state.i1, params)[: state.tau]
-    return frame
+    n = np.arange(params.K)
+    return _chirps(np.where(n < state.tau, state.i1, state.i2), params.sf)
 
 
 def build_interferer_frames(
     i1: np.ndarray, i2: np.ndarray, tau: np.ndarray, params: LoRaParams
 ) -> np.ndarray:
     """Batch of interferer frames; offsets may span the full symbol here."""
+    _check_symbols(i1, params.K)
+    _check_symbols(i2, params.K)
     tau = np.asarray(tau)
     if tau.size and (tau.min() < 0 or tau.max() >= params.K):
         raise ValueError("offsets out of range")
+    i1 = np.asarray(i1, dtype=np.int32)[:, None]
+    i2 = np.asarray(i2, dtype=np.int32)[:, None]
     n = np.arange(params.K)
-    return np.where(
-        n[None, :] < tau[:, None],
-        modulate_many(np.asarray(i1), params),
-        modulate_many(np.asarray(i2), params),
-    )
+    return _chirps(np.where(n < tau[:, None], i1, i2), params.sf)
 
 
 def psi_partial_sums(
@@ -69,9 +67,9 @@ def psi_partial_sums(
 ) -> tuple[complex, complex]:
     """The two geometric partial sums of the interferer's leakage into a bin.
 
-    Computed by explicit summation; chi_bound evaluates the matching
-    closed-form sine-ratio magnitudes, so the two can cross-check each
-    other.
+    Computed by explicit summation; chi_bound_all_bins evaluates the
+    matching closed-form sine-ratio magnitudes, so the two can cross-check
+    each other.
     """
     K = params.K
     if not 0 <= bin_index < K:
@@ -84,70 +82,38 @@ def psi_partial_sums(
     return complex(first), complex(second)
 
 
-def _sine_ratio_mag(k: int, length: int, K: int) -> float:
-    """|sin(pi*k*length/K) / sin(pi*k/K)|, with its limit `length` at k = 0 mod K."""
-    if k % K == 0:
-        return float(length)
-    return abs(np.sin(np.pi * k * length / K) / np.sin(np.pi * k / K))
-
-
-def chi_bound(bin_index: int, state: InterfererState, params: LoRaParams) -> float:
-    """Triangle-inequality upper bound on the leaked magnitude at one bin."""
-    K = params.K
-    if not 0 <= bin_index < K:
-        raise ValueError("bin index out of range")
-    _check_state(state, params)
-    d1 = _sine_ratio_mag(bin_index - state.i1, state.tau, K)
-    d2 = _sine_ratio_mag(bin_index - state.i2, K - state.tau, K)
-    return (d1 + d2) / K
+def _sine_ratios(k: np.ndarray, length, K: int) -> np.ndarray:
+    """|sin(pi*k*length/K) / sin(pi*k/K)| elementwise (k and length
+    broadcast), with its limit `length` at k = 0 mod K."""
+    num = np.sin(np.pi * k * length / K)
+    den = np.sin(np.pi * k / K)
+    ratio = np.abs(np.divide(num, den, out=np.zeros_like(num), where=den != 0))
+    return np.where(k % K == 0, length, ratio)
 
 
 def chi_bound_all_bins(state: InterfererState, params: LoRaParams) -> np.ndarray:
-    """chi_bound evaluated at every bin at once."""
+    """Triangle-inequality upper bound on the leaked magnitude at every bin."""
     _check_state(state, params)
     K = params.K
     bins = np.arange(K)
-
-    def ratios(center: int, length: int) -> np.ndarray:
-        k = bins - center
-        num = np.sin(np.pi * k * length / K)
-        den = np.sin(np.pi * k / K)
-        out = np.abs(np.divide(num, den, out=np.zeros_like(num), where=den != 0))
-        out[k % K == 0] = length
-        return out
-
-    return (ratios(state.i1, state.tau) + ratios(state.i2, K - state.tau)) / K
+    return (
+        _sine_ratios(bins - state.i1, state.tau, K)
+        + _sine_ratios(bins - state.i2, K - state.tau, K)
+    ) / K
 
 
-def chi_of_I(shift: int, tau: int, params: LoRaParams) -> float:
-    """Peak-bin bound as a function of the symbol difference I = i2 - i1.
+@lru_cache(maxsize=8)
+def chi_of_I_table(params: LoRaParams) -> np.ndarray:
+    """Peak-bin bound on the full (tau, I) grid, I = i2 - i1 mod K; shape
+    (K/2 + 1, K), read-only.
 
     Evaluated at the dominant bin (the one carrying the longer of the two
     partial symbols), where the second sine ratio sits at its maximum
     K - tau.
     """
     K = params.K
-    if not 0 <= shift < K:
-        raise ValueError("symbol difference out of range")
-    if not 0 <= tau <= K // 2:
-        raise ValueError(f"offset must be in [0, {K // 2}], got {tau}")
-    return (_sine_ratio_mag(shift, tau, K) + K - tau) / K
-
-
-@lru_cache(maxsize=8)
-def chi_of_I_table(params: LoRaParams) -> np.ndarray:
-    """chi_of_I on the full (tau, I) grid; shape (K/2 + 1, K), read-only."""
-    K = params.K
-    taus = np.arange(K // 2 + 1)
-    shifts = np.arange(K)
-    T, S = np.meshgrid(taus, shifts, indexing="ij")
-    num = np.sin(np.pi * S * T / K)
-    den = np.sin(np.pi * S / K)
-    ratio = np.where(
-        S == 0,
-        T.astype(float),
-        np.abs(np.divide(num, den, out=np.zeros_like(num, dtype=float), where=den != 0)),
-    )
-    table = (ratio + (K - T)) / K
+    taus = np.arange(K // 2 + 1)[:, None]
+    shifts = np.arange(K)[None, :]
+    table = (_sine_ratios(shifts, taus, K) + (K - taus)) / K
     table.flags.writeable = False
     return table

@@ -10,6 +10,16 @@ Conventions used throughout the package:
   per-bin noise of variance N0.  (A library FFT with 1/K or 1/sqrt(K)
   scaling would silently break every SNR calibration in the package.)
 - detector ties are broken toward the lowest bin index.
+
+Synthesis is exact integer arithmetic plus one table lookup.  Sample n of
+symbol c is sqrt(1/K) * exp(2*pi*i*(n**2/(2K) - n/2 + c*n/K)), and that
+phase is pi/K times the integer j = n**2 - K*n + 2*c*n.  Since the phase is
+a multiple of pi/K, j only matters mod 2K, so every sample is one of the
+2K scaled roots of unity sqrt(1/K) * exp(i*pi*j/K), read from a cached
+table at index j & (2K - 1).  The int32 index never overflows for
+K <= 4096 (2*c*n < 2**25), no phase is rounded before the lookup, and
+every symbol, frame and the base chirp itself come out of the same
+`_chirps` kernel.
 """
 
 from __future__ import annotations
@@ -19,82 +29,74 @@ from functools import lru_cache
 
 import numpy as np
 
-# Largest symbol length for which the full chirp table is cached; beyond it
-# waveforms are synthesized on the fly.
-_TABLE_MAX_K = 512
-
 _POPCOUNT_DTYPE = np.int64
 
 
 @dataclass(frozen=True)
 class LoRaParams:
-    """Spreading factor and bandwidth of one chirp-spread-spectrum link."""
+    """Spreading factor of one chirp-spread-spectrum link."""
 
     sf: int
-    bandwidth_hz: float = 125e3
 
     def __post_init__(self):
         if not 2 <= self.sf <= 12:
             raise ValueError(f"spreading factor must be in [2, 12], got {self.sf}")
-        if self.bandwidth_hz <= 0:
-            raise ValueError("bandwidth must be positive")
 
     @property
     def K(self) -> int:
         """Symbol length in samples, 2**sf."""
         return 1 << self.sf
 
-    @property
-    def sample_period_s(self) -> float:
-        return 1.0 / self.bandwidth_hz
 
-    @property
-    def symbol_duration_s(self) -> float:
-        return self.K * self.sample_period_s
+@lru_cache(maxsize=16)
+def _phase_tables(sf: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Base-chirp phase indices n**2 - K*n mod 2K, the sample ramp 2n (both
+    int32), and the 2K scaled roots of unity they index."""
+    K = 1 << sf
+    n = np.arange(K, dtype=np.int64)
+    quad = ((n * n - K * n) % (2 * K)).astype(np.int32)
+    ramp = (2 * n).astype(np.int32)
+    roots = np.sqrt(1.0 / K) * np.exp(1j * np.pi * np.arange(2 * K) / K)
+    for table in (quad, ramp, roots):
+        table.flags.writeable = False
+    return quad, ramp, roots
+
+
+def _chirps(symbols: np.ndarray, sf: int) -> np.ndarray:
+    """Modulated samples for symbol indices that broadcast against the
+    sample axis: shape (..., 1) gives whole symbols, (..., K) gives a
+    symbol per sample.  Indices must already lie in [0, K)."""
+    quad, ramp, roots = _phase_tables(sf)
+    index = np.asarray(symbols, dtype=np.int32) * ramp
+    index += quad
+    index &= 2 * len(quad) - 1
+    return roots.take(index)
+
+
+def _check_symbols(symbols, K: int) -> None:
+    symbols = np.asarray(symbols)
+    if symbols.size and (symbols.min() < 0 or symbols.max() >= K):
+        raise ValueError(f"symbol values must be in [0, {K})")
 
 
 @lru_cache(maxsize=16)
 def _base_chirp(sf: int) -> np.ndarray:
-    K = 1 << sf
-    n = np.arange(K)
-    chirp = np.sqrt(1.0 / K) * np.exp(2j * np.pi * (n * n / (2.0 * K) - n / 2.0))
+    chirp = _chirps(np.zeros(1, dtype=np.int32), sf)
     chirp.flags.writeable = False
     return chirp
 
 
-@lru_cache(maxsize=8)
-def _chirp_table(sf: int) -> np.ndarray:
-    """All K modulated symbols as rows; only cached for small K."""
-    K = 1 << sf
-    n = np.arange(K)
-    table = _base_chirp(sf)[None, :] * np.exp(
-        2j * np.pi * np.outer(np.arange(K), n) / K
-    )
-    table.flags.writeable = False
-    return table
-
-
 def modulate(symbol: int, params: LoRaParams) -> np.ndarray:
     """Baseband samples of one symbol; every sample has magnitude 1/sqrt(K)."""
-    K = params.K
-    if not 0 <= symbol < K:
-        raise ValueError(f"symbol must be in [0, {K}), got {symbol}")
-    n = np.arange(K)
-    return _base_chirp(params.sf) * np.exp(2j * np.pi * symbol * n / K)
+    _check_symbols(symbol, params.K)
+    return _chirps(np.full(1, symbol), params.sf)
 
 
 def modulate_many(symbols: np.ndarray, params: LoRaParams) -> np.ndarray:
     """Rows of modulated symbols for an integer array of symbol values."""
     symbols = np.asarray(symbols)
-    K = params.K
-    if symbols.size and (symbols.min() < 0 or symbols.max() >= K):
-        raise ValueError("symbol values out of range")
-    if K <= _TABLE_MAX_K:
-        return _chirp_table(params.sf)[symbols]
-    n = np.arange(K)
-    return _base_chirp(params.sf)[None, :] * np.exp(
-        2j * np.pi * (symbols[:, None] * n[None, :] % K) / K
-    )
+    _check_symbols(symbols, params.K)
+    return _chirps(symbols[..., None], params.sf)
 
 
 def dechirp_dft(received: np.ndarray, params: LoRaParams) -> np.ndarray:
@@ -141,16 +143,8 @@ def detect_coherent(bins: np.ndarray, compensation_phase):
     return int(idx) if np.ndim(idx) == 0 else idx
 
 
-def count_bit_errors(sent: int, detected: int, sf: int) -> int:
-    """Hamming distance between the sf-bit representations of two symbols."""
-    K = 1 << sf
-    if not (0 <= sent < K and 0 <= detected < K):
-        raise ValueError("symbols out of range for the given spreading factor")
-    return (sent ^ detected).bit_count()
-
-
 def count_bit_errors_many(sent: np.ndarray, detected: np.ndarray, sf: int) -> np.ndarray:
-    """Vectorized count_bit_errors for integer arrays."""
+    """Hamming distances between the sf-bit representations of paired symbols."""
     sent = np.asarray(sent, dtype=_POPCOUNT_DTYPE)
     detected = np.asarray(detected, dtype=_POPCOUNT_DTYPE)
     K = 1 << sf

@@ -172,14 +172,6 @@ def _run_block(
     return errors, collisions
 
 
-def run_trial(cfg: SimConfig, snr_linear: float, rng: np.random.Generator) -> int:
-    """One trial through the exact signal path; returns its bit errors."""
-    if snr_linear <= 0:
-        raise ValueError("SNR must be positive")
-    errors, _ = _run_block(cfg, snr_linear, rng, 1)
-    return int(errors[0])
-
-
 def _block_sizes(cfg: SimConfig) -> list[int]:
     full, rest = divmod(cfg.trials_per_point, _BLOCK)
     return [_BLOCK] * full + ([rest] if rest else [])

@@ -50,6 +50,15 @@ class TestFrame:
         assert np.abs(frames[0] - ref0).max() < 1e-15
         assert np.abs(frames[1] - ref1).max() < 1e-15
 
+    def test_batch_rejects_out_of_range_symbols(self, sf7):
+        ok = np.array([3, 7])
+        tau = np.array([32, 50])
+        for bad in (np.array([3, 128]), np.array([-1, 7])):
+            with pytest.raises(ValueError):
+                interference.build_interferer_frames(bad, ok, tau, sf7)
+            with pytest.raises(ValueError):
+                interference.build_interferer_frames(ok, bad, tau, sf7)
+
 
 class TestPartialSums:
     def test_aligned_with_first_symbol(self, sf7):
@@ -76,17 +85,19 @@ class TestPartialSums:
             assert abs(bins[i]) == pytest.approx(abs(s1 + s2), abs=1e-12)
 
 
+def chi_bound(bin_index, state, params):
+    return interference.chi_bound_all_bins(state, params)[bin_index]
+
+
 class TestChiBound:
     def test_full_overlap_is_one(self, sf7):
-        assert interference.chi_bound(7, InterfererState(7, 7, 32), sf7) == pytest.approx(
-            1.0, abs=1e-13
-        )
+        assert chi_bound(7, InterfererState(7, 7, 32), sf7) == pytest.approx(1.0, abs=1e-13)
 
     def test_zero_offset(self, sf7):
         state = InterfererState(3, 40, 0)
-        assert interference.chi_bound(40, state, sf7) == pytest.approx(1.0, abs=1e-13)
+        assert chi_bound(40, state, sf7) == pytest.approx(1.0, abs=1e-13)
         # away from the second symbol only its own sine ratio contributes
-        assert interference.chi_bound(10, state, sf7) == pytest.approx(
+        assert chi_bound(10, state, sf7) == pytest.approx(
             sine_ratio(10 - 40, 128, 128) / 128, abs=1e-12
         )
 
@@ -98,9 +109,10 @@ class TestChiBound:
                 int(rng.integers(0, 128)),
                 int(rng.integers(0, 65)),
             )
+            bound = interference.chi_bound_all_bins(state, sf7)
             for i in range(128):
                 s1, s2 = interference.psi_partial_sums(i, state, sf7)
-                assert interference.chi_bound(i, state, sf7) - abs(s1 + s2) >= -1e-12
+                assert bound[i] - abs(s1 + s2) >= -1e-12
 
     def test_all_bins_helper_matches_scalar(self, sf7):
         rng = np.random.default_rng(23)
@@ -110,11 +122,14 @@ class TestChiBound:
                 int(rng.integers(0, 128)),
                 int(rng.integers(0, 65)),
             )
+            # against the scalar sine-ratio oracle, bin by bin
             vec = interference.chi_bound_all_bins(state, sf7)
             for i in rng.integers(0, 128, 5):
-                assert vec[i] == pytest.approx(
-                    interference.chi_bound(int(i), state, sf7), abs=1e-12
-                )
+                expected = (
+                    sine_ratio(i - state.i1, state.tau, 128)
+                    + sine_ratio(i - state.i2, 128 - state.tau, 128)
+                ) / 128
+                assert vec[i] == pytest.approx(expected, abs=1e-12)
 
     def test_peak_bin_statistic(self, sf7):
         # the bound's peak should land on the trailing-symbol bin for the
@@ -132,18 +147,22 @@ class TestChiBound:
         assert hits / n >= 0.95
 
 
+def chi_of_I(shift, tau, params):
+    return interference.chi_of_I_table(params)[tau, shift]
+
+
 class TestChiOfI:
     def test_zero_difference(self, sf7):
         for tau in (0, 5, 64):
-            assert interference.chi_of_I(0, tau, sf7) == pytest.approx(1.0, abs=1e-13)
+            assert chi_of_I(0, tau, sf7) == pytest.approx(1.0, abs=1e-13)
 
     def test_zero_offset(self, sf7):
         for shift in (0, 1, 63, 127):
-            assert interference.chi_of_I(shift, 0, sf7) == pytest.approx(1.0, abs=1e-13)
+            assert chi_of_I(shift, 0, sf7) == pytest.approx(1.0, abs=1e-13)
 
     def test_direct_evaluation(self, sf7):
         expected = (abs(np.sin(5 * np.pi * 32 / 128) / np.sin(5 * np.pi / 128)) + 96) / 128
-        assert interference.chi_of_I(5, 32, sf7) == pytest.approx(expected, rel=1e-12)
+        assert chi_of_I(5, 32, sf7) == pytest.approx(expected, rel=1e-12)
 
     def test_consistent_with_peak_bin_bound(self, sf7):
         # chi_of_I equals the per-bin bound evaluated at the trailing bin
@@ -153,8 +172,8 @@ class TestChiOfI:
             tau = int(rng.integers(0, 65))
             i2 = int(rng.integers(0, 128))
             state = InterfererState((i2 - shift) % 128, i2, tau)
-            assert interference.chi_of_I(shift, tau, sf7) == pytest.approx(
-                interference.chi_bound(i2, state, sf7), abs=1e-12
+            assert chi_of_I(shift, tau, sf7) == pytest.approx(
+                chi_bound(i2, state, sf7), abs=1e-12
             )
 
     def test_range_invariant(self, sf7):
@@ -170,9 +189,9 @@ class TestChiOfI:
         for _ in range(100):
             tau = int(rng.integers(0, 65))
             shift = int(rng.integers(0, 128))
-            assert table[tau, shift] == pytest.approx(
-                interference.chi_of_I(shift, tau, sf7), abs=1e-12
-            )
+            # against the scalar sine-ratio oracle
+            expected = (sine_ratio(shift, tau, 128) + 128 - tau) / 128
+            assert table[tau, shift] == pytest.approx(expected, abs=1e-12)
 
     def test_symmetry_under_difference_reflection(self, sf7):
         table = interference.chi_of_I_table(sf7)
@@ -180,7 +199,12 @@ class TestChiOfI:
             assert table[:, shift] == pytest.approx(table[:, 128 - shift], abs=1e-12)
 
     def test_domain_errors(self, sf7):
+        assert interference.chi_of_I_table(sf7).shape == (65, 128)
+        with pytest.raises(IndexError):
+            chi_of_I(5, 65, sf7)
+        with pytest.raises(IndexError):
+            chi_of_I(128, 10, sf7)
         with pytest.raises(ValueError):
-            interference.chi_of_I(5, 65, sf7)
+            interference.chi_bound_all_bins(InterfererState(3, 40, 65), sf7)
         with pytest.raises(ValueError):
-            interference.chi_of_I(128, 10, sf7)
+            interference.chi_bound_all_bins(InterfererState(3, 128, 10), sf7)

@@ -80,16 +80,10 @@ class TestDeterminism:
 
 
 class TestTrialMechanics:
-    def test_run_trial_range(self):
-        cfg = sim_config()
-        rng = np.random.default_rng(0)
-        for _ in range(50):
-            errors = mc.run_trial(cfg, 10 ** (-2.5), rng)
-            assert 0 <= errors <= SF7.sf
-
-    def test_run_trial_requires_positive_snr(self):
-        with pytest.raises(ValueError):
-            mc.run_trial(sim_config(), 0.0, np.random.default_rng(0))
+    def test_run_block_range(self):
+        errors, _ = mc._run_block(sim_config(), 10 ** (-2.5), np.random.default_rng(0), 50)
+        assert errors.shape == (50,)
+        assert np.all((errors >= 0) & (errors <= SF7.sf))
 
     def test_forced_clean_channel_never_errs(self, monkeypatch):
         # unit target gain, no interferer, essentially no noise
