@@ -10,6 +10,19 @@ independent uniform phase.  Two surface topologies are supported:
 `n_elements = 0` degenerates to the surface-free link everywhere, which
 keeps the baselines on one code path.
 
+Gains are drawn in polar form, a magnitude and a phase per link, and
+aggregated without rebuilding the complex per-element gains.  The
+shortcut is exact, not an approximation: optimal phasing sets element
+n's phase to theta_n = phi_direct - phi_h,n - phi_g,n, so every reflected
+term |h_n||g_n| e^{i(phi_h,n + theta_n + phi_g,n)} carries the direct
+link's phase, and the co-phased sum is the real sum of the magnitudes
+times the one phasor e^{i phi_direct}.  Only terms whose phases do not
+align (the interferer's reflections off the target's surface, and every
+term under blind phasing) are summed term by term, with a cosine and a
+sine each.  `aggregate` reads which paths are co-phased from its case
+alone: "a" and "b" expect optimal phases and "blind" expects random
+ones, which is how every caller pairs them.
+
 The analytic engine represents the combined target amplitude and the
 combined interferer gain by moment-matched Gamma distributions.  The
 default estimator matches mean and variance; `paper_literal_estimator`
@@ -78,19 +91,28 @@ class GammaFit:
 
 
 @dataclass(frozen=True)
+class PolarGain:
+    """Link gains in polar form: Nakagami magnitudes and uniform phases
+    in [0, 2*pi), of equal shape."""
+
+    mag: np.ndarray
+    phase: np.ndarray
+
+
+@dataclass(frozen=True)
 class ChannelDraw:
-    """One realization of all complex link gains.
+    """One realization of all link gains, each a PolarGain.
 
     Arrays may carry a leading batch axis; element vectors have the element
     count on the last axis.  g_i is only present for the paired topology.
     """
 
-    h_td: np.ndarray
-    h_id: np.ndarray
-    h_t: np.ndarray
-    g_t: np.ndarray
-    h_i: np.ndarray
-    g_i: np.ndarray | None = None
+    h_td: PolarGain
+    h_id: PolarGain
+    h_t: PolarGain
+    g_t: PolarGain
+    h_i: PolarGain
+    g_i: PolarGain | None = None
 
 
 @dataclass(frozen=True)
@@ -116,9 +138,9 @@ def sample_nakagami(shape: float, rng: np.random.Generator, size=None):
     return np.sqrt(rng.gamma(shape, 1.0 / shape, size))
 
 
-def _complex_gain(shape: float, rng: np.random.Generator, size=None):
+def _polar_gain(shape: float, rng: np.random.Generator, size=None) -> PolarGain:
     mag = sample_nakagami(shape, rng, size)
-    return mag * np.exp(2j * np.pi * rng.random(size))
+    return PolarGain(mag=mag, phase=np.multiply(2.0 * np.pi, rng.random(size)))
 
 
 def draw_channels(
@@ -134,12 +156,12 @@ def draw_channels(
     n = config.n_elements
     vec = n if size is None else (size, n)
     return ChannelDraw(
-        h_td=_complex_gain(config.m1, rng, size),
-        h_id=_complex_gain(config.m2, rng, size),
-        h_t=_complex_gain(config.m_ht, rng, vec),
-        g_t=_complex_gain(config.m_gt, rng, vec),
-        h_i=_complex_gain(config.m_hi, rng, vec),
-        g_i=_complex_gain(config.m_gi, rng, vec) if case == "b" else None,
+        h_td=_polar_gain(config.m1, rng, size),
+        h_id=_polar_gain(config.m2, rng, size),
+        h_t=_polar_gain(config.m_ht, rng, vec),
+        g_t=_polar_gain(config.m_gt, rng, vec),
+        h_i=_polar_gain(config.m_hi, rng, vec),
+        g_i=_polar_gain(config.m_gi, rng, vec) if case == "b" else None,
     )
 
 
@@ -154,46 +176,62 @@ def configure_phases(
     draws all phases uniformly at random.
     """
     if mode == "optimal":
-        target = -(np.angle(draw.h_t) + np.angle(draw.g_t)) + np.angle(draw.h_td)[
-            ..., None
-        ]
+        target = draw.h_td.phase[..., None] - draw.h_t.phase - draw.g_t.phase
         interferer = None
         if draw.g_i is not None:
-            interferer = -(np.angle(draw.h_i) + np.angle(draw.g_i)) + np.angle(
-                draw.h_id
-            )[..., None]
+            interferer = draw.h_id.phase[..., None] - draw.h_i.phase - draw.g_i.phase
         return RisPhases(target=target, interferer=interferer)
     if mode == "blind":
         if rng is None:
             raise ValueError("blind phase configuration needs a random stream")
-        target = 2.0 * np.pi * rng.random(draw.h_t.shape)
+        target = 2.0 * np.pi * rng.random(draw.h_t.phase.shape)
         interferer = None
         if draw.g_i is not None:
-            interferer = 2.0 * np.pi * rng.random(draw.h_i.shape)
+            interferer = 2.0 * np.pi * rng.random(draw.h_i.phase.shape)
         return RisPhases(target=target, interferer=interferer)
     raise ValueError(f"unknown phase mode {mode!r}")
+
+
+def _phasor(gain: PolarGain):
+    return gain.mag * np.exp(1j * gain.phase)
+
+
+def _combine(h: PolarGain, theta, g: PolarGain, direct: PolarGain, co_phased: bool):
+    """sum_n h_n e^{i theta_n} g_n + direct, for element vectors on the
+    last axis; co_phased says every reflected term has the direct phase."""
+    mag = h.mag * g.mag
+    if co_phased:
+        return (mag.sum(axis=-1) + direct.mag) * np.exp(1j * direct.phase)
+    phase = h.phase + theta
+    phase += g.phase
+    real = (mag * np.cos(phase)).sum(axis=-1)
+    imag = (mag * np.sin(phase)).sum(axis=-1)
+    return (real + 1j * imag) + _phasor(direct)
 
 
 def aggregate(draw: ChannelDraw, phases: RisPhases | None, case: str) -> EffectiveGains:
     """Combine direct and reflected paths into the two effective gains.
 
-    case "a"/"blind": both users reflect off the target's surface phases;
-    case "b": the interferer reflects off its own surface; "ris_free":
-    direct links only (phases ignored).
+    case "a": both users reflect off the target's surface; case "b": the
+    interferer reflects off its own surface; "blind": as "a", with phases
+    that co-phase nothing; "ris_free": direct links only (phases ignored).
+    Cases "a" and "b" take the phases of configure_phases(draw, "optimal")
+    and sum the paths those co-phase as magnitudes times the direct link's
+    phasor (see the module docstring); "blind" sums every term with the
+    given phases.
     """
     if case == "ris_free":
-        return EffectiveGains(h_eff=draw.h_td, h_int=draw.h_id)
+        return EffectiveGains(h_eff=_phasor(draw.h_td), h_int=_phasor(draw.h_id))
     if phases is None:
         raise ValueError(f"case {case!r} requires surface phases")
-    rot_t = np.exp(1j * phases.target)
-    h_eff = (draw.h_t * rot_t * draw.g_t).sum(axis=-1) + draw.h_td
+    optimal = case != "blind"
+    h_eff = _combine(draw.h_t, phases.target, draw.g_t, draw.h_td, optimal)
     if case in ("a", "blind"):
-        h_int = (draw.h_i * rot_t * draw.g_t).sum(axis=-1) + draw.h_id
+        h_int = _combine(draw.h_i, phases.target, draw.g_t, draw.h_id, False)
     elif case == "b":
         if draw.g_i is None or phases.interferer is None:
             raise ValueError("paired topology needs interferer links and phases")
-        rot_i = np.exp(1j * phases.interferer)
-        h_int = (draw.h_i * rot_i * draw.g_i).sum(axis=-1) + draw.h_id
+        h_int = _combine(draw.h_i, phases.interferer, draw.g_i, draw.h_id, optimal)
     else:
         raise ValueError(f"unknown case {case!r}")
     return EffectiveGains(h_eff=h_eff, h_int=h_int)

@@ -7,16 +7,24 @@ cross-correlation bounds, Gamma fits, or quadrature machinery of the
 analytic engine, so the two sides cross-validate each other.
 
 Reproducibility contract: trials are processed in fixed-size blocks, and
-every block gets its own counter-based random stream keyed by
-(seed, point index, block index).  Results are therefore identical for a
-given seed no matter how many workers run the blocks, and the block size
-is a module constant because changing it changes the stream mapping.
+every block gets its own `SFC64` random stream, seeded by
+`SeedSequence(seed, spawn_key=(point index, block index))`.  Results are
+therefore identical for a given seed no matter how many workers run the
+blocks, and the block size is a module constant because changing it
+changes the stream mapping.  Changing the bit generator, or the order in
+which a block draws its variates, changes every result for a fixed seed.
+
+Parallel runs use one process pool per sweep, keep at most `workers`
+blocks in flight, and submit no further block of a point once its early
+stop fires.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
+from collections import deque
+from concurrent.futures import Executor, ProcessPoolExecutor
+from contextlib import closing, contextmanager, nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,7 +113,7 @@ def wilson_interval(successes: int, total: int, z: float = 1.96) -> tuple[float,
 
 def _substream(seed: int, point_index: int, block_index: int) -> np.random.Generator:
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(point_index, block_index))
-    return np.random.Generator(np.random.Philox(ss))
+    return np.random.Generator(np.random.SFC64(ss))
 
 
 def _draw_gains(cfg: SimConfig, rng: np.random.Generator, size: int):
@@ -136,6 +144,12 @@ def _draw_gains(cfg: SimConfig, rng: np.random.Generator, size: int):
     return gains.h_eff, gains.h_int
 
 
+def _add_scaled(y: np.ndarray, gains: np.ndarray, samples: np.ndarray) -> None:
+    """y += gains[:, None] * samples, reusing the samples buffer."""
+    samples *= gains[:, None]
+    y += samples
+
+
 def _run_block(
     cfg: SimConfig, snr_linear: float, rng: np.random.Generator, size: int
 ) -> tuple[np.ndarray, int]:
@@ -155,11 +169,14 @@ def _run_block(
 
     h_eff, h_int = _draw_gains(cfg, rng, size)
 
-    y = h_eff[:, None] * modulate_many(c, params)
+    # The received block is built in the noise buffer: (size, 2K) normals
+    # viewed as (size, K) complex samples.
+    noise = rng.standard_normal((size, 2 * K))
+    noise *= math.sqrt(noise_var / 2.0)
+    y = noise.view(np.complex128)
+    _add_scaled(y, h_eff, modulate_many(c, params))
     if with_interference:
-        y = y + h_int[:, None] * build_interferer_frames(i1, i2, tau, params)
-    noise = rng.standard_normal((size, K)) + 1j * rng.standard_normal((size, K))
-    y = y + noise * math.sqrt(noise_var / 2.0)
+        _add_scaled(y, h_int, build_interferer_frames(i1, i2, tau, params))
 
     bins = dechirp_dft(y, params)
     if cfg.detection == "noncoherent":
@@ -184,12 +201,55 @@ def _block_task(args) -> tuple[int, int, int]:
     return int(errors.sum()), size, collisions
 
 
-def run_point(cfg: SimConfig, snr_db: float, workers: int = 1) -> BerEstimate:
+def _block_results(pool: Executor | None, tasks, depth: int):
+    """Block results in task order: computed here when `pool` is None, else
+    on the pool with at most `depth` blocks in flight.
+
+    A block is submitted only after the caller has taken the oldest
+    result, so nothing more is submitted once the caller stops; closing
+    the generator cancels the blocks that have not started.
+    """
+    if pool is None:
+        for task in tasks:
+            yield _block_task(task)
+        return
+    pending: deque = deque()
+    try:
+        for task in tasks:
+            pending.append(pool.submit(_block_task, task))
+            if len(pending) >= depth:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
+    finally:
+        for future in pending:
+            future.cancel()
+
+
+@contextmanager
+def _worker_pool(workers: int):
+    """A pool of `workers` processes, or None for a serial run.  On exit,
+    blocks that have not started are cancelled and the pool is shut down."""
+    if workers <= 1:
+        yield None
+        return
+    pool = ProcessPoolExecutor(max_workers=workers)
+    try:
+        yield pool
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
+
+
+def run_point(
+    cfg: SimConfig, snr_db: float, workers: int = 1, *, pool: Executor | None = None
+) -> BerEstimate:
     """Estimate the bit error rate at one grid SNR.
 
     Blocks are accumulated in index order and the early-stop rule is
     evaluated at block boundaries, so the counted set of trials (and hence
-    the estimate) is independent of the worker count.
+    the estimate) is independent of the worker count.  With `workers > 1`
+    the blocks run on `pool` when one is given (run_sweep shares one
+    across its points), else on a pool started for this point.
     """
     try:
         point_index = cfg.snr_db_grid.index(snr_db)
@@ -198,31 +258,20 @@ def run_point(cfg: SimConfig, snr_db: float, workers: int = 1) -> BerEstimate:
             f"snr_db={snr_db} is not on the configured grid {cfg.snr_db_grid}"
         ) from None
     snr_linear = 10.0 ** (snr_db / 10.0)
-    sizes = _block_sizes(cfg)
     tasks = (
         (cfg, snr_linear, point_index, block_index, size)
-        for block_index, size in enumerate(sizes)
+        for block_index, size in enumerate(_block_sizes(cfg))
     )
 
     bit_errors = trials = collisions = 0
-
-    def consume(results) -> None:
-        nonlocal bit_errors, trials, collisions
+    pool_context = _worker_pool(workers) if pool is None else nullcontext(pool)
+    with pool_context as pool, closing(_block_results(pool, tasks, workers)) as results:
         for block_errors, size, block_collisions in results:
             bit_errors += block_errors
             trials += size
             collisions += block_collisions
             if cfg.max_bit_errors is not None and bit_errors >= cfg.max_bit_errors:
                 break
-
-    if workers > 1:
-        pool = ProcessPoolExecutor(max_workers=workers)
-        try:
-            consume(pool.map(_block_task, tasks))
-        finally:
-            pool.shutdown(wait=True, cancel_futures=True)
-    else:
-        consume(map(_block_task, tasks))
 
     bits_sent = trials * cfg.params.sf
     low, high = wilson_interval(bit_errors, bits_sent)
@@ -238,20 +287,22 @@ def run_point(cfg: SimConfig, snr_db: float, workers: int = 1) -> BerEstimate:
 
 
 def run_sweep(cfg: SimConfig, workers: int = 1) -> list[BerPoint]:
-    """One BerPoint per grid SNR, with scenario metadata attached."""
+    """One BerPoint per grid SNR, with scenario metadata attached; all
+    points share one pool of `workers` processes."""
     points = []
-    for snr_db in cfg.snr_db_grid:
-        estimate = run_point(cfg, snr_db, workers=workers)
-        points.append(
-            BerPoint(
-                scenario=cfg.scenario,
-                detection=cfg.detection,
-                sf=cfg.params.sf,
-                n_elements=cfg.fading.n_elements,
-                m=cfg.fading.m1,
-                snr_db=snr_db,
-                seed=cfg.seed,
-                estimate=estimate,
+    with _worker_pool(workers) as pool:
+        for snr_db in cfg.snr_db_grid:
+            estimate = run_point(cfg, snr_db, workers, pool=pool)
+            points.append(
+                BerPoint(
+                    scenario=cfg.scenario,
+                    detection=cfg.detection,
+                    sf=cfg.params.sf,
+                    n_elements=cfg.fading.n_elements,
+                    m=cfg.fading.m1,
+                    snr_db=snr_db,
+                    seed=cfg.seed,
+                    estimate=estimate,
+                )
             )
-        )
     return points

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from . import analytic_ber, montecarlo, specfun
 from .channel import (
@@ -138,7 +137,7 @@ def _check_channel_moments(params: LoRaParams, fading: FadingConfig, trials, rng
         size = min(chunk, n - done)
         draw = draw_channels(fading, "a", rng, size)
         if fading.n_elements:
-            cascade_sum += float(np.abs(draw.h_t[:, 0] * draw.g_t[:, 0]).sum())
+            cascade_sum += float((draw.h_t.mag[:, 0] * draw.g_t.mag[:, 0]).sum())
         gains = aggregate(draw, configure_phases(draw, "optimal"), "a")
         power_sum += float((np.abs(gains.h_int) ** 2).sum())
         done += size
@@ -156,6 +155,10 @@ def _check_channel_moments(params: LoRaParams, fading: FadingConfig, trials, rng
 
 
 def _check_gamma_fit(params: LoRaParams, fading: FadingConfig, trials, rng):
+    # scipy.stats costs about 0.5 s to import; only this check needs it, so
+    # it stays off the import path of every other command.
+    from scipy import stats
+
     n = max(50_000, min(trials, 200_000))
     draw = draw_channels(fading, "a", rng, n)
     gains = aggregate(draw, configure_phases(draw, "optimal"), "a")

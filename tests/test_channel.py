@@ -13,6 +13,11 @@ def rng_for(tag: int) -> np.random.Generator:
     return np.random.default_rng(1_000 + tag)
 
 
+def as_complex(gain: channel.PolarGain):
+    """The complex gain mag * e^{i phase} of a polar draw."""
+    return gain.mag * np.exp(1j * gain.phase)
+
+
 class TestNakagamiSampler:
     def test_rayleigh_mean(self):
         x = channel.sample_nakagami(1.0, rng_for(1), 1_000_000)
@@ -39,8 +44,10 @@ class TestDraws:
     def test_no_elements(self):
         cfg = FadingConfig.uniform(2.0, 0)
         draw = channel.draw_channels(cfg, "a", rng_for(5))
-        assert draw.h_t.shape == (0,)
-        assert np.iscomplexobj(draw.h_td)
+        assert draw.h_t.mag.shape == draw.h_t.phase.shape == (0,)
+        # the direct link is one full gain: a magnitude and a phase
+        assert np.ndim(draw.h_td.mag) == np.ndim(draw.h_td.phase) == 0
+        assert draw.h_td.mag > 0 and 0.0 <= draw.h_td.phase < 2 * np.pi
 
     def test_shared_topology_has_no_interferer_surface_links(self):
         draw = channel.draw_channels(FadingConfig.uniform(2.0, 4), "a", rng_for(6))
@@ -48,12 +55,13 @@ class TestDraws:
 
     def test_paired_topology_has_them(self):
         draw = channel.draw_channels(FadingConfig.uniform(2.0, 4), "b", rng_for(7))
-        assert draw.g_i is not None and draw.g_i.shape == (4,)
+        assert draw.g_i is not None
+        assert draw.g_i.mag.shape == draw.g_i.phase.shape == (4,)
 
     def test_per_element_product_mean(self):
         cfg = FadingConfig.uniform(2.0, 25)
         draw = channel.draw_channels(cfg, "a", rng_for(8), 40_000)
-        products = np.abs(draw.h_t * draw.g_t).ravel()  # one million element draws
+        products = (draw.h_t.mag * draw.g_t.mag).ravel()  # one million element draws
         expected = channel.cascade_moment(2.0, 2.0, 1)
         assert abs(products.mean() - expected) / expected < 0.01
 
@@ -66,7 +74,7 @@ class TestPhases:
     def test_optimal_alignment(self):
         draw = channel.draw_channels(FadingConfig.uniform(2.0, 25), "a", rng_for(10))
         gains = channel.aggregate(draw, channel.configure_phases(draw, "optimal"), "a")
-        coherent_sum = np.abs(draw.h_t * draw.g_t).sum() + abs(draw.h_td)
+        coherent_sum = (draw.h_t.mag * draw.g_t.mag).sum() + draw.h_td.mag
         assert abs(gains.h_eff) == pytest.approx(coherent_sum, abs=1e-12)
 
     def test_empty_surface(self):
@@ -99,19 +107,23 @@ class TestAggregate:
     def test_no_elements_reduces_to_direct_links(self):
         draw = channel.draw_channels(FadingConfig.uniform(2.0, 0), "a", rng_for(15))
         gains = channel.aggregate(draw, channel.configure_phases(draw, "optimal"), "a")
-        assert gains.h_eff == pytest.approx(draw.h_td, abs=1e-15)
-        assert gains.h_int == pytest.approx(draw.h_id, abs=1e-15)
+        assert gains.h_eff == pytest.approx(as_complex(draw.h_td), abs=1e-15)
+        assert gains.h_int == pytest.approx(as_complex(draw.h_id), abs=1e-15)
 
     def test_target_phase_follows_direct_link(self):
         draw = channel.draw_channels(FadingConfig.uniform(2.0, 25), "a", rng_for(16))
         gains = channel.aggregate(draw, channel.configure_phases(draw, "optimal"), "a")
-        assert np.angle(gains.h_eff) == pytest.approx(np.angle(draw.h_td), abs=1e-12)
+        assert np.angle(gains.h_eff) == pytest.approx(
+            np.angle(as_complex(draw.h_td)), abs=1e-12
+        )
 
     def test_paired_interferer_phase_follows_its_direct_link(self):
         draw = channel.draw_channels(FadingConfig.uniform(2.0, 25), "b", rng_for(17))
         gains = channel.aggregate(draw, channel.configure_phases(draw, "optimal"), "b")
-        assert np.angle(gains.h_int) == pytest.approx(np.angle(draw.h_id), abs=1e-12)
-        coherent = np.abs(draw.h_i * draw.g_i).sum() + abs(draw.h_id)
+        assert np.angle(gains.h_int) == pytest.approx(
+            np.angle(as_complex(draw.h_id)), abs=1e-12
+        )
+        coherent = (draw.h_i.mag * draw.g_i.mag).sum() + draw.h_id.mag
         assert abs(gains.h_int) == pytest.approx(coherent, abs=1e-12)
 
     def test_case_phase_mismatch(self):
@@ -128,6 +140,46 @@ class TestAggregate:
             gains = channel.aggregate(draw, channel.configure_phases(draw, "optimal"), "a")
             total += float((np.abs(gains.h_int) ** 2).sum())
         assert abs(total / n - 26.0) / 26.0 < 0.01
+
+
+class TestPolarOracle:
+    """aggregate against the complex per-element sum on the same draw."""
+
+    @staticmethod
+    def reflected(h, theta, g, direct):
+        # sum_n h_n e^{i theta_n} g_n + h_direct, from complex gains
+        return (as_complex(h) * np.exp(1j * theta) * as_complex(g)).sum(axis=-1) + (
+            as_complex(direct)
+        )
+
+    @pytest.mark.parametrize("n_elements", [0, 25])
+    @pytest.mark.parametrize(
+        "topology,mode,case",
+        [
+            ("a", "optimal", "a"),
+            ("b", "optimal", "b"),
+            ("a", "blind", "blind"),
+            ("b", "blind", "blind"),
+            ("a", "optimal", "ris_free"),
+        ],
+    )
+    def test_matches_complex_sum(self, n_elements, topology, mode, case):
+        rng = rng_for(30 + n_elements)
+        draw = channel.draw_channels(
+            FadingConfig.uniform(2.0, n_elements), topology, rng, 2_000
+        )
+        phases = channel.configure_phases(draw, mode, rng)
+        gains = channel.aggregate(draw, phases, case)
+        if case == "ris_free":
+            h_eff, h_int = as_complex(draw.h_td), as_complex(draw.h_id)
+        else:
+            h_eff = self.reflected(draw.h_t, phases.target, draw.g_t, draw.h_td)
+            if case == "b":
+                h_int = self.reflected(draw.h_i, phases.interferer, draw.g_i, draw.h_id)
+            else:
+                h_int = self.reflected(draw.h_i, phases.target, draw.g_t, draw.h_id)
+        np.testing.assert_allclose(gains.h_eff, h_eff, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(gains.h_int, h_int, rtol=0, atol=1e-12)
 
 
 class TestMoments:

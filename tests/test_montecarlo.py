@@ -1,3 +1,12 @@
+import ast
+import multiprocessing
+import os
+import signal
+import time
+from concurrent.futures import Executor, Future, ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -73,6 +82,17 @@ class TestDeterminism:
         assert serial.bit_errors == parallel.bit_errors
         assert serial.bits_sent == parallel.bits_sent
 
+    def test_sweep_parallel_matches_serial(self):
+        # early stop fires after the first block at -37 dB and the second at
+        # -36 dB, and never at -35 or -33 dB
+        cfg = sim_config(snr_db_grid=(-37.0, -36.0, -35.0, -33.0),
+                         trials_per_point=20_000, max_bit_errors=300)
+        serial = mc.run_sweep(cfg, workers=1)
+        parallel = mc.run_sweep(cfg, workers=2)
+        stopped = [p.estimate.trials < cfg.trials_per_point for p in serial]
+        assert any(stopped) and not all(stopped)
+        assert serial == parallel
+
     def test_different_seeds_differ(self):
         cfg_a = sim_config(snr_db_grid=(-33.0,), trials_per_point=20_000)
         cfg_b = sim_config(snr_db_grid=(-33.0,), trials_per_point=20_000, seed=124)
@@ -139,6 +159,107 @@ class TestTrialMechanics:
                           trials_per_point=30_000, max_bit_errors=None,
                           full_offset_range=True)
         assert mc.run_point(narrow, -20.0) != mc.run_point(wide, -20.0)
+
+
+class InlinePool(Executor):
+    """Runs each block when it is submitted and counts the submissions."""
+
+    def __init__(self):
+        self.submitted = 0
+
+    def submit(self, fn, /, *args, **kwargs):
+        self.submitted += 1
+        future = Future()
+        future.set_result(fn(*args, **kwargs))
+        return future
+
+
+class TestWorkerPool:
+    def test_early_stop_submits_no_further_block(self):
+        # five blocks a point; at -37 dB the first block passes 300 bit
+        # errors, at -33 dB no block does
+        cfg = sim_config(snr_db_grid=(-37.0, -33.0), trials_per_point=20_000,
+                         max_bit_errors=300)
+        for snr_db, submitted in ((-37.0, 2), (-33.0, 5)):
+            pool = InlinePool()
+            estimate = mc.run_point(cfg, snr_db, workers=2, pool=pool)
+            assert estimate == mc.run_point(cfg, snr_db)
+            assert pool.submitted == submitted
+        assert estimate.trials == cfg.trials_per_point
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="the patched _run_block reaches the workers only by fork",
+    )
+    def test_dead_worker_fails_the_sweep(self, monkeypatch):
+        shut_down = []
+
+        class RecordingPool(ProcessPoolExecutor):
+            # forked, whatever the interpreter's default start method, so the
+            # workers inherit the patched _run_block
+            def __init__(self, max_workers):
+                super().__init__(max_workers, mp_context=multiprocessing.get_context("fork"))
+
+            def shutdown(self, *args, **kwargs):
+                shut_down.append(self)
+                super().shutdown(*args, **kwargs)
+
+        def on_alarm(signum, frame):
+            raise TimeoutError("run_sweep hung after a worker died")
+
+        monkeypatch.setattr(mc, "ProcessPoolExecutor", RecordingPool)
+        # patched before the pool forks, so every worker dies in its first block
+        monkeypatch.setattr(mc, "_run_block", lambda *args: os._exit(1))
+        cfg = sim_config(snr_db_grid=(-30.0, -25.0), trials_per_point=20_000)
+        previous = signal.signal(signal.SIGALRM, on_alarm)
+        signal.alarm(120)
+        start = time.perf_counter()
+        try:
+            with pytest.raises(BrokenProcessPool):
+                mc.run_sweep(cfg, workers=2)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert time.perf_counter() - start < 30
+        assert len(shut_down) == 1
+        assert not multiprocessing.active_children()
+
+
+class TestIndependence:
+    """The Monte Carlo route never imports the closed forms.
+
+    Checked on the source, not on sys.modules: the package's __init__
+    imports both routes, so every test process has both loaded.
+    """
+
+    @staticmethod
+    def package_imports(path: Path) -> set[str]:
+        imported = set()
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                module = node.module or ""
+                if node.level == 1 and module:
+                    imported.add(module.split(".")[0])
+                elif node.level == 1 or module == "chirpfield":
+                    imported.update(alias.name for alias in node.names)
+                elif module.startswith("chirpfield."):
+                    imported.add(module.split(".")[1])
+            elif isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[1] for alias in node.names
+                                if alias.name.startswith("chirpfield."))
+        return imported
+
+    def test_montecarlo_never_reaches_analytic_ber(self):
+        package = Path(mc.__file__).parent
+        edges = {path.stem: self.package_imports(path) for path in package.glob("*.py")}
+        reachable, todo = set(), ["montecarlo"]
+        while todo:
+            for module in edges.get(todo.pop(), ()):
+                if module not in reachable:
+                    reachable.add(module)
+                    todo.append(module)
+        assert {"channel", "interference", "lora_phy", "specfun"} <= reachable
+        assert "analytic_ber" not in reachable
 
 
 class TestSweep:
