@@ -20,6 +20,15 @@ table at index j & (2K - 1).  The int32 index never overflows for
 K <= 4096 (2*c*n < 2**25), no phase is rounded before the lookup, and
 every symbol, frame and the base chirp itself come out of the same
 `_chirps` kernel.
+
+The Monte Carlo builds its bins in the dechirped domain instead (the
+dechirp-then-DFT view of Vangelista, IEEE SPL 24(12), 2017).  Sample n of
+symbol c times the conjugate base chirp is exactly (1/K) *
+exp(2*pi*i*c*n/K): the quadratic phase cancels, so a symbol dechirps to a
+pure tone that the DFT puts, with weight 1, in bin c alone.  `_tones` reads
+these from a cached table of the K roots of unity scaled by 1/K, at the
+intp index c*n & (K - 1); it is the dechirped counterpart of `_chirps`, and
+`dechirp_dft(_chirps(...))` is its time-domain oracle.
 """
 
 from __future__ import annotations
@@ -71,6 +80,25 @@ def _chirps(symbols: np.ndarray, sf: int) -> np.ndarray:
     index += quad
     index &= 2 * len(quad) - 1
     return roots.take(index)
+
+
+@lru_cache(maxsize=16)
+def _tone_table(sf: int) -> np.ndarray:
+    """The K roots of unity scaled by 1/K; entry j is exp(2*pi*i*j/K) / K."""
+    K = 1 << sf
+    roots = np.exp(2j * np.pi * np.arange(K) / K) / K
+    roots.flags.writeable = False
+    return roots
+
+
+def _tones(symbols: np.ndarray, sf: int) -> np.ndarray:
+    """Dechirped samples (1/K) * exp(2*pi*i*c*n/K) for intp symbol indices
+    that broadcast against the sample axis, as in `_chirps`.  Indices must
+    already lie in [0, K)."""
+    K = 1 << sf
+    index = symbols * np.arange(K)
+    index &= K - 1
+    return _tone_table(sf).take(index)
 
 
 def _check_symbols(symbols, K: int) -> None:

@@ -1,8 +1,16 @@
 """Exact-signal-model Monte Carlo bit-error-rate estimation.
 
 Each trial draws fresh symbols, offset, and channel gains (block fading,
-one independent draw per symbol), synthesizes the received samples, and
-runs them through the real demodulator.  Nothing here touches the
+one independent draw per symbol) and receiver noise, builds the dechirped
+received samples, and runs them through the real DFT and detectors.  The
+block is built after the dechirp because there the signal model is exact
+and cheap: sample n of symbol c times the conjugate base chirp is
+(1/K) * exp(2*pi*i*c*n/K), so the target adds exactly its gain to bin c
+and nothing to any other bin, the interferer is a gather of the tones of
+i1 (before tau) and i2 (after), and white circular Gaussian noise keeps its
+law under the unit-modulus dechirp, so it is drawn at the dechirped scale.
+`time_domain_bins` synthesises the same draws as chirps and dechirps them;
+it is the tested oracle of `block_bins`.  Nothing here touches the
 cross-correlation bounds, Gamma fits, or quadrature machinery of the
 analytic engine, so the two sides cross-validate each other.
 
@@ -30,17 +38,27 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import FadingConfig, aggregate, configure_phases, draw_channels
+# build_interferer_frames, dechirp_dft, modulate and modulate_many are the
+# time-domain chain that block_bins replaces: only its oracle,
+# time_domain_bins, calls them, and the benchmark's trace spans
+# (perfbench/spans.py) wrap three of them under these names.
 from .interference import build_interferer_frames
 from .lora_phy import (
     LoRaParams,
+    _tones,
     count_bit_errors_many,
     dechirp_dft,
     detect_coherent,
     detect_noncoherent,
+    modulate,
     modulate_many,
 )
 
 _BLOCK = 4096
+
+# Samples of interferer tones gathered at a time, so that no second
+# (block, K) complex array is ever held next to the received block.
+_TONE_CHUNK = 1 << 14
 
 SCENARIOS = ("case_a", "case_b", "ris_free", "blind", "no_interference")
 DETECTIONS = ("noncoherent", "coherent")
@@ -144,10 +162,82 @@ def _draw_gains(cfg: SimConfig, rng: np.random.Generator, size: int):
     return gains.h_eff, gains.h_int
 
 
-def _add_scaled(y: np.ndarray, gains: np.ndarray, samples: np.ndarray) -> None:
-    """y += gains[:, None] * samples, reusing the samples buffer."""
-    samples *= gains[:, None]
-    y += samples
+@dataclass(frozen=True)
+class BlockDraws:
+    """The random variates of one block of trials, in the order drawn.
+
+    `noise` is the (size, K) complex receiver noise at the dechirped scale,
+    per-sample variance 1/(snr * K**2), so 1/(snr * K) per DFT bin.  The
+    interferer fields are None when the scenario has none.
+    """
+
+    c: np.ndarray
+    i1: np.ndarray | None
+    i2: np.ndarray | None
+    tau: np.ndarray | None
+    h_eff: np.ndarray
+    h_int: np.ndarray | None
+    noise: np.ndarray
+
+
+def draw_block(
+    cfg: SimConfig, snr_linear: float, rng: np.random.Generator, size: int
+) -> BlockDraws:
+    """Draw one block: c, i1, i2, tau, the gains, then the noise."""
+    K = cfg.params.K
+    c = rng.integers(0, K, size)
+    i1 = i2 = tau = None
+    if cfg.scenario != "no_interference":
+        i1 = rng.integers(0, K, size)
+        i2 = rng.integers(0, K, size)
+        tau_hi = (K - 1) if cfg.full_offset_range else K // 2
+        tau = rng.integers(0, tau_hi + 1, size)
+    h_eff, h_int = _draw_gains(cfg, rng, size)
+    # (size, 2K) normals viewed as (size, K) complex samples
+    noise = rng.standard_normal((size, 2 * K))
+    noise *= math.sqrt(0.5 / (snr_linear * K * K))
+    return BlockDraws(c, i1, i2, tau, h_eff, h_int, noise.view(np.complex128))
+
+
+def block_bins(draws: BlockDraws, params: LoRaParams) -> np.ndarray:
+    """DFT bins of the dechirped received block, one row per trial.
+
+    Built in the dechirped domain, where the target symbol c is a tone
+    that adds exactly h_eff to bin c, and the interferer is the tone of i1
+    for its first tau samples and of i2 after.  The bins are built in, and
+    returned as, the buffer of `draws.noise`, which is consumed.
+    """
+    y = draws.noise
+    size, K = y.shape
+    if draws.h_int is not None:
+        n = np.arange(K)
+        step = max(1, _TONE_CHUNK // K)
+        for start in range(0, size, step):
+            rows = slice(start, start + step)
+            symbols = np.where(
+                n < draws.tau[rows, None], draws.i1[rows, None], draws.i2[rows, None]
+            )
+            tones = _tones(symbols, params.sf)
+            tones *= draws.h_int[rows, None]
+            y[rows] += tones
+    np.fft.fft(y, axis=-1, out=y)
+    y[np.arange(size), draws.c] += draws.h_eff
+    return y
+
+
+def time_domain_bins(draws: BlockDraws, params: LoRaParams) -> np.ndarray:
+    """block_bins by the time-domain chain; the slow oracle for it.
+
+    Synthesises h_eff * chirp(c) + h_int * interferer frame + w, with the
+    receiver noise w = K * base chirp * draws.noise, then dechirps and
+    transforms.  It leaves draws.noise intact, so call it before block_bins.
+    """
+    received = params.K * modulate(0, params) * draws.noise  # symbol 0: base chirp
+    received += draws.h_eff[:, None] * modulate_many(draws.c, params)
+    if draws.h_int is not None:
+        frames = build_interferer_frames(draws.i1, draws.i2, draws.tau, params)
+        received += draws.h_int[:, None] * frames
+    return dechirp_dft(received, params)
 
 
 def _run_block(
@@ -155,37 +245,15 @@ def _run_block(
 ) -> tuple[np.ndarray, int]:
     """Simulate one block of trials; returns per-trial bit errors and the
     number of target/interferer peak-bin collisions (c == i2)."""
-    params = cfg.params
-    K = params.K
-    noise_var = 1.0 / (snr_linear * K)  # per-sample, so per-bin after dechirp
-
-    c = rng.integers(0, K, size)
-    with_interference = cfg.scenario != "no_interference"
-    if with_interference:
-        i1 = rng.integers(0, K, size)
-        i2 = rng.integers(0, K, size)
-        tau_hi = (K - 1) if cfg.full_offset_range else K // 2
-        tau = rng.integers(0, tau_hi + 1, size)
-
-    h_eff, h_int = _draw_gains(cfg, rng, size)
-
-    # The received block is built in the noise buffer: (size, 2K) normals
-    # viewed as (size, K) complex samples.
-    noise = rng.standard_normal((size, 2 * K))
-    noise *= math.sqrt(noise_var / 2.0)
-    y = noise.view(np.complex128)
-    _add_scaled(y, h_eff, modulate_many(c, params))
-    if with_interference:
-        _add_scaled(y, h_int, build_interferer_frames(i1, i2, tau, params))
-
-    bins = dechirp_dft(y, params)
+    draws = draw_block(cfg, snr_linear, rng, size)
+    bins = block_bins(draws, cfg.params)
     if cfg.detection == "noncoherent":
         detected = detect_noncoherent(bins)
     else:
-        detected = detect_coherent(bins, -np.angle(h_eff))
+        detected = detect_coherent(bins, -np.angle(draws.h_eff))
 
-    errors = count_bit_errors_many(c, detected, params.sf)
-    collisions = int(np.count_nonzero(c == i2)) if with_interference else 0
+    errors = count_bit_errors_many(draws.c, detected, cfg.params.sf)
+    collisions = 0 if draws.i2 is None else int(np.count_nonzero(draws.c == draws.i2))
     return errors, collisions
 
 

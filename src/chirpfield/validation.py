@@ -9,7 +9,7 @@ with the configured trial budget so the whole suite stays interactive.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -32,6 +32,7 @@ from .lora_phy import (
     LoRaParams,
     dechirp_dft,
     dechirp_dft_direct,
+    detect_coherent,
     detect_noncoherent,
     modulate,
 )
@@ -76,18 +77,34 @@ def _check_fft_matches_direct(params: LoRaParams, _fading, _trials, rng):
     return CheckResult("FFT vs direct-sum DFT", err < 1e-9, f"max deviation {err:.2e}")
 
 
-def _check_noise_calibration(params: LoRaParams, _fading, trials, rng):
-    n = max(10_000, min(trials, 200_000))
-    noise_var = 0.7
-    z = (rng.standard_normal((n, params.K)) + 1j * rng.standard_normal((n, params.K)))
-    z *= math.sqrt(noise_var / 2.0)
-    bins = dechirp_dft(z, params)
-    measured = float((np.abs(bins) ** 2).mean())
-    rel = abs(measured - noise_var) / noise_var
+def _check_noise_calibration(params: LoRaParams, fading: FadingConfig, trials, rng):
+    # the production block kernel with a zero target gain and no
+    # interferer: per-bin noise variance 1/(snr*K).  As many samples as the
+    # budget's SF 7 trials, drawn about a million at a time, so that large
+    # SFs stay small in time and memory.
+    n = max(1, (max(10_000, min(trials, 200_000)) << 7) // params.K)
+    snr_linear = 10 ** (-1.2)
+    cfg = montecarlo.SimConfig(
+        params=params,
+        fading=fading,
+        scenario="no_interference",
+        detection="noncoherent",
+        snr_db_grid=(-12.0,),
+        trials_per_point=n,
+        seed=0,
+    )
+    chunk = max(1, (1 << 20) // params.K)
+    power = 0.0
+    for start in range(0, n, chunk):
+        draws = montecarlo.draw_block(cfg, snr_linear, rng, min(chunk, n - start))
+        bins = montecarlo.block_bins(replace(draws, h_eff=np.zeros_like(draws.h_eff)), params)
+        power += float(np.vdot(bins, bins).real)
+    expected = 1.0 / (snr_linear * params.K)
+    ratio = power / (n * params.K) / expected
     return CheckResult(
         "per-bin noise variance calibration",
-        rel < 0.03,
-        f"measured/expected = {measured / noise_var:.4f} over {n} trials",
+        abs(ratio - 1.0) < 0.03,
+        f"measured/expected = {ratio:.4f} over {n} trials",
     )
 
 
@@ -249,6 +266,42 @@ def _check_interference_closed_form(params: LoRaParams, fading: FadingConfig, _t
     )
 
 
+def _check_block_kernel(params: LoRaParams, fading: FadingConfig, _trials, rng):
+    # the production block kernel against the time-domain chain on the same
+    # draws, every scenario, offsets over the whole symbol; the deviation is
+    # taken relative to the largest bin, since gains grow with the surface
+    worst, differing, size = 0.0, 0, 32
+    for scenario in montecarlo.SCENARIOS:
+        cfg = montecarlo.SimConfig(
+            params=params,
+            fading=fading,
+            scenario=scenario,
+            detection="noncoherent",
+            snr_db_grid=(-25.0,),
+            trials_per_point=size,
+            seed=0,
+            full_offset_range=True,
+        )
+        draws = montecarlo.draw_block(cfg, 10 ** (-2.5), rng, size)
+        expected = montecarlo.time_domain_bins(draws, params)
+        bins = montecarlo.block_bins(draws, params)
+        scale = max(1.0, float(np.abs(expected).max()))
+        worst = max(worst, float(np.abs(bins - expected).max()) / scale)
+        compensation = -np.angle(draws.h_eff)
+        differing += int(np.count_nonzero(
+            detect_noncoherent(bins) != detect_noncoherent(expected)
+        ))
+        differing += int(np.count_nonzero(
+            detect_coherent(bins, compensation) != detect_coherent(expected, compensation)
+        ))
+    return CheckResult(
+        "dechirped-domain block vs time-domain chain",
+        worst < 1e-12 and differing == 0,
+        f"max relative deviation {worst:.1e}, {differing} differing decisions "
+        f"({len(montecarlo.SCENARIOS)} scenarios x {size} trials, both detectors)",
+    )
+
+
 def _check_determinism(params: LoRaParams, fading: FadingConfig, trials, _rng):
     cfg = montecarlo.SimConfig(
         params=params,
@@ -324,6 +377,7 @@ _CHECKS = (
     _check_cylinder_function,
     _check_noise_closed_form,
     _check_interference_closed_form,
+    _check_block_kernel,
     _check_determinism,
     _check_sim_vs_analytic,
 )

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import multiprocessing
 import os
 import signal
@@ -161,6 +162,32 @@ class TestTrialMechanics:
         assert mc.run_point(narrow, -20.0) != mc.run_point(wide, -20.0)
 
 
+class TestBlockKernel:
+    """block_bins, built in the dechirped domain, against the time-domain
+    chain on the same draws."""
+
+    @pytest.mark.parametrize("sf", [7, 9, 12])
+    @pytest.mark.parametrize("scenario", mc.SCENARIOS)
+    def test_matches_time_domain_chain(self, sf, scenario):
+        params = LoRaParams(sf)
+        K = params.K
+        cfg = sim_config(params=params, scenario=scenario, full_offset_range=True)
+        draws = mc.draw_block(cfg, 10 ** (-3.0), np.random.default_rng(sf), 24)
+        if draws.tau is not None:
+            draws.tau[:3] = (0, K - 1, K // 2)
+            draws.c[3:5] = draws.i2[3:5]  # target/interferer collisions
+        expected = mc.time_domain_bins(draws, params)
+        bins = mc.block_bins(draws, params)
+        assert np.abs(bins - expected).max() < 1e-12
+        compensation = -np.angle(draws.h_eff)
+        for detect, args in ((mc.detect_noncoherent, ()), (mc.detect_coherent, (compensation,))):
+            assert np.array_equal(detect(bins, *args), detect(expected, *args))
+
+    def test_bins_are_built_in_the_noise_buffer(self):
+        draws = mc.draw_block(sim_config(), 10 ** (-2.5), np.random.default_rng(3), 8)
+        assert mc.block_bins(draws, SF7) is draws.noise
+
+
 class InlinePool(Executor):
     """Runs each block when it is submitted and counts the submissions."""
 
@@ -313,6 +340,18 @@ class TestNoiseCalibration:
         noise_power = (np.abs(bins) ** 2).sum(axis=1) - np.abs(signal) ** 2
         measured = 1.0 / (noise_power.mean() / (K - 1))
         assert abs(measured - snr_linear * K) / (snr_linear * K) < 0.03
+
+    def test_block_kernel_noise_variance(self):
+        # the production kernel with a zero target gain and no interferer:
+        # per-bin noise variance 1/(snr*K)
+        snr_linear = 10 ** (-1.2)
+        cfg = sim_config(scenario="no_interference", snr_db_grid=(-12.0,))
+        draws = mc.draw_block(cfg, snr_linear, np.random.default_rng(43), 2_000)
+        zero = np.zeros_like(draws.h_eff)
+        bins = mc.block_bins(dataclasses.replace(draws, h_eff=zero), SF7)
+        expected = 1.0 / (snr_linear * SF7.K)
+        measured = float((np.abs(bins) ** 2).mean())
+        assert abs(measured - expected) / expected < 0.03
 
 
 class TestAgainstClosedForms:
