@@ -32,7 +32,13 @@ degree 64 misses the mean by up to 4e-4.
 Every closed form has a `*_numeric` twin evaluated by adaptive quadrature
 on the source integral, used as the test-suite oracle.  Exact-tail
 (`q_mode="exact"`) variants quantify the error introduced by the
-two-exponential fit.
+two-exponential fit.  Only those twins import scipy.integrate, inside the
+function, so the closed forms never load it.
+
+The two-exponential fit is only valid for positive tail arguments.  The
+noise closed forms warn when more than UNCALIBRATED_MASS_LIMIT of the
+target gain's Gamma fit lies below the fit's zero (`uncalibrated_mass`),
+that is at SNRs below the calibrated range.
 """
 
 from __future__ import annotations
@@ -44,7 +50,7 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.chebyshev import chebfit, chebpts1, chebval
-from scipy import integrate
+from scipy.special import gammainc
 
 from .channel import (
     FadingConfig,
@@ -82,6 +88,18 @@ _CHEB_MAX_DEPTH = 24
 # Multipliers per interpolant evaluation; blocks that fit in cache run
 # several times faster than one pass over a large table.
 _EVAL_CHUNK = 32768
+
+# Largest share of the target gain's Gamma fit that may lie where the
+# tail fit's argument is negative (`uncalibrated_mass`) before the noise
+# closed form warns.  Ratios of the closed form to the exact-tail numeric
+# integral, measured at SF 7, 9 and 12, N = 15, 25 and 64, m = 2, both
+# detections, -60..-16 dB: 1.05-1.29 up to a share of 1e-3 (the fit's own
+# overshoot), 0.94-1.12 up to 0.03, 0.91 at 0.033, 0.79-0.83 at 0.056,
+# 0.86-0.89 at 0.07-0.08, 0.78-0.79 at 0.15 and 0.63 or less from 0.3 on.
+# 0.05 is where the underestimate passes 10%.  (A bare link, N = 0, is
+# already below 0.84 at a share of 0.002: that is the fit's own error at
+# small positive arguments, which this share does not measure.)
+UNCALIBRATED_MASS_LIMIT = 0.05
 
 CASE_SHARED = "case_a"
 CASE_PAIRED = "case_b"
@@ -171,7 +189,7 @@ def _noise_slope_offset(cfg: AnalyticConfig, detection: str) -> tuple[float, flo
             warnings.warn(
                 "the coherent noise approximation is fitted for sf >= 7; "
                 f"sf={cfg.params.sf} is outside its calibration range",
-                stacklevel=3,
+                stacklevel=4,
             )
         eps1, eps2 = _coherent_threshold_terms(cfg.params.sf)
         return math.sqrt(snr_k) / eps2, eps1 / eps2
@@ -191,12 +209,14 @@ def _gamma_tail_closed(fit: GammaFit, slope: float, offset: float) -> float:
         curv = a * slope * slope
         lin = fit.rate - 2.0 * a * slope * offset
         root = math.sqrt(2.0 * curv)
+        # lin^2/(8*curv) = z^2/4 for z = lin/root cancels the cylinder
+        # function's exp(-z^2/4); the scaled form drops both, which keeps
+        # the term accurate for the huge z of very low SNRs.
         log_term = (
             fit.shape * math.log(fit.rate)
             - fit.shape * math.log(root)
             - a * offset * offset
-            + lin * lin / (8.0 * curv)
-            + log_pcf_d(fit.shape, lin / root)
+            + log_pcf_d(fit.shape, lin / root, scaled=True)
         )
         if log_term < 700.0:  # exp underflow to 0 is fine; overflow is not
             total += weight * math.exp(log_term)
@@ -205,16 +225,40 @@ def _gamma_tail_closed(fit: GammaFit, slope: float, offset: float) -> float:
     return min(max(total, 0.0), 1.0)
 
 
+def uncalibrated_mass(fit: GammaFit, slope: float, offset: float) -> float:
+    """Probability that the tail argument slope*T - offset is negative.
+
+    The two-exponential fit q_approx is only valid for positive arguments;
+    the closed form leans on it wherever T ~ Gamma(fit) lies below
+    offset/slope, and this is the Gamma mass there.
+    """
+    return float(gammainc(fit.shape, fit.rate * offset / slope))
+
+
+def _noise_ser(cfg: AnalyticConfig, detection: str) -> float:
+    """Noise closed form of one detector; warns outside the calibrated domain."""
+    slope, offset = _noise_slope_offset(cfg, detection)
+    mass = uncalibrated_mass(cfg.target_fit, slope, offset)
+    if mass > UNCALIBRATED_MASS_LIMIT:
+        warnings.warn(
+            "the noise closed form is outside its calibrated domain: "
+            f"a share of {mass:.3g} of the target gain lies where the tail fit's "
+            f"argument is negative (limit {UNCALIBRATED_MASS_LIMIT}); "
+            f"sf={cfg.params.sf}, detection={detection}, "
+            f"SNR={10.0 * math.log10(cfg.snr_linear):.10g} dB",
+            stacklevel=3,
+        )
+    return _gamma_tail_closed(cfg.target_fit, slope, offset)
+
+
 def noise_ser_noncoherent(cfg: AnalyticConfig) -> float:
     """Noise-driven symbol error rate of the envelope detector."""
-    slope, offset = _noise_slope_offset(cfg, "noncoherent")
-    return _gamma_tail_closed(cfg.target_fit, slope, offset)
+    return _noise_ser(cfg, "noncoherent")
 
 
 def noise_ser_coherent(cfg: AnalyticConfig) -> float:
     """Noise-driven symbol error rate of the phase-compensated detector."""
-    slope, offset = _noise_slope_offset(cfg, "coherent")
-    return _gamma_tail_closed(cfg.target_fit, slope, offset)
+    return _noise_ser(cfg, "coherent")
 
 
 def noise_ser_numeric(
@@ -227,6 +271,8 @@ def noise_ser_numeric(
     isolates the cylinder-function reduction.  q_mode="exact" uses the
     true Gaussian tail to expose the modeling error of the fit itself.
     """
+    from scipy import integrate
+
     slope, offset = _noise_slope_offset(cfg, detection)
     q_fn = _q_function(q_mode)
     fit = cfg.target_fit
@@ -467,6 +513,8 @@ def interf_ser_conditional_numeric(
     so every approximation of the closed-form path is replaced by an
     independent one.
     """
+    from scipy import integrate
+
     q_fn = _q_function(q_mode)
     scale = math.sqrt(cfg.snr_linear * cfg.params.K)
     target = cfg.target_fit

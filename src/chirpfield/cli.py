@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -295,28 +296,36 @@ class _Row:
 
 
 def _analytic_task(args):
-    """Evaluate the closed forms for one CSV row; runs in worker processes."""
+    """Evaluate the closed forms for one CSV row; runs in worker processes.
+
+    Returns the failure message of a NumericError, or the row's values and
+    the warnings raised on the way, each prefixed with the row it names.
+    """
     (scenario, detection, sf, n, m, snr_db,
      literal, v1, v2, staircase_m) = args
+    label = f"{scenario}/{detection} sf={sf} n={n} m={m} snr={snr_db}"
     params = LoRaParams(sf)
     fading = FadingConfig.uniform(m, n)
     try:
-        cfg = analytic_ber.AnalyticConfig.from_fading(
-            params,
-            fading,
-            10.0 ** (snr_db / 10.0),
-            paper_literal_estimator=literal,
-            quadrature_order_v1=v1,
-            quadrature_order_v2=v2,
-            staircase_m=staircase_m,
-        )
-        if scenario == "no_interference":
-            result = analytic_ber.ber_no_interference(cfg, detection)
-        else:
-            result = analytic_ber.ber(cfg, scenario, detection)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            cfg = analytic_ber.AnalyticConfig.from_fading(
+                params,
+                fading,
+                10.0 ** (snr_db / 10.0),
+                paper_literal_estimator=literal,
+                quadrature_order_v1=v1,
+                quadrature_order_v2=v2,
+                staircase_m=staircase_m,
+            )
+            if scenario == "no_interference":
+                result = analytic_ber.ber_no_interference(cfg, detection)
+            else:
+                result = analytic_ber.ber(cfg, scenario, detection)
     except NumericError as exc:
-        return f"{scenario}/{detection} sf={sf} n={n} m={m} snr={snr_db}: {exc}"
-    return result.ber, result.p_noise, result.p_interf
+        return f"{label}: {exc}"
+    notes = [f"{label}: {w.message}" for w in caught]
+    return result.ber, result.p_noise, result.p_interf, notes
 
 
 def _fill_analytic(spec: ExperimentSpec, rows: list["_Row"], failures: list[str]) -> None:
@@ -336,7 +345,9 @@ def _fill_analytic(spec: ExperimentSpec, rows: list["_Row"], failures: list[str]
         if isinstance(result, str):
             failures.append(result)
         else:
-            row.ber_analytic, row.p_noise, row.p_interf = result
+            row.ber_analytic, row.p_noise, row.p_interf, notes = result
+            for note in notes:
+                print(f"warning: {note}", file=sys.stderr)
 
 
 def run(spec: ExperimentSpec) -> int:

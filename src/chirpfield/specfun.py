@@ -3,6 +3,13 @@
 Everything here is a pure function of its arguments.  Quadrature rules are
 cached per order and their arrays are frozen, so they are safe to share
 across threads.
+
+Only scipy.special is imported.  The cylinder function is one numpy
+trapezoid sum and the Gauss-Hermite rules come from numpy, so a production
+run never loads scipy.integrate or scipy.linalg (which scipy.integrate and
+scipy.special.roots_hermite pull in, along with scipy.optimize and
+scipy.sparse); scipy.integrate is imported only by the `*_numeric` oracles
+of analytic_ber.
 """
 
 from __future__ import annotations
@@ -12,12 +19,20 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 # Constant term of the closed-form harmonic-number approximation.
 _HARMONIC_CONST = 0.57722
 
 _SQRT2 = math.sqrt(2.0)
+
+# Trapezoid rule of log_pcf_d: largest step in s, peak-normalized exponent
+# at which each side is cut, and the nodes per side beyond which the order
+# is too small for the rule (omega below roughly 1e-3, whose left tail
+# decays only like exp(omega*s)).
+_PCF_MAX_STEP = 0.1
+_PCF_FLOOR = -60.0
+_PCF_MAX_NODES = 1 << 20
 
 
 class NumericError(RuntimeError):
@@ -46,7 +61,7 @@ def gauss_hermite(order: int) -> QuadratureRule:
     """
     if order < 1:
         raise ValueError(f"quadrature order must be >= 1, got {order}")
-    nodes, weights = special.roots_hermite(order)
+    nodes, weights = np.polynomial.hermite.hermgauss(order)
     nodes.flags.writeable = False
     weights.flags.writeable = False
     return QuadratureRule(order=order, nodes=nodes, weights=weights)
@@ -81,12 +96,7 @@ def gamma_fn(x):
     return special.gamma(x)
 
 
-def _cylinder_peak(omega: float, z: float) -> float:
-    """Mode of exp(omega*s - z*e^s - e^(2s)/2), the log-substituted integrand."""
-    return math.log(0.5 * (-z + math.sqrt(z * z + 4.0 * omega)))
-
-
-def log_pcf_d(neg_order: float, argument: float) -> float:
+def log_pcf_d(neg_order: float, argument: float, scaled: bool = False) -> float:
     """Natural log of the parabolic cylinder function D_{-omega}(z), omega > 0.
 
     Evaluates the real-axis integral representation
@@ -95,36 +105,70 @@ def log_pcf_d(neg_order: float, argument: float) -> float:
                         * int_0^inf t^(omega-1) exp(-z*t - t^2/2) dt
 
     after the substitution t = e^s, which removes the endpoint singularity
-    for omega < 1.  The integrand is peak-normalized so the result stays
-    finite for large omega or strongly negative z, where D itself would
-    overflow or underflow a double.
+    for omega < 1.  The integrand in s peaks at s* = log(u) with
+    u = 2*omega / (z + sqrt(z^2 + 4*omega)) (for z < 0 the equal form
+    (sqrt(z^2 + 4*omega) - z) / 2, so neither cancels), and relative to
+    its peak it is exp(omega*(x - e) - u^2*e^2/2) with x = s - s* and
+    e = expm1(x).  That function is entire and decays on both sides
+    (like exp(omega*x) to the left, double-exponentially to the right),
+    so the plain trapezoid rule on it converges geometrically in the step
+    (Trefethen & Weideman, "The exponentially convergent trapezoidal
+    rule", SIAM Review 56(3), 2014):
+
+    - step h = min(sigma/4, 0.1), where sigma = 1/sqrt(omega + u^2) is the
+      width given by the curvature at the peak;
+    - each side is cut where the peak-normalized exponent falls below
+      -60, found by doubling the distance outward from sigma.
+
+    The result stays finite for large omega and for large |z|, where D
+    itself would overflow or underflow a double.  With scaled=True the
+    function returns z^2/4 + log D_{-omega}(z), the log of the integral
+    over Gamma(omega), for callers that would add z^2/4 back: at large z
+    both terms are huge and their sum would be lost to cancellation.
+
+    Raises ValueError for omega <= 0 or non-finite z, and NumericError if
+    a side needs more than _PCF_MAX_NODES nodes (omega below roughly 1e-3)
+    or the sum is not positive and finite.
     """
     omega = float(neg_order)
     z = float(argument)
     if omega <= 0.0:
         raise ValueError(f"order must be positive, got {omega}")
+    if not math.isfinite(z):
+        raise ValueError(f"argument must be finite, got {z}")
 
-    s_peak = _cylinder_peak(omega, z)
-    shift = omega * s_peak - z * math.exp(s_peak) - 0.5 * math.exp(2.0 * s_peak)
+    root = math.hypot(z, 2.0 * math.sqrt(omega))
+    peak = 2.0 * omega / (z + root) if z >= 0.0 else 0.5 * (root - z)
+    peak_sq = peak * peak
+    width = 1.0 / math.sqrt(omega + peak_sq)
+    step = min(0.25 * width, _PCF_MAX_STEP)
 
-    def body(s):
-        if s > 300.0:  # t^2 term has long since driven the integrand to 0
-            return 0.0
-        t = math.exp(s)
-        exponent = omega * s - z * t - 0.5 * t * t - shift
-        return math.exp(exponent) if exponent > -745.0 else 0.0
+    def exponent(x):
+        e = np.expm1(x)
+        return omega * (x - e) - 0.5 * peak_sq * e * e
 
-    left, err_l = integrate.quad(body, -np.inf, s_peak, epsabs=1e-13,
-                                 epsrel=1e-11, limit=200)
-    right, err_r = integrate.quad(body, s_peak, np.inf, epsabs=1e-13,
-                                  epsrel=1e-11, limit=200)
-    total = left + right
-    if not np.isfinite(total) or total <= 0.0 or (err_l + err_r) > 1e-9 * total:
+    def reach(sign: float) -> int:
+        distance = width
+        while exponent(sign * distance) > _PCF_FLOOR:
+            distance *= 2.0
+            if distance > _PCF_MAX_NODES * step:
+                raise NumericError(
+                    "cylinder-function trapezoid needs more than "
+                    f"{_PCF_MAX_NODES} nodes on one side: omega={omega}, z={z}"
+                )
+        return math.ceil(distance / step)
+
+    left, right = reach(-1.0), reach(1.0)
+    with np.errstate(under="ignore"):
+        total = step * float(np.exp(exponent(step * np.arange(-left, right + 1))).sum())
+    if not math.isfinite(total) or total <= 0.0:
         raise NumericError(
-            "cylinder-function quadrature did not converge: "
-            f"omega={omega}, z={z}, value={total}, abserr={err_l + err_r}"
+            f"cylinder-function trapezoid failed: omega={omega}, z={z}, value={total}"
         )
-    return -0.25 * z * z - math.lgamma(omega) + shift + math.log(total)
+    # log of the peak value: omega*s* - z*u - u^2/2, with z*u = omega - u^2
+    log_peak = omega * math.log(peak) - omega + 0.5 * peak_sq
+    scale = 0.0 if scaled else -0.25 * z * z
+    return scale - math.lgamma(omega) + log_peak + math.log(total)
 
 
 def pcf_d(neg_order: float, argument: float) -> float:

@@ -1,5 +1,7 @@
 import math
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from chirpfield import analytic_ber as ab
 from chirpfield.channel import FadingConfig, GammaFit
 from chirpfield.interference import chi_of_I_table
 from chirpfield.lora_phy import LoRaParams
-from chirpfield.specfun import NumericError
+from chirpfield.specfun import NumericError, q_approx
 
 SF7 = LoRaParams(7)
 FADING_25 = FadingConfig.uniform(2.0, 25)
@@ -65,6 +67,37 @@ class TestNoiseBranch:
         cfg = ab.AnalyticConfig.from_fading(LoRaParams(6), FADING_25, 1e-3)
         with pytest.warns(UserWarning):
             ab.noise_ser_coherent(cfg)
+
+
+class TestCalibratedDomain:
+    def test_mass_matches_gamma_cdf(self):
+        fit = GammaFit(shape=48.5, rate=3.25)
+        slope, offset = 0.2, 2.4
+        oracle = float(mpmath.gammainc(fit.shape, 0, fit.rate * offset / slope,
+                                       regularized=True))
+        assert ab.uncalibrated_mass(fit, slope, offset) == pytest.approx(oracle, rel=1e-10)
+
+    @pytest.mark.parametrize("detection", ["noncoherent", "coherent"])
+    def test_no_warning_inside(self, detection):
+        # SF 7, N=25 at -30 dB: a share of at most 1e-9 below the fit's zero
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ab.ber(config(-30.0), "case_a", detection)
+
+    def test_warns_outside_and_names_the_point(self):
+        # SF 7, N=25 at -40 dB non-coherent: a share of 0.148
+        with pytest.warns(UserWarning, match="sf=7, detection=noncoherent, SNR=-40 dB"):
+            ab.noise_ser_noncoherent(config(-40.0))
+
+    @pytest.mark.parametrize("detection", ["noncoherent", "coherent"])
+    def test_very_low_snr_reaches_the_fit_plateau(self, detection):
+        # as the slope vanishes, E[q_approx(slope*T - offset)] tends to
+        # q_approx(-offset); the cylinder term has to survive z near 1e20
+        cfg = config(-400.0)
+        _, offset = ab._noise_slope_offset(cfg, detection)
+        with pytest.warns(UserWarning, match="outside its calibrated domain"):
+            value = ab._noise_ser(cfg, detection)
+        assert value == pytest.approx(float(q_approx(-offset)), rel=1e-9)
 
 
 class TestInterferenceBranch:

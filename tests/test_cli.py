@@ -207,6 +207,24 @@ class TestRuns:
         fields = dict(zip(*[line.split(",") for line in out.read_text().splitlines()]))
         assert float(fields["p_interf"]) == 0.0
 
+    def test_very_low_snr_writes_rows_and_warns(self, tmp_path, capsys):
+        out = tmp_path / "low.csv"
+        code = cli.main(
+            ["analytic", "--sf", "7", "--elements", "25", "--m", "2",
+             "--scenario", "case_a", "--snr-db=-400", "--out", str(out)]
+        )
+        assert code == 0
+        lines = out.read_text().splitlines()
+        assert len(lines) == 3
+        for line, detection in zip(lines[1:], ("noncoherent", "coherent")):
+            fields = dict(zip(lines[0].split(","), line.split(",")))
+            assert fields["detection"] == detection
+            assert 0.0 < float(fields["p_noise"]) < 1.0
+        err = capsys.readouterr().err
+        for detection in ("noncoherent", "coherent"):
+            assert (f"warning: case_a/{detection} sf=7 n=25 m=2.0 snr=-400.0: "
+                    "the noise closed form is outside its calibrated domain") in err
+
     def test_numeric_failure_exit_code(self, tmp_path, monkeypatch):
         from chirpfield.specfun import NumericError
 

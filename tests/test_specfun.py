@@ -3,6 +3,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from chirpfield import specfun
@@ -147,11 +149,58 @@ class TestCylinderFunction:
         oracle = float(mpmath.log(mpmath.pcfd(-omega, z)))
         assert specfun.log_pcf_d(omega, z) == pytest.approx(oracle, rel=1e-10)
 
+    @pytest.mark.parametrize(
+        "omega,z",
+        [(omega, z) for omega in (0.05, 1e3, 1e4) for z in (-5.0, 0.0, 5.0, 1e4, 1e6, 1e9)]
+        # the old peak formula cancelled to log(0) at (2, 1e9)
+        + [(2.0, 1e9), (0.05, -500.0)],
+    )
+    def test_against_mpmath_wide_orders_and_large_z(self, omega, z):
+        with mpmath.workdps(50):
+            log_d = mpmath.log(mpmath.pcfd(-omega, z))
+            oracle = float(log_d)
+            # z^2/4 + log D: what is left once the Gaussian factor cancels
+            oracle_scaled = float(log_d + mpmath.mpf(z) ** 2 / 4)
+        assert specfun.log_pcf_d(omega, z) == pytest.approx(oracle, rel=1e-10, abs=1e-10)
+        assert specfun.log_pcf_d(omega, z, scaled=True) == pytest.approx(
+            oracle_scaled, rel=1e-10, abs=1e-10
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        omega=st.floats(0.05, 1e4),
+        z=st.floats(-500.0, 1e9),
+        dz=st.floats(1e-6, 1e3),
+    )
+    def test_finite_and_non_increasing_in_z(self, omega, z, dz):
+        # z^2/4 + log D_{-omega}(z) is the log of the mean of
+        # t^(omega-1) exp(-z*t - t^2/2) over t > 0, so it falls as z grows.
+        # D itself falls for z >= 0, where its derivative
+        # -z/2 * D_{-omega} - omega * D_{-omega-1} is negative; for z < 0
+        # and small omega it has a maximum.  Compared with a rounding
+        # allowance.
+        for scaled in (True, False):
+            low = specfun.log_pcf_d(omega, z, scaled=scaled)
+            high = specfun.log_pcf_d(omega, z + dz, scaled=scaled)
+            assert math.isfinite(low) and math.isfinite(high)
+            if scaled or z >= 0.0:
+                assert high <= low + 1e-12 * max(1.0, abs(low))
+
     def test_invalid_order(self):
         with pytest.raises(ValueError):
             specfun.pcf_d(0.0, 1.0)
         with pytest.raises(ValueError):
             specfun.pcf_d(-2.0, 1.0)
+
+    def test_invalid_argument(self):
+        with pytest.raises(ValueError):
+            specfun.log_pcf_d(2.0, math.inf)
+        with pytest.raises(ValueError):
+            specfun.log_pcf_d(2.0, math.nan)
+
+    def test_order_too_small_for_the_rule(self):
+        with pytest.raises(specfun.NumericError):
+            specfun.log_pcf_d(1e-6, 0.0)
 
 
 class TestGammaFn:
