@@ -29,6 +29,16 @@ raises NumericError.  The interpolant has to be piecewise: at -12 dB f
 can span more than 200 decades over the range, and one global polynomial of
 degree 64 misses the mean by up to 4e-4.
 
+The double sum's terms are built once per point, as one list sorted by
+weight with a running total, and each interpolant sample leaves out the
+lightest terms whose total weight is at most _PRUNE_FRACTION *
+_CHEB_TOL = 1e-16 of the largest |f| sampled so far (Jaeckel, "A note on
+multivariate Gauss-Hermite quadrature", 2005, prunes product-rule nodes
+of negligible weight the same way).  Every weight is >= 0 and Q lies in
+[0, 1], so a sample falls short of the full sum by at most that mass,
+1000 times below the tolerance the interpolant accepts; the first piece,
+sampled before any |f| is known, keeps every term.
+
 Every closed form has a `*_numeric` twin evaluated by adaptive quadrature
 on the source integral, used as the test-suite oracle.  Exact-tail
 (`q_mode="exact"`) variants quantify the error introduced by the
@@ -85,6 +95,10 @@ _CHEB_DEGREE = 32
 _CHEB_TOL = 1e-13
 _CHEB_TAIL = 3
 _CHEB_MAX_DEPTH = 24
+# Share of that acceptance level that the double sum may give up by
+# leaving out its lightest terms (see _conditional_sums): 1e-16 of the
+# largest |f|, below even the sum's own rounding (about 1e-15 of it).
+_PRUNE_FRACTION = 1e-3
 # Multipliers per interpolant evaluation; blocks that fit in cache run
 # several times faster than one pass over a large table.
 _EVAL_CHUNK = 32768
@@ -368,16 +382,23 @@ def _staircase(detection: str, staircase_m: int) -> tuple[np.ndarray, np.ndarray
     raise ValueError(f"unknown detection {detection!r}")
 
 
-def _conditional_sums(
-    cfg: AnalyticConfig, case: str, multipliers: np.ndarray, q_mode: str
-) -> np.ndarray:
-    """Gauss-Hermite double sum of P(interferer bin beats signal bin).
+@dataclass(frozen=True)
+class _DoubleSum:
+    """Terms of the Gauss-Hermite double sum, lightest weight first.
 
-    One value per effective interferer multiplier (chi, or chi*cos for the
-    coherent staircase).  The weight matrix is shared across multipliers;
-    evaluation is chunked to bound memory.
+    At multiplier x the sum is  sum_t weight[t] * Q(target[t] - interf[t]*x),
+    with target and interferer amplitudes already scaled by sqrt(snr*K);
+    mass[t] is the total weight of terms 0..t.
     """
-    q_fn = _q_function(q_mode)
+
+    target: np.ndarray
+    interf: np.ndarray
+    weight: np.ndarray
+    mass: np.ndarray
+
+
+def _double_sum_terms(cfg: AnalyticConfig, case: str) -> _DoubleSum:
+    """The product grid of the two fitted gains as one flat list of terms."""
     scale = math.sqrt(cfg.snr_linear * cfg.params.K)
     target_amp, target_logw = _log_grid(
         cfg.target_fit, cfg.quadrature_order_v1, power_domain=False
@@ -386,16 +407,39 @@ def _conditional_sums(
     interf_amp, interf_logw = _log_grid(
         interf_fit, cfg.quadrature_order_v2, power_domain=power_domain
     )
-    weight = np.exp(target_logw[:, None] + interf_logw[None, :])
+    weight = np.exp(target_logw[:, None] + interf_logw[None, :]).ravel()
+    order = np.argsort(weight, kind="stable")
+    row, col = np.divmod(order, interf_amp.size)
+    weight = weight[order]
+    return _DoubleSum(
+        scale * target_amp[row], scale * interf_amp[col], weight, np.cumsum(weight)
+    )
+
+
+def _conditional_sums(
+    terms: _DoubleSum, multipliers: np.ndarray, q_mode: str, drop_mass: float = 0.0
+) -> np.ndarray:
+    """Gauss-Hermite double sum of P(interferer bin beats signal bin).
+
+    One value per effective interferer multiplier (chi, or chi*cos for the
+    coherent staircase), evaluated in chunks to bound memory, with Q
+    written over its own arguments (a fresh array per pass costs more than
+    the pass at these sizes).  The longest
+    prefix of lightest terms whose total weight is at most drop_mass is
+    left out: every weight is >= 0 and Q lies in [0, 1], so the result
+    falls short of the full sum by at most drop_mass.  With drop_mass = 0
+    it is the full sum.
+    """
+    q_fn = _q_function(q_mode)
+    first = int(np.searchsorted(terms.mass, drop_mass, side="right"))
+    target = terms.target[first:, None]
+    interf = terms.interf[first:, None]
+    weight = terms.weight[first:]
     out = np.empty(len(multipliers))
     for start in range(0, len(multipliers), _MULTIPLIER_CHUNK):
-        block = multipliers[start : start + _MULTIPLIER_CHUNK]
-        args = scale * target_amp[:, None, None] - scale * (
-            interf_amp[:, None] * block[None, :]
-        )[None, :, :]
-        out[start : start + _MULTIPLIER_CHUNK] = np.einsum(
-            "ij,ijk->k", weight, q_fn(args)
-        )
+        args = np.multiply(interf, multipliers[start : start + _MULTIPLIER_CHUNK])
+        np.subtract(target, args, out=args)
+        out[start : start + _MULTIPLIER_CHUNK] = weight @ q_fn(args, out=args)
     return out
 
 
@@ -403,9 +447,11 @@ def _piecewise_chebyshev(fn, lo: float, hi: float, where: str):
     """Adaptive piecewise Chebyshev interpolant of fn on [lo, hi].
 
     A piece is bisected until its trailing coefficients fall below
-    _CHEB_TOL times the largest |fn| sampled so far.  Returns the pieces
-    as (left, right, coefficients) in ascending order, and every sampled
-    value of fn.
+    _CHEB_TOL times the largest |fn| sampled so far.  fn(x, slack) may
+    return values up to slack away from the true ones; slack is
+    _PRUNE_FRACTION of that acceptance level, so 0 on the first piece.
+    Returns the pieces as (left, right, coefficients) in ascending order,
+    and every sampled value of fn.
     """
     nodes = chebpts1(_CHEB_DEGREE + 1)
     pieces, samples = [], []
@@ -413,7 +459,10 @@ def _piecewise_chebyshev(fn, lo: float, hi: float, where: str):
     stack = [(lo, hi, 0)]
     while stack:
         left, right, depth = stack.pop()
-        values = fn(0.5 * (left + right) + 0.5 * (right - left) * nodes)
+        values = fn(
+            0.5 * (left + right) + 0.5 * (right - left) * nodes,
+            _PRUNE_FRACTION * _CHEB_TOL * scale,
+        )
         samples.append(values)
         scale = max(scale, float(np.max(np.abs(values))))
         coeffs = chebfit(nodes, values, _CHEB_DEGREE)
@@ -463,8 +512,9 @@ def _interf_ser_diag(
         f"case={case}, detection={detection}, "
         f"SNR={10.0 * math.log10(cfg.snr_linear):.10g} dB"
     )
+    terms = _double_sum_terms(cfg, case)
     pieces, samples = _piecewise_chebyshev(
-        lambda x: _conditional_sums(cfg, case, x, q_mode),
+        lambda x, slack: _conditional_sums(terms, x, q_mode, slack),
         float(ends.min()), float(ends.max()), where,
     )
     clamped = int(np.count_nonzero(samples > 1.0) + np.count_nonzero(samples < 0.0))
@@ -493,13 +543,13 @@ def interf_ser_conditional(
     """
     if detection == "noncoherent":
         multipliers = np.array([chi], dtype=float)
-        return float(np.clip(_conditional_sums(cfg, case, multipliers, q_mode), 0, 1)[0])
-    if detection == "coherent":
+    elif detection == "coherent":
         angles = 2.0 * np.pi * np.arange(1, cfg.staircase_m + 1) / cfg.staircase_m
         multipliers = chi * np.cos(angles)
-        sums = np.clip(_conditional_sums(cfg, case, multipliers, q_mode), 0, 1)
-        return float(sums.mean())
-    raise ValueError(f"unknown detection {detection!r}")
+    else:
+        raise ValueError(f"unknown detection {detection!r}")
+    terms = _double_sum_terms(cfg, case)
+    return float(np.clip(_conditional_sums(terms, multipliers, q_mode), 0, 1).mean())
 
 
 def interf_ser_conditional_numeric(

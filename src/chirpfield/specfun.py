@@ -24,8 +24,6 @@ from scipy import special
 # Constant term of the closed-form harmonic-number approximation.
 _HARMONIC_CONST = 0.57722
 
-_SQRT2 = math.sqrt(2.0)
-
 # Trapezoid rule of log_pcf_d: largest step in s, peak-normalized exponent
 # at which each side is cut, and the nodes per side beyond which the order
 # is too small for the rule (omega below roughly 1e-3, whose left tail
@@ -67,18 +65,26 @@ def gauss_hermite(order: int) -> QuadratureRule:
     return QuadratureRule(order=order, nodes=nodes, weights=weights)
 
 
-def q_exact(x):
-    """Gaussian tail probability Q(x), computed from erfc."""
-    return 0.5 * special.erfc(np.asarray(x, dtype=float) / _SQRT2)
+def q_exact(x, out=None):
+    """Gaussian tail probability Q(x) = Phi(-x), one `scipy.special.ndtr` pass.
 
-
-def q_approx(x):
-    """Two-exponential fit of the Gaussian tail, exp(-x^2/2)/12 + exp(-2x^2/3)/4.
-
-    Intended for x >= 0; q_approx(0) is exactly 1/3.
+    For x above 1/sqrt(2), ndtr(-x) evaluates the same 0.5*erfc(x/sqrt(2))
+    as the erfc form, without that form's two scaling passes.  With `out`
+    (a float array shaped like x, which may be x itself) the result is
+    written there and no array is allocated.
     """
     x = np.asarray(x, dtype=float)
-    return np.exp(-0.5 * x * x) / 12.0 + np.exp(-2.0 * x * x / 3.0) / 4.0
+    return special.ndtr(np.negative(x, out=out), out=out)
+
+
+def q_approx(x, out=None):
+    """Two-exponential fit of the Gaussian tail, exp(-x^2/2)/12 + exp(-2x^2/3)/4.
+
+    Intended for x >= 0; q_approx(0) is exactly 1/3.  `out` is as for
+    q_exact.
+    """
+    x = np.asarray(x, dtype=float)
+    return np.add(np.exp(-0.5 * x * x) / 12.0, np.exp(-2.0 * x * x / 3.0) / 4.0, out=out)
 
 
 def harmonic_approx(count: int) -> float:

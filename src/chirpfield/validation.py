@@ -266,6 +266,34 @@ def _check_interference_closed_form(params: LoRaParams, fading: FadingConfig, _t
     )
 
 
+def _check_pruned_double_sum(params: LoRaParams, fading: FadingConfig, _trials, _rng):
+    # the interpolant drops the lightest double-sum terms up to a mass of
+    # _PRUNE_FRACTION * _CHEB_TOL of the largest sum; against the full sum
+    # on multipliers spanning the range, the deviation may exceed that only
+    # by the two sums' rounding, sqrt(terms) * eps times the sum
+    bound = analytic_ber._PRUNE_FRACTION * analytic_ber._CHEB_TOL
+    chi_max = float(analytic_ber._sorted_chi(params)[-1])
+    x = np.linspace(-chi_max, chi_max, 64)
+    worst, ok = 0.0, True
+    for snr_db in (-35.0, -25.0, -12.0):
+        cfg = analytic_ber.AnalyticConfig.from_fading(params, fading, 10 ** (snr_db / 10.0))
+        for case in (analytic_ber.CASE_SHARED, analytic_ber.CASE_PAIRED):
+            terms = analytic_ber._double_sum_terms(cfg, case)
+            full = analytic_ber._conditional_sums(terms, x, "exact")
+            scale = max(float(full.max()), np.finfo(float).tiny)
+            pruned = analytic_ber._conditional_sums(terms, x, "exact", bound * scale)
+            deviation = np.abs(full - pruned)
+            rounding = math.sqrt(terms.weight.size) * np.finfo(float).eps * full
+            ok &= bool(np.all(deviation <= bound * scale + rounding))
+            worst = max(worst, float(deviation.max()) / scale)
+    return CheckResult(
+        "pruned vs full interference double sum",
+        ok,
+        f"max deviation {worst:.1e} of the largest sum (bound {bound:.0e} plus rounding; "
+        f"{x.size} multipliers x 3 SNRs x 2 cases)",
+    )
+
+
 def _check_block_kernel(params: LoRaParams, fading: FadingConfig, _trials, rng):
     # the production block kernel against the time-domain chain on the same
     # draws, every scenario, offsets over the whole symbol; the deviation is
@@ -380,6 +408,7 @@ _CHECKS = (
     _check_block_kernel,
     _check_determinism,
     _check_sim_vs_analytic,
+    _check_pruned_double_sum,
 )
 
 

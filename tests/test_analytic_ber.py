@@ -4,6 +4,8 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chirpfield import analytic_ber as ab
 from chirpfield.channel import FadingConfig, GammaFit
@@ -13,6 +15,11 @@ from chirpfield.specfun import NumericError, q_approx
 
 SF7 = LoRaParams(7)
 FADING_25 = FadingConfig.uniform(2.0, 25)
+CASES = ("case_a", "case_b")
+DETECTIONS = ("noncoherent", "coherent")
+
+ELEMENTS = st.integers(0, 64)
+NAKAGAMI_M = st.floats(1.0, 4.0)
 
 
 def config(snr_db: float, fading=FADING_25, **kwargs) -> ab.AnalyticConfig:
@@ -98,6 +105,35 @@ class TestCalibratedDomain:
         with pytest.warns(UserWarning, match="outside its calibrated domain"):
             value = ab._noise_ser(cfg, detection)
         assert value == pytest.approx(float(q_approx(-offset)), rel=1e-9)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        sf=st.integers(7, 12),
+        elements=ELEMENTS,
+        m=NAKAGAMI_M,
+        detection=st.sampled_from(DETECTIONS),
+        snr_db=st.floats(-70.0, 10.0),
+        step_db=st.floats(1e-3, 10.0),
+    )
+    def test_noise_non_increasing_in_snr_inside_the_domain(
+        self, sf, elements, m, detection, snr_db, step_db
+    ):
+        # the domain is the diagnostic's: a share of at most
+        # UNCALIBRATED_MASS_LIMIT below the fit's zero (it only shrinks as
+        # the SNR grows); outside it the closed form has to warn instead
+        fading = FadingConfig.uniform(m, elements)
+        low, high = (
+            ab.AnalyticConfig.from_fading(LoRaParams(sf), fading, 10 ** (s / 10.0))
+            for s in (snr_db, snr_db + step_db)
+        )
+        slope, offset = ab._noise_slope_offset(low, detection)
+        if ab.uncalibrated_mass(low.target_fit, slope, offset) > ab.UNCALIBRATED_MASS_LIMIT:
+            with pytest.warns(UserWarning, match="outside its calibrated domain"):
+                ab._noise_ser(low, detection)
+            return
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert ab._noise_ser(high, detection) <= ab._noise_ser(low, detection)
 
 
 class TestInterferenceBranch:
@@ -195,7 +231,8 @@ def brute_force_interf_ser(cfg: ab.AnalyticConfig, case: str, detection: str) ->
     multipliers, counts = np.unique(
         np.outer(cosines, chi_of_I_table(cfg.params)), return_counts=True
     )
-    sums = np.clip(ab._conditional_sums(cfg, case, multipliers, "exact"), 0.0, 1.0)
+    terms = ab._double_sum_terms(cfg, case)
+    sums = np.clip(ab._conditional_sums(terms, multipliers, "exact"), 0.0, 1.0)
     return float(sums @ counts) / counts.sum()
 
 
@@ -211,20 +248,28 @@ class TestInterpolatedSum:
             (-36.0, "case_b", "noncoherent"),
         ],
     )
-    def test_matches_brute_force_sum(self, snr_db, case, detection):
+    def test_matches_brute_force_sum(self, snr_db, case, detection, elements=25):
         # at -12 dB f spans hundreds of decades and one global degree-64
-        # interpolant misses by up to 4e-4; the pieces must still meet 1e-8
-        cfg = config(snr_db)
+        # interpolant misses by up to 4e-4; the pieces must still meet 1e-8,
+        # against the full (unpruned) double sum
+        cfg = config(snr_db, FadingConfig.uniform(2.0, elements))
         oracle = brute_force_interf_ser(cfg, case, detection)
-        assert ab.interf_ser(cfg, case, detection) == pytest.approx(oracle, rel=1e-8)
+        assert ab.interf_ser(cfg, case, detection) == pytest.approx(oracle, rel=1e-8, abs=0.0)
+
+    @pytest.mark.parametrize("case", ["case_a", "case_b"])
+    def test_matches_brute_force_sum_narrow_fits(self, case):
+        # N = 64 prunes the most: 15 pieces with as few as 2,613 of the 4,900
+        # terms kept (case_a), 27 with 1,585 (case_b).  case_a's p_interf of
+        # 3.5e-18 is what a drop mass that ignored the scale of f would miss
+        self.test_matches_brute_force_sum(-12.0, case, "noncoherent", elements=64)
 
     def test_unreachable_tolerance_fails_loudly(self, monkeypatch):
         calls = []
         original = ab._conditional_sums
 
-        def counted(*args):
+        def counted(*args, **kwargs):
             calls.append(1)
-            return original(*args)
+            return original(*args, **kwargs)
 
         monkeypatch.setattr(ab, "_conditional_sums", counted)
         monkeypatch.setattr(ab, "_CHEB_TOL", 0.0)
@@ -233,10 +278,45 @@ class TestInterpolatedSum:
         ):
             ab.ber(config(-12.0), "case_b", "coherent")
         # bisection stops at the depth limit on the first unresolved piece
+        assert calls
         assert len(calls) <= ab._CHEB_MAX_DEPTH + 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        elements=ELEMENTS,
+        m=NAKAGAMI_M,
+        snr_db=st.floats(-40.0, 10.0),
+        case=st.sampled_from(CASES),
+        fractions=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=64),
+    )
+    def test_pruned_sum_within_dropped_mass(self, elements, m, snr_db, case, fractions):
+        # the interpolant's drop mass at the largest |f| sampled; the two sums
+        # also differ by rounding, which grows like sqrt(terms) * eps * f
+        cfg = config(snr_db, FadingConfig.uniform(m, elements))
+        terms = ab._double_sum_terms(cfg, case)
+        x = float(ab._sorted_chi(SF7)[-1]) * np.array(fractions)
+        full = ab._conditional_sums(terms, x, "exact")
+        drop = ab._PRUNE_FRACTION * ab._CHEB_TOL * float(full.max())
+        pruned = ab._conditional_sums(terms, x, "exact", drop)
+        roundoff = math.sqrt(terms.weight.size) * np.finfo(float).eps * full
+        assert np.all(np.abs(full - pruned) <= drop + roundoff)
 
 
 class TestCombinedBer:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        elements=ELEMENTS,
+        m=NAKAGAMI_M,
+        snr_db=st.floats(-40.0, 10.0),
+        case=st.sampled_from(CASES),
+        detection=st.sampled_from(DETECTIONS),
+    )
+    def test_ber_within_bit_scale(self, elements, m, snr_db, case, detection):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # below the calibrated domain
+            result = ab.ber(config(snr_db, FadingConfig.uniform(m, elements)), case, detection)
+        assert 0.0 <= result.ber <= 64.0 / 127.0
+
     def test_union_and_scale_relation(self):
         result = ab.ber(config(-30.0), "case_a", "noncoherent")
         union = 1.0 - (1.0 - result.p_interf) * (1.0 - result.p_noise)

@@ -9,7 +9,7 @@ example by the first call of a SciPy routine), not only at import time.
 
 What `scipy.special` loads by itself is the floor: SciPy before 1.17
 imports `scipy.linalg` (and through it `scipy.sparse`) inside
-`scipy.special`, which chirpfield needs for `erfc` and `gammainc`.
+`scipy.special`, which chirpfield needs for `ndtr` and `gammainc`.
 """
 
 import json

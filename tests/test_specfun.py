@@ -68,6 +68,20 @@ class TestQFunctions:
         assert float(specfun.q_exact(1.0)) == pytest.approx(oracle, rel=1e-12)
         assert float(specfun.q_exact(1.0)) == pytest.approx(0.158655, abs=5e-7)
 
+    def test_exact_vs_mpmath_across_both_ndtr_branches(self):
+        # ndtr switches from erf to erfc at |x| = 1/sqrt(2); far in the tail
+        # the relative error grows like x^2 * eps from rounding x itself
+        x = np.linspace(-8.0, 37.0, 181)
+        oracle = np.array([float(mpmath.ncdf(-mpmath.mpf(float(v)))) for v in x])
+        assert np.allclose(specfun.q_exact(x), oracle, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("q", [specfun.q_exact, specfun.q_approx])
+    def test_out_overwrites_the_argument_with_the_same_values(self, q):
+        x = np.linspace(-10.0, 10.0, 41)
+        buffer = x.copy()
+        assert q(buffer, out=buffer) is buffer
+        assert np.array_equal(buffer, q(x))
+
     def test_approx_at_zero_is_exactly_one_third(self):
         assert float(specfun.q_approx(0.0)) == 1.0 / 12.0 + 0.25
 
