@@ -20,9 +20,10 @@ least one point, 3 validation failure.
 from __future__ import annotations
 
 import argparse
+import itertools
 import sys
 import warnings
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Executor
 from dataclasses import dataclass
 
 from . import analytic_ber, montecarlo, validation
@@ -328,7 +329,9 @@ def _analytic_task(args):
     return result.ber, result.p_noise, result.p_interf, notes
 
 
-def _fill_analytic(spec: ExperimentSpec, rows: list["_Row"], failures: list[str]) -> None:
+def _fill_analytic(
+    spec: ExperimentSpec, rows: list["_Row"], failures: list[str], pool: Executor | None
+) -> None:
     todo = [row for row in rows if row.scenario in _ANALYTIC_SCENARIOS]
     tasks = [
         (row.scenario, row.detection, row.sf, row.n_elements, row.m, row.snr_db,
@@ -336,11 +339,10 @@ def _fill_analytic(spec: ExperimentSpec, rows: list["_Row"], failures: list[str]
          spec.quadrature_order_v2, spec.staircase_m)
         for row in todo
     ]
-    if spec.workers > 1:
-        with ProcessPoolExecutor(max_workers=spec.workers) as pool:
-            results = list(pool.map(_analytic_task, tasks))
-    else:
+    if pool is None:
         results = [_analytic_task(task) for task in tasks]
+    else:
+        results = list(pool.map(_analytic_task, tasks))
     for row, result in zip(todo, results):
         if isinstance(result, str):
             failures.append(result)
@@ -350,8 +352,44 @@ def _fill_analytic(spec: ExperimentSpec, rows: list["_Row"], failures: list[str]
                 print(f"warning: {note}", file=sys.stderr)
 
 
+def _simulate(
+    spec: ExperimentSpec, pool: Executor | None
+) -> dict[tuple, montecarlo.BerEstimate]:
+    """Monte Carlo estimates keyed by (scenario, detection, sf, n, m, snr_db).
+
+    One sweep per (scenario, sf, n, m) runs every detector the spec asks
+    of that scenario on the same blocks.
+    """
+    detections: dict[str, list[str]] = {}
+    for scenario, detection in spec.branches:
+        detections.setdefault(scenario, []).append(detection)
+    estimates = {}
+    for scenario, wanted in detections.items():
+        for sf, n, m in itertools.product(spec.sf_values, spec.n_values, spec.m_values):
+            cfg = montecarlo.SimConfig(
+                params=LoRaParams(sf),
+                fading=FadingConfig.uniform(m, n),
+                scenario=scenario,
+                detection=wanted[0],
+                snr_db_grid=spec.snr_db_grid,
+                trials_per_point=spec.trials,
+                seed=spec.seed,
+                full_offset_range=spec.full_offset_range,
+            )
+            points = montecarlo.run_sweep(
+                cfg, spec.workers, detections=tuple(wanted), pool=pool
+            )
+            for point in points:
+                estimates[scenario, point.detection, sf, n, m, point.snr_db] = point.estimate
+    return estimates
+
+
 def run(spec: ExperimentSpec) -> int:
-    """Execute a spec and write its CSV; returns the process exit code."""
+    """Execute a spec and write its CSV; returns the process exit code.
+
+    One pool of `spec.workers` processes serves every sweep and the closed
+    forms of the run.
+    """
     if spec.mode == "validate":
         return _run_validation(spec)
 
@@ -360,38 +398,25 @@ def run(spec: ExperimentSpec) -> int:
     failures: list[str] = []
     rows: list[_Row] = []
 
-    for scenario, detection in spec.branches:
-        for sf in spec.sf_values:
-            for n in spec.n_values:
-                for m in spec.m_values:
-                    sim_points = None
-                    if want_sim:
-                        cfg = montecarlo.SimConfig(
-                            params=LoRaParams(sf),
-                            fading=FadingConfig.uniform(m, n),
-                            scenario=scenario,
-                            detection=detection,
-                            snr_db_grid=spec.snr_db_grid,
-                            trials_per_point=spec.trials,
-                            seed=spec.seed,
-                            full_offset_range=spec.full_offset_range,
-                        )
-                        sim_points = montecarlo.run_sweep(cfg, workers=spec.workers)
-                    for index, snr_db in enumerate(spec.snr_db_grid):
-                        row = _Row(
-                            scenario=scenario, detection=detection, sf=sf,
-                            n_elements=n, m=m, snr_db=snr_db, seed=spec.seed,
-                        )
-                        if sim_points is not None:
-                            est = sim_points[index].estimate
-                            row.ber_sim = est.ber
-                            row.ci_low = est.ci95_low
-                            row.ci_high = est.ci95_high
-                            row.bits_sent = est.bits_sent
-                        rows.append(row)
+    with montecarlo.worker_pool(spec.workers) as pool:
+        estimates = _simulate(spec, pool) if want_sim else {}
+        for scenario, detection in spec.branches:
+            for sf, n, m in itertools.product(spec.sf_values, spec.n_values, spec.m_values):
+                for snr_db in spec.snr_db_grid:
+                    row = _Row(
+                        scenario=scenario, detection=detection, sf=sf,
+                        n_elements=n, m=m, snr_db=snr_db, seed=spec.seed,
+                    )
+                    est = estimates.get((scenario, detection, sf, n, m, snr_db))
+                    if est is not None:
+                        row.ber_sim = est.ber
+                        row.ci_low = est.ci95_low
+                        row.ci_high = est.ci95_high
+                        row.bits_sent = est.bits_sent
+                    rows.append(row)
 
-    if want_analytic:
-        _fill_analytic(spec, rows, failures)
+        if want_analytic:
+            _fill_analytic(spec, rows, failures, pool)
 
     try:
         with open(spec.out, "w", encoding="utf-8", newline="") as handle:

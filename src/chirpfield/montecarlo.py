@@ -22,9 +22,19 @@ blocks, and the block size is a module constant because changing it
 changes the stream mapping.  Changing the bit generator, or the order in
 which a block draws its variates, changes every result for a fixed seed.
 
-Parallel runs use one process pool per sweep, keep at most `workers`
-blocks in flight, and submit no further block of a point once its early
-stop fires.
+Detector policy: every detector a sweep asks for reads the bins of the
+same blocks, which none of them writes.  Each detector keeps its own
+tally and applies the early-stop rule to it alone; once it stops it counts
+no further block, and a point draws blocks only while some detector is
+still counting.  A detector therefore counts exactly the blocks it would
+count on its own, so its estimate is the same whether it runs alone or
+beside the other, and the two estimates share every draw.
+
+Pool policy: parallel runs keep at most `workers` blocks in flight on one
+process pool, and submit no further block of a point once every detector
+has stopped.  The pool is the caller's when it passes one (the command
+line opens one per run, which the closed forms share), else one is started
+for the sweep, or for the point when `run_point` is called on its own.
 """
 
 from __future__ import annotations
@@ -240,19 +250,28 @@ def time_domain_bins(draws: BlockDraws, params: LoRaParams) -> np.ndarray:
     return dechirp_dft(received, params)
 
 
+def _detect(detection: str, bins: np.ndarray, draws: BlockDraws) -> np.ndarray:
+    if detection == "noncoherent":
+        return detect_noncoherent(bins)
+    return detect_coherent(bins, -np.angle(draws.h_eff))
+
+
 def _run_block(
-    cfg: SimConfig, snr_linear: float, rng: np.random.Generator, size: int
+    cfg: SimConfig,
+    snr_linear: float,
+    rng: np.random.Generator,
+    size: int,
+    detections: tuple[str, ...],
 ) -> tuple[np.ndarray, int]:
-    """Simulate one block of trials; returns per-trial bit errors and the
-    number of target/interferer peak-bin collisions (c == i2)."""
+    """Simulate one block of trials and run every detector in `detections`
+    on its bins; returns per-trial bit errors, one row per detector, and
+    the number of target/interferer peak-bin collisions (c == i2)."""
     draws = draw_block(cfg, snr_linear, rng, size)
     bins = block_bins(draws, cfg.params)
-    if cfg.detection == "noncoherent":
-        detected = detect_noncoherent(bins)
-    else:
-        detected = detect_coherent(bins, -np.angle(draws.h_eff))
-
-    errors = count_bit_errors_many(draws.c, detected, cfg.params.sf)
+    errors = np.stack([
+        count_bit_errors_many(draws.c, _detect(detection, bins, draws), cfg.params.sf)
+        for detection in detections
+    ])
     collisions = 0 if draws.i2 is None else int(np.count_nonzero(draws.c == draws.i2))
     return errors, collisions
 
@@ -262,11 +281,11 @@ def _block_sizes(cfg: SimConfig) -> list[int]:
     return [_BLOCK] * full + ([rest] if rest else [])
 
 
-def _block_task(args) -> tuple[int, int, int]:
-    cfg, snr_linear, point_index, block_index, size = args
+def _block_task(args) -> tuple[dict[str, int], int, int]:
+    cfg, snr_linear, point_index, block_index, size, detections = args
     rng = _substream(cfg.seed, point_index, block_index)
-    errors, collisions = _run_block(cfg, snr_linear, rng, size)
-    return int(errors.sum()), size, collisions
+    errors, collisions = _run_block(cfg, snr_linear, rng, size, detections)
+    return dict(zip(detections, errors.sum(axis=1).tolist())), size, collisions
 
 
 def _block_results(pool: Executor | None, tasks, depth: int):
@@ -295,9 +314,9 @@ def _block_results(pool: Executor | None, tasks, depth: int):
 
 
 @contextmanager
-def _worker_pool(workers: int):
+def worker_pool(workers: int):
     """A pool of `workers` processes, or None for a serial run.  On exit,
-    blocks that have not started are cancelled and the pool is shut down."""
+    tasks that have not started are cancelled and the pool is shut down."""
     if workers <= 1:
         yield None
         return
@@ -308,40 +327,8 @@ def _worker_pool(workers: int):
         pool.shutdown(wait=True, cancel_futures=True)
 
 
-def run_point(
-    cfg: SimConfig, snr_db: float, workers: int = 1, *, pool: Executor | None = None
-) -> BerEstimate:
-    """Estimate the bit error rate at one grid SNR.
-
-    Blocks are accumulated in index order and the early-stop rule is
-    evaluated at block boundaries, so the counted set of trials (and hence
-    the estimate) is independent of the worker count.  With `workers > 1`
-    the blocks run on `pool` when one is given (run_sweep shares one
-    across its points), else on a pool started for this point.
-    """
-    try:
-        point_index = cfg.snr_db_grid.index(snr_db)
-    except ValueError:
-        raise ValueError(
-            f"snr_db={snr_db} is not on the configured grid {cfg.snr_db_grid}"
-        ) from None
-    snr_linear = 10.0 ** (snr_db / 10.0)
-    tasks = (
-        (cfg, snr_linear, point_index, block_index, size)
-        for block_index, size in enumerate(_block_sizes(cfg))
-    )
-
-    bit_errors = trials = collisions = 0
-    pool_context = _worker_pool(workers) if pool is None else nullcontext(pool)
-    with pool_context as pool, closing(_block_results(pool, tasks, workers)) as results:
-        for block_errors, size, block_collisions in results:
-            bit_errors += block_errors
-            trials += size
-            collisions += block_collisions
-            if cfg.max_bit_errors is not None and bit_errors >= cfg.max_bit_errors:
-                break
-
-    bits_sent = trials * cfg.params.sf
+def _estimate(bit_errors: int, trials: int, collisions: int, sf: int) -> BerEstimate:
+    bits_sent = trials * sf
     low, high = wilson_interval(bit_errors, bits_sent)
     return BerEstimate(
         ber=bit_errors / bits_sent,
@@ -354,17 +341,87 @@ def run_point(
     )
 
 
-def run_sweep(cfg: SimConfig, workers: int = 1) -> list[BerPoint]:
-    """One BerPoint per grid SNR, with scenario metadata attached; all
-    points share one pool of `workers` processes."""
+def _run_detectors(
+    cfg: SimConfig,
+    snr_db: float,
+    detections: tuple[str, ...],
+    workers: int,
+    pool: Executor | None,
+) -> list[BerEstimate]:
+    """One estimate per detector in `detections` at one grid SNR, all read
+    off the same blocks (see the module's detector and pool policies)."""
+    try:
+        point_index = cfg.snr_db_grid.index(snr_db)
+    except ValueError:
+        raise ValueError(
+            f"snr_db={snr_db} is not on the configured grid {cfg.snr_db_grid}"
+        ) from None
+    snr_linear = 10.0 ** (snr_db / 10.0)
+    running = list(detections)
+    # A generator expression reads `running` as each block is submitted, so
+    # a block runs only the detectors still counting at that moment.
+    tasks = (
+        (cfg, snr_linear, point_index, block_index, size, tuple(running))
+        for block_index, size in enumerate(_block_sizes(cfg))
+    )
+
+    tallies = {detection: [0, 0, 0] for detection in detections}  # errors, trials, collisions
+    pool_context = worker_pool(workers) if pool is None else nullcontext(pool)
+    with pool_context as pool, closing(_block_results(pool, tasks, workers)) as results:
+        for block_errors, size, block_collisions in results:
+            for detection in tuple(running):
+                tally = tallies[detection]
+                tally[0] += block_errors[detection]
+                tally[1] += size
+                tally[2] += block_collisions
+                if cfg.max_bit_errors is not None and tally[0] >= cfg.max_bit_errors:
+                    running.remove(detection)
+            if not running:
+                break
+    return [_estimate(*tallies[detection], cfg.params.sf) for detection in detections]
+
+
+def run_point(
+    cfg: SimConfig, snr_db: float, workers: int = 1, *, pool: Executor | None = None
+) -> BerEstimate:
+    """Estimate the bit error rate of `cfg.detection` at one grid SNR.
+
+    Blocks are accumulated in index order and the early-stop rule is
+    evaluated at block boundaries, so the counted set of trials (and hence
+    the estimate) is independent of the worker count.  With `workers > 1`
+    the blocks run on `pool` when one is given, else on a pool started for
+    this point.
+    """
+    return _run_detectors(cfg, snr_db, (cfg.detection,), workers, pool)[0]
+
+
+def run_sweep(
+    cfg: SimConfig,
+    workers: int = 1,
+    *,
+    detections: tuple[str, ...] | None = None,
+    pool: Executor | None = None,
+) -> list[BerPoint]:
+    """One BerPoint per grid SNR and detector, SNR-major, the detectors in
+    the order of `detections` (default: `cfg.detection` alone).
+
+    Every detector reads the bins of the same blocks and gets the estimate
+    a sweep of it alone would give.  With `workers > 1` the blocks run on
+    `pool` when one is given, else on one pool started for the sweep.
+    """
+    detections = (cfg.detection,) if detections is None else tuple(detections)
+    unknown = set(detections) - set(DETECTIONS)
+    if not detections or unknown or len(set(detections)) < len(detections):
+        raise ValueError(f"detections must be distinct entries of {DETECTIONS}")
     points = []
-    with _worker_pool(workers) as pool:
+    pool_context = worker_pool(workers) if pool is None else nullcontext(pool)
+    with pool_context as pool:
         for snr_db in cfg.snr_db_grid:
-            estimate = run_point(cfg, snr_db, workers, pool=pool)
-            points.append(
+            estimates = _run_detectors(cfg, snr_db, detections, workers, pool)
+            points += [
                 BerPoint(
                     scenario=cfg.scenario,
-                    detection=cfg.detection,
+                    detection=detection,
                     sf=cfg.params.sf,
                     n_elements=cfg.fading.n_elements,
                     m=cfg.fading.m1,
@@ -372,5 +429,6 @@ def run_sweep(cfg: SimConfig, workers: int = 1) -> list[BerPoint]:
                     seed=cfg.seed,
                     estimate=estimate,
                 )
-            )
+                for detection, estimate in zip(detections, estimates)
+            ]
     return points

@@ -1,6 +1,12 @@
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
+
 import pytest
 
 from chirpfield import cli
+from chirpfield import montecarlo as mc
 
 
 def parse_args(argv):
@@ -187,6 +193,24 @@ class TestRuns:
         assert cli.main(args + ["--out", str(out2), "--workers", "2"]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_both_detections_match_separate_runs(self, tmp_path, workers):
+        # 12,288 trials (three blocks): at -36 dB the non-coherent detector
+        # stops early after one block and the coherent one after two; at
+        # -32 dB only the non-coherent one stops early
+        args = ["simulate", "--scenario", "case_b", "--snr-db=-36:-32:4",
+                "--trials", "12288", "--seed", "11", "--workers", workers]
+        rows = {}
+        for detection in ("both", "noncoherent", "coherent"):
+            out = tmp_path / f"{detection}.csv"
+            assert cli.main(args + ["--detection", detection, "--out", str(out)]) == 0
+            rows[detection] = out.read_text().splitlines()[1:]
+        assert rows["both"] == rows["noncoherent"] + rows["coherent"]
+        bits = {tuple(row.split(",")[1:6:4]): int(row.split(",")[12]) for row in rows["both"]}
+        budget = 12288 * 7
+        assert bits[("noncoherent", "-36")] < bits[("coherent", "-36")] < budget
+        assert bits[("noncoherent", "-32")] < bits[("coherent", "-32")] == budget
+
     def test_unwritable_output(self, tmp_path):
         code = cli.main(
             ["analytic", "--snr-db", "-30", "--detection", "noncoherent",
@@ -243,6 +267,55 @@ class TestRuns:
         assert fields["ber_analytic"] == ""
 
 
+class RecordingPool(ProcessPoolExecutor):
+    """Forked, whatever the interpreter's default start method, so that the
+    workers inherit patched functions; records each pool and shutdown."""
+
+    started: list = []
+    shut_down: list = []
+
+    def __init__(self, max_workers):
+        super().__init__(max_workers, mp_context=multiprocessing.get_context("fork"))
+        self.started.append(self)
+
+    def shutdown(self, *args, **kwargs):
+        self.shut_down.append(self)
+        super().shutdown(*args, **kwargs)
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="the patched functions reach the workers only by fork")
+class TestWorkerPool:
+    @pytest.fixture(autouse=True)
+    def recording_pool(self, monkeypatch):
+        monkeypatch.setattr(mc, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(RecordingPool, "started", [])
+        monkeypatch.setattr(RecordingPool, "shut_down", [])
+
+    def test_one_pool_serves_the_sweeps_and_the_closed_forms(self, tmp_path):
+        out = tmp_path / "both.csv"
+        code = cli.main(["both", "--scenario", "case_a", "--snr-db=-30:-29:1",
+                         "--trials", "2000", "--workers", "2", "--out", str(out)])
+        assert code == 0
+        rows = out.read_text().splitlines()[1:]
+        assert len(rows) == 4
+        assert all(row.split(",")[6] and row.split(",")[9] for row in rows)
+        assert len(RecordingPool.started) == 1
+        assert RecordingPool.shut_down == RecordingPool.started
+        assert not multiprocessing.active_children()
+
+    def test_dead_worker_fails_the_run(self, tmp_path, monkeypatch):
+        # patched before the pool forks, so every worker dies in its first block
+        monkeypatch.setattr(mc, "_run_block", lambda *args: os._exit(1))
+        with pytest.raises(BrokenProcessPool):
+            cli.main(["simulate", "--scenario", "case_a", "--snr-db=-30:-29:1",
+                      "--trials", "8192", "--workers", "2",
+                      "--out", str(tmp_path / "dead.csv")])
+        assert len(RecordingPool.started) == 1
+        assert RecordingPool.shut_down == RecordingPool.started
+        assert not multiprocessing.active_children()
+
+
 class TestValidateMode:
     def test_reports_and_exit_code(self, capsys):
         code = cli.main(["validate", "--trials", "12000", "--seed", "6"])
@@ -250,6 +323,15 @@ class TestValidateMode:
         assert code == 0
         assert captured.count("[PASS]") >= 12
         assert "[FAIL]" not in captured
+
+    def test_passes_on_a_larger_surface(self, capsys):
+        # the SNRs of the closed-form and simulation checks follow the
+        # configured fading, so a 64-element surface passes as well
+        code = cli.main(["validate", "--sf", "7", "--elements", "64", "--m", "2",
+                         "--trials", "12000", "--seed", "6"])
+        captured = capsys.readouterr().out
+        assert "[FAIL]" not in captured
+        assert code == 0
 
     def test_failure_exit_code(self, capsys, monkeypatch):
         from chirpfield import validation

@@ -102,9 +102,15 @@ class TestDeterminism:
 
 class TestTrialMechanics:
     def test_run_block_range(self):
-        errors, _ = mc._run_block(sim_config(), 10 ** (-2.5), np.random.default_rng(0), 50)
-        assert errors.shape == (50,)
+        errors, _ = mc._run_block(sim_config(), 10 ** (-2.5), np.random.default_rng(0), 50,
+                                  mc.DETECTIONS)
+        assert errors.shape == (2, 50)
         assert np.all((errors >= 0) & (errors <= SF7.sf))
+        # each row is what that detector alone reads off the same draws
+        for row, detection in zip(errors, mc.DETECTIONS):
+            alone, _ = mc._run_block(sim_config(), 10 ** (-2.5), np.random.default_rng(0), 50,
+                                     (detection,))
+            assert np.array_equal(alone[0], row)
 
     def test_forced_clean_channel_never_errs(self, monkeypatch):
         # unit target gain, no interferer, essentially no noise
@@ -250,6 +256,53 @@ class TestWorkerPool:
         assert time.perf_counter() - start < 30
         assert len(shut_down) == 1
         assert not multiprocessing.active_children()
+
+
+class TestSharedDetectorPass:
+    """A sweep over both detectors reads them off the same blocks."""
+
+    # at -36 dB the non-coherent detector stops after one block and the
+    # coherent one after two; at -32 dB the coherent one runs all three
+    CFG = dict(scenario="case_b", snr_db_grid=(-36.0, -32.0), trials_per_point=12_288,
+               seed=11, max_bit_errors=1000)
+
+    def test_matches_one_detector_at_a_time(self):
+        cfg = sim_config(**self.CFG)
+        shared = mc.run_sweep(cfg, detections=mc.DETECTIONS)
+        assert [(p.snr_db, p.detection) for p in shared] == [
+            (snr, d) for snr in cfg.snr_db_grid for d in mc.DETECTIONS
+        ]
+        for detection in mc.DETECTIONS:
+            alone = mc.run_sweep(dataclasses.replace(cfg, detection=detection))
+            assert [p for p in shared if p.detection == detection] == alone
+
+    def test_each_block_is_built_once(self, monkeypatch):
+        built, keys = [], []
+        block_bins, substream = mc.block_bins, mc._substream
+
+        def counting_block_bins(draws, params):
+            built.append(draws.c.size)
+            return block_bins(draws, params)
+
+        def recording_substream(seed, point_index, block_index):
+            keys.append((point_index, block_index))
+            return substream(seed, point_index, block_index)
+
+        monkeypatch.setattr(mc, "block_bins", counting_block_bins)
+        monkeypatch.setattr(mc, "_substream", recording_substream)
+        points = mc.run_sweep(sim_config(**self.CFG), detections=mc.DETECTIONS)
+
+        blocks = {}
+        for point in points:
+            blocks.setdefault(point.snr_db, []).append(-(-point.estimate.trials // mc._BLOCK))
+        assert list(blocks.values()) == [[1, 2], [1, 3]]
+        assert len(built) == len(keys) == len(set(keys))
+        assert len(built) == sum(max(counts) for counts in blocks.values())
+
+    def test_rejects_bad_detections(self):
+        for detections in ((), ("noncoherent", "noncoherent"), ("semi",)):
+            with pytest.raises(ValueError):
+                mc.run_sweep(sim_config(), detections=detections)
 
 
 class TestIndependence:
