@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import itertools
+import math
 import sys
 import warnings
 from concurrent.futures import Executor
@@ -166,14 +167,15 @@ def _convert(key: str, text: str, origin: str):
 
 def _parse_snr_spec(text: str, origin: str) -> tuple[float, ...]:
     parts = text.split(":")
+    if len(parts) not in (1, 3):
+        raise ConfigError(f"{origin}: SNR must be 'VALUE' or 'START:STOP:STEP', got {text!r}")
     try:
-        if len(parts) == 1:
-            return (float(parts[0]),)
-        if len(parts) == 3:
-            return _snr_grid(float(parts[0]), float(parts[1]), float(parts[2]))
+        values = [float(part) for part in parts]
     except ValueError as exc:
         raise ConfigError(f"{origin}: bad SNR specification {text!r}: {exc}") from exc
-    raise ConfigError(f"{origin}: SNR must be 'VALUE' or 'START:STOP:STEP', got {text!r}")
+    if not all(map(math.isfinite, values)):
+        raise ConfigError(f"{origin}: SNR values must be finite, got {text!r}")
+    return (values[0],) if len(values) == 1 else _snr_grid(*values)
 
 
 def build_spec(args: argparse.Namespace) -> ExperimentSpec:

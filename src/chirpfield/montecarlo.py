@@ -14,13 +14,25 @@ it is the tested oracle of `block_bins`.  Nothing here touches the
 cross-correlation bounds, Gamma fits, or quadrature machinery of the
 analytic engine, so the two sides cross-validate each other.
 
+Every row is independent from its noise draw to its detector decision, so
+a block streams through chunks of `_TONE_CHUNK` samples of whole rows (4
+rows at SF 12, 128 at SF 7): each chunk draws its noise into one reused
+buffer, adds the tones, transforms in place, adds the target, and the
+detectors write their decisions for its rows.  No (block, K) array exists;
+an SF 12 block of 2,048 trials peaks at about 5 MB of allocations, mostly
+its gain draw, against 134 MB for its received block alone.
+
 Reproducibility contract: trials are processed in fixed-size blocks, and
 every block gets its own `SFC64` random stream, seeded by
 `SeedSequence(seed, spawn_key=(point index, block index))`.  Results are
 therefore identical for a given seed no matter how many workers run the
 blocks, and the block size is a module constant because changing it
-changes the stream mapping.  Changing the bit generator, or the order in
-which a block draws its variates, changes every result for a fixed seed.
+changes the stream mapping.  A block draws c, i1, i2, tau, the gains and
+then the noise; the noise is drawn chunk by chunk from the block's stream,
+and since a generator fills normals in sequence, the chunks hold exactly
+the variates of one (block, 2K) draw, whatever the chunk size.  Changing
+the bit generator, or the order in which a block draws its variates,
+changes every result for a fixed seed.
 
 Detector policy: every detector a sweep asks for reads the bins of the
 same blocks, which none of them writes.  Each detector keeps its own
@@ -41,6 +53,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
+from collections.abc import Iterator
 from concurrent.futures import Executor, ProcessPoolExecutor
 from contextlib import closing, contextmanager, nullcontext
 from dataclasses import dataclass
@@ -66,8 +79,9 @@ from .lora_phy import (
 
 _BLOCK = 4096
 
-# Samples of interferer tones gathered at a time, so that no second
-# (block, K) complex array is ever held next to the received block.
+# Samples per row chunk of a block: a block is drawn, built, transformed
+# and detected this many samples (whole rows) at a time, in one reused
+# 256 KB buffer, so no (block, K) array is ever held.
 _TONE_CHUNK = 1 << 14
 
 SCENARIOS = ("case_a", "case_b", "ris_free", "blind", "no_interference")
@@ -95,6 +109,8 @@ class SimConfig:
             raise ValueError(f"unknown detection {self.detection!r}")
         if not self.snr_db_grid:
             raise ValueError("SNR grid must not be empty")
+        if not all(map(math.isfinite, self.snr_db_grid)):
+            raise ValueError(f"SNR grid must be finite, got {self.snr_db_grid}")
         if self.trials_per_point < 1:
             raise ValueError("need at least one trial per point")
         if self.max_bit_errors is not None and self.max_bit_errors < 1:
@@ -174,11 +190,13 @@ def _draw_gains(cfg: SimConfig, rng: np.random.Generator, size: int):
 
 @dataclass(frozen=True)
 class BlockDraws:
-    """The random variates of one block of trials, in the order drawn.
+    """The random variates of one block of trials, in the order drawn,
+    except the receiver noise, which `block_bins` draws chunk by chunk.
 
-    `noise` is the (size, K) complex receiver noise at the dechirped scale,
-    per-sample variance 1/(snr * K**2), so 1/(snr * K) per DFT bin.  The
-    interferer fields are None when the scenario has none.
+    `noise_std` is the standard deviation of each real and imaginary part
+    of the noise at the dechirped scale: per-sample variance
+    1/(snr * K**2), so 1/(snr * K) per DFT bin.  The interferer fields are
+    None when the scenario has none.
     """
 
     c: np.ndarray
@@ -187,13 +205,14 @@ class BlockDraws:
     tau: np.ndarray | None
     h_eff: np.ndarray
     h_int: np.ndarray | None
-    noise: np.ndarray
+    noise_std: float
 
 
 def draw_block(
     cfg: SimConfig, snr_linear: float, rng: np.random.Generator, size: int
 ) -> BlockDraws:
-    """Draw one block: c, i1, i2, tau, the gains, then the noise."""
+    """Draw one block: c, i1, i2, tau, then the gains.  The noise comes
+    last in the block's stream, and is left in `rng` for `block_bins`."""
     K = cfg.params.K
     c = rng.integers(0, K, size)
     i1 = i2 = tau = None
@@ -203,46 +222,62 @@ def draw_block(
         tau_hi = (K - 1) if cfg.full_offset_range else K // 2
         tau = rng.integers(0, tau_hi + 1, size)
     h_eff, h_int = _draw_gains(cfg, rng, size)
-    # (size, 2K) normals viewed as (size, K) complex samples
-    noise = rng.standard_normal((size, 2 * K))
-    noise *= math.sqrt(0.5 / (snr_linear * K * K))
-    return BlockDraws(c, i1, i2, tau, h_eff, h_int, noise.view(np.complex128))
+    return BlockDraws(c, i1, i2, tau, h_eff, h_int, math.sqrt(0.5 / (snr_linear * K * K)))
 
 
-def block_bins(draws: BlockDraws, params: LoRaParams) -> np.ndarray:
-    """DFT bins of the dechirped received block, one row per trial.
+def block_bins(
+    draws: BlockDraws, params: LoRaParams, rng: np.random.Generator
+) -> Iterator[tuple[slice, np.ndarray]]:
+    """DFT bins of the dechirped received block, `_TONE_CHUNK` samples of
+    whole rows at a time; yields (rows, bins) with one row per trial.
 
-    Built in the dechirped domain, where the target symbol c is a tone
-    that adds exactly h_eff to bin c, and the interferer is the tone of i1
-    for its first tau samples and of i2 after.  The bins are built in, and
-    returned as, the buffer of `draws.noise`, which is consumed.
+    `rng` must stand where `draw_block` left it.  Each chunk draws its
+    noise from it into one reused buffer ((rows, 2K) normals viewed as
+    (rows, K) complex samples, the rows of the one-shot draw in order),
+    adds the interferer, the tone of i1 for its first tau samples and of
+    i2 after, transforms in place, and adds h_eff to bin c, where the
+    dechirped target symbol puts exactly its gain.  Every `bins` is a view
+    of that buffer, which the next chunk overwrites.
     """
-    y = draws.noise
-    size, K = y.shape
-    if draws.h_int is not None:
-        n = np.arange(K)
-        step = max(1, _TONE_CHUNK // K)
-        for start in range(0, size, step):
-            rows = slice(start, start + step)
+    K = params.K
+    size = draws.c.size
+    step = max(1, _TONE_CHUNK // K)
+    buffer = np.empty((min(step, size), 2 * K))
+    n = np.arange(K)
+    for start in range(0, size, step):
+        rows = slice(start, min(start + step, size))
+        normals = buffer[: rows.stop - start]
+        rng.standard_normal(out=normals)
+        normals *= draws.noise_std
+        y = normals.view(np.complex128)
+        if draws.h_int is not None:
             symbols = np.where(
                 n < draws.tau[rows, None], draws.i1[rows, None], draws.i2[rows, None]
             )
             tones = _tones(symbols, params.sf)
             tones *= draws.h_int[rows, None]
-            y[rows] += tones
-    np.fft.fft(y, axis=-1, out=y)
-    y[np.arange(size), draws.c] += draws.h_eff
-    return y
+            y += tones
+        np.fft.fft(y, axis=-1, out=y)
+        y[np.arange(len(y)), draws.c[rows]] += draws.h_eff[rows]
+        yield rows, y
 
 
-def time_domain_bins(draws: BlockDraws, params: LoRaParams) -> np.ndarray:
-    """block_bins by the time-domain chain; the slow oracle for it.
+def time_domain_bins(
+    draws: BlockDraws, params: LoRaParams, rng: np.random.Generator
+) -> np.ndarray:
+    """The bins of block_bins, all rows at once, by the time-domain chain;
+    the slow oracle for it.
 
-    Synthesises h_eff * chirp(c) + h_int * interferer frame + w, with the
-    receiver noise w = K * base chirp * draws.noise, then dechirps and
-    transforms.  It leaves draws.noise intact, so call it before block_bins.
+    `rng` must stand where block_bins starts, e.g. a copy of the block's
+    generator taken after `draw_block`: the whole (size, K) noise is drawn
+    from it in one call.  Synthesises h_eff * chirp(c) + h_int *
+    interferer frame + w, with the receiver noise w = K * base chirp *
+    dechirped-scale noise, then dechirps and transforms.
     """
-    received = params.K * modulate(0, params) * draws.noise  # symbol 0: base chirp
+    K = params.K
+    noise = rng.standard_normal((draws.c.size, 2 * K))
+    noise *= draws.noise_std
+    received = K * modulate(0, params) * noise.view(np.complex128)  # symbol 0: base chirp
     received += draws.h_eff[:, None] * modulate_many(draws.c, params)
     if draws.h_int is not None:
         frames = build_interferer_frames(draws.i1, draws.i2, draws.tau, params)
@@ -250,10 +285,10 @@ def time_domain_bins(draws: BlockDraws, params: LoRaParams) -> np.ndarray:
     return dechirp_dft(received, params)
 
 
-def _detect(detection: str, bins: np.ndarray, draws: BlockDraws) -> np.ndarray:
+def _detect(detection: str, bins: np.ndarray, compensation: np.ndarray) -> np.ndarray:
     if detection == "noncoherent":
         return detect_noncoherent(bins)
-    return detect_coherent(bins, -np.angle(draws.h_eff))
+    return detect_coherent(bins, compensation)
 
 
 def _run_block(
@@ -264,13 +299,17 @@ def _run_block(
     detections: tuple[str, ...],
 ) -> tuple[np.ndarray, int]:
     """Simulate one block of trials and run every detector in `detections`
-    on its bins; returns per-trial bit errors, one row per detector, and
-    the number of target/interferer peak-bin collisions (c == i2)."""
+    on each chunk of its bins; returns per-trial bit errors, one row per
+    detector, and the number of target/interferer peak-bin collisions
+    (c == i2)."""
     draws = draw_block(cfg, snr_linear, rng, size)
-    bins = block_bins(draws, cfg.params)
+    compensation = -np.angle(draws.h_eff)  # perfect target-phase estimate
+    decisions = np.empty((len(detections), size), dtype=np.intp)
+    for rows, bins in block_bins(draws, cfg.params, rng):
+        for decided, detection in zip(decisions, detections):
+            decided[rows] = _detect(detection, bins, compensation[rows])
     errors = np.stack([
-        count_bit_errors_many(draws.c, _detect(detection, bins, draws), cfg.params.sf)
-        for detection in detections
+        count_bit_errors_many(draws.c, decided, cfg.params.sf) for decided in decisions
     ])
     collisions = 0 if draws.i2 is None else int(np.count_nonzero(draws.c == draws.i2))
     return errors, collisions

@@ -8,6 +8,7 @@ with the configured trial budget so the whole suite stays interactive.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, replace
 
@@ -97,8 +98,9 @@ def _check_noise_calibration(params: LoRaParams, fading: FadingConfig, trials, r
     power = 0.0
     for start in range(0, n, chunk):
         draws = montecarlo.draw_block(cfg, snr_linear, rng, min(chunk, n - start))
-        bins = montecarlo.block_bins(replace(draws, h_eff=np.zeros_like(draws.h_eff)), params)
-        power += float(np.vdot(bins, bins).real)
+        silent = replace(draws, h_eff=np.zeros_like(draws.h_eff))
+        for _, bins in montecarlo.block_bins(silent, params, rng):
+            power += float(np.vdot(bins, bins).real)
     expected = 1.0 / (snr_linear * params.K)
     ratio = power / (n * params.K) / expected
     return CheckResult(
@@ -335,8 +337,10 @@ def _check_pruned_double_sum(params: LoRaParams, fading: FadingConfig, _trials, 
 
 def _check_block_kernel(params: LoRaParams, fading: FadingConfig, _trials, rng):
     # the production block kernel against the time-domain chain on the same
-    # draws, every scenario, offsets over the whole symbol; the deviation is
-    # taken relative to the largest bin, since gains grow with the surface
+    # draws, every scenario, offsets over the whole symbol; the oracle draws
+    # the noise in one shot from a copy of the generator, the kernel chunk by
+    # chunk from `rng` itself.  The deviation is taken relative to the
+    # largest bin, since gains grow with the surface
     worst, differing, size = 0.0, 0, 32
     for scenario in montecarlo.SCENARIOS:
         cfg = montecarlo.SimConfig(
@@ -350,17 +354,18 @@ def _check_block_kernel(params: LoRaParams, fading: FadingConfig, _trials, rng):
             full_offset_range=True,
         )
         draws = montecarlo.draw_block(cfg, 10 ** (-2.5), rng, size)
-        expected = montecarlo.time_domain_bins(draws, params)
-        bins = montecarlo.block_bins(draws, params)
+        expected = montecarlo.time_domain_bins(draws, params, copy.deepcopy(rng))
         scale = max(1.0, float(np.abs(expected).max()))
-        worst = max(worst, float(np.abs(bins - expected).max()) / scale)
         compensation = -np.angle(draws.h_eff)
-        differing += int(np.count_nonzero(
-            detect_noncoherent(bins) != detect_noncoherent(expected)
-        ))
-        differing += int(np.count_nonzero(
-            detect_coherent(bins, compensation) != detect_coherent(expected, compensation)
-        ))
+        for rows, bins in montecarlo.block_bins(draws, params, rng):
+            worst = max(worst, float(np.abs(bins - expected[rows]).max()) / scale)
+            differing += int(np.count_nonzero(
+                detect_noncoherent(bins) != detect_noncoherent(expected[rows])
+            ))
+            differing += int(np.count_nonzero(
+                detect_coherent(bins, compensation[rows])
+                != detect_coherent(expected[rows], compensation[rows])
+            ))
     return CheckResult(
         "dechirped-domain block vs time-domain chain",
         worst < 1e-12 and differing == 0,

@@ -36,6 +36,25 @@ class TestSnrParsing:
         with pytest.raises(cli.ConfigError):
             cli._parse_snr_spec("-30:-28:-1", "test")
 
+    # each once wrote NaN-noise rows or died with a traceback
+    @pytest.mark.parametrize("mode, snr", [
+        ("simulate", "nan"),      # BER about 0.5 rows, exit 0
+        ("analytic", "nan"),      # ValueError from log_pcf_d
+        ("simulate", "-inf"),     # ZeroDivisionError
+        ("simulate", "-30:inf:1"),  # OverflowError
+    ])
+    def test_non_finite_is_rejected(self, mode, snr, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        code = cli.main([mode, f"--snr-db={snr}", "--trials", "100", "--out", str(out)])
+        assert code == 1 and not out.exists()
+        assert "flag --snr-db: SNR values must be finite" in capsys.readouterr().err
+
+    def test_non_finite_in_config_file_names_the_key(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("snr_db = -30:-28:nan\n")
+        with pytest.raises(cli.ConfigError, match="key 'snr_db'.*finite"):
+            spec_for(["simulate", "--config", str(path)])
+
 
 class TestSpecBuilding:
     def test_defaults(self):

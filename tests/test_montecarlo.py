@@ -1,9 +1,11 @@
 import ast
+import copy
 import dataclasses
 import multiprocessing
 import os
 import signal
 import time
+import tracemalloc
 from concurrent.futures import Executor, Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
@@ -45,6 +47,11 @@ class TestConfigValidation:
     def test_empty_grid(self):
         with pytest.raises(ValueError):
             sim_config(snr_db_grid=())
+
+    @pytest.mark.parametrize("snr_db", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_snr(self, snr_db):
+        with pytest.raises(ValueError, match="finite"):
+            sim_config(snr_db_grid=(-25.0, snr_db))
 
     def test_zero_trials(self):
         with pytest.raises(ValueError):
@@ -169,29 +176,59 @@ class TestTrialMechanics:
 
 
 class TestBlockKernel:
-    """block_bins, built in the dechirped domain, against the time-domain
-    chain on the same draws."""
+    """block_bins, built in the dechirped domain a chunk of rows at a time,
+    against the time-domain chain on the same draws."""
 
     @pytest.mark.parametrize("sf", [7, 9, 12])
     @pytest.mark.parametrize("scenario", mc.SCENARIOS)
     def test_matches_time_domain_chain(self, sf, scenario):
+        # chunks of 128, 32 and 4 rows: each size ends in a partial chunk
+        size = {7: 300, 9: 300, 12: 11}[sf]
         params = LoRaParams(sf)
         K = params.K
         cfg = sim_config(params=params, scenario=scenario, full_offset_range=True)
-        draws = mc.draw_block(cfg, 10 ** (-3.0), np.random.default_rng(sf), 24)
+        rng = np.random.default_rng(sf)
+        draws = mc.draw_block(cfg, 10 ** (-3.0), rng, size)
         if draws.tau is not None:
             draws.tau[:3] = (0, K - 1, K // 2)
             draws.c[3:5] = draws.i2[3:5]  # target/interferer collisions
-        expected = mc.time_domain_bins(draws, params)
-        bins = mc.block_bins(draws, params)
-        assert np.abs(bins - expected).max() < 1e-12
+        # the oracle draws the whole noise at once from an identical generator
+        expected = mc.time_domain_bins(draws, params, copy.deepcopy(rng))
         compensation = -np.angle(draws.h_eff)
-        for detect, args in ((mc.detect_noncoherent, ()), (mc.detect_coherent, (compensation,))):
-            assert np.array_equal(detect(bins, *args), detect(expected, *args))
+        step = mc._TONE_CHUNK // K
+        covered = 0
+        for rows, bins in mc.block_bins(draws, params, rng):
+            assert rows.start == covered and bins.shape == (rows.stop - rows.start, K)
+            covered = rows.stop
+            assert np.abs(bins - expected[rows]).max() < 1e-12
+            for detect, args in ((mc.detect_noncoherent, ()),
+                                 (mc.detect_coherent, (compensation[rows],))):
+                assert np.array_equal(detect(bins, *args), detect(expected[rows], *args))
+        assert covered == size and size % step
 
     def test_bins_are_built_in_the_noise_buffer(self):
-        draws = mc.draw_block(sim_config(), 10 ** (-2.5), np.random.default_rng(3), 8)
-        assert mc.block_bins(draws, SF7) is draws.noise
+        # every chunk's noise is drawn into, and its bins built in, one buffer
+        draws = mc.draw_block(sim_config(), 10 ** (-2.5), np.random.default_rng(3), 300)
+        chunks = [bins for _, bins in mc.block_bins(draws, SF7, np.random.default_rng(4))]
+        assert len(chunks) == 3
+        address = chunks[0].__array_interface__["data"][0]
+        for bins in chunks:
+            assert not bins.flags.owndata
+            assert bins.__array_interface__["data"][0] == address
+
+    def test_block_memory_is_bounded(self):
+        # One SF 12 block of 2,048 trials, both detectors.  One (trials, K)
+        # complex array would take 134 MB; the gain draw's (trials, N)
+        # arrays take about 4.8 MB, the chunk buffer and its temporaries
+        # about 1 MB.
+        cfg = sim_config(params=LoRaParams(12), scenario="case_b")
+        tracemalloc.start()
+        try:
+            mc._run_block(cfg, 10 ** (-2.5), mc._substream(1, 0, 0), 2048, mc.DETECTIONS)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
 
 
 class InlinePool(Executor):
@@ -280,9 +317,9 @@ class TestSharedDetectorPass:
         built, keys = [], []
         block_bins, substream = mc.block_bins, mc._substream
 
-        def counting_block_bins(draws, params):
+        def counting_block_bins(draws, params, rng):
             built.append(draws.c.size)
-            return block_bins(draws, params)
+            return block_bins(draws, params, rng)
 
         def recording_substream(seed, point_index, block_index):
             keys.append((point_index, block_index))
@@ -399,11 +436,13 @@ class TestNoiseCalibration:
         # per-bin noise variance 1/(snr*K)
         snr_linear = 10 ** (-1.2)
         cfg = sim_config(scenario="no_interference", snr_db_grid=(-12.0,))
-        draws = mc.draw_block(cfg, snr_linear, np.random.default_rng(43), 2_000)
-        zero = np.zeros_like(draws.h_eff)
-        bins = mc.block_bins(dataclasses.replace(draws, h_eff=zero), SF7)
+        rng = np.random.default_rng(43)
+        draws = mc.draw_block(cfg, snr_linear, rng, 2_000)
+        silent = dataclasses.replace(draws, h_eff=np.zeros_like(draws.h_eff))
+        power = sum(float(np.vdot(bins, bins).real)
+                    for _, bins in mc.block_bins(silent, SF7, rng))
         expected = 1.0 / (snr_linear * SF7.K)
-        measured = float((np.abs(bins) ** 2).mean())
+        measured = power / (2_000 * SF7.K)
         assert abs(measured - expected) / expected < 0.03
 
 
