@@ -40,10 +40,10 @@ of negligible weight the same way).  Every weight is >= 0 and Q lies in
 sampled before any |f| is known, keeps every term.
 
 Every closed form has a `*_numeric` twin evaluated by adaptive quadrature
-on the source integral, used as the test-suite oracle.  Exact-tail
-(`q_mode="exact"`) variants quantify the error introduced by the
-two-exponential fit.  Only those twins import scipy.integrate, inside the
-function, so the closed forms never load it.
+on the source integral, used as the test-suite oracle; only those twins
+import scipy.integrate, inside the function.  The interference sums always
+take the exact tail `q_exact`; only `noise_ser_numeric` has a `q_mode`,
+whose "exact" measures the error of the two-exponential fit.
 
 The two-exponential fit is only valid for positive tail arguments.  The
 noise closed forms warn when more than UNCALIBRATED_MASS_LIMIT of the
@@ -275,6 +275,14 @@ def noise_ser_coherent(cfg: AnalyticConfig) -> float:
     return _noise_ser(cfg, "coherent")
 
 
+def _q_function(q_mode: str):
+    if q_mode == "exact":
+        return q_exact
+    if q_mode == "approx":
+        return q_approx
+    raise ValueError(f"unknown q_mode {q_mode!r}")
+
+
 def noise_ser_numeric(
     cfg: AnalyticConfig, detection: str, q_mode: str = "approx"
 ) -> float:
@@ -309,14 +317,6 @@ def noise_ser_numeric(
 # ---------------------------------------------------------------------------
 # Interference-driven branch
 # ---------------------------------------------------------------------------
-
-
-def _q_function(q_mode: str):
-    if q_mode == "exact":
-        return q_exact
-    if q_mode == "approx":
-        return q_approx
-    raise ValueError(f"unknown q_mode {q_mode!r}")
 
 
 def _log_grid(fit: GammaFit, order: int, power_domain: bool):
@@ -417,7 +417,7 @@ def _double_sum_terms(cfg: AnalyticConfig, case: str) -> _DoubleSum:
 
 
 def _conditional_sums(
-    terms: _DoubleSum, multipliers: np.ndarray, q_mode: str, drop_mass: float = 0.0
+    terms: _DoubleSum, multipliers: np.ndarray, drop_mass: float = 0.0
 ) -> np.ndarray:
     """Gauss-Hermite double sum of P(interferer bin beats signal bin).
 
@@ -430,7 +430,6 @@ def _conditional_sums(
     falls short of the full sum by at most drop_mass.  With drop_mass = 0
     it is the full sum.
     """
-    q_fn = _q_function(q_mode)
     first = int(np.searchsorted(terms.mass, drop_mass, side="right"))
     target = terms.target[first:, None]
     interf = terms.interf[first:, None]
@@ -439,7 +438,7 @@ def _conditional_sums(
     for start in range(0, len(multipliers), _MULTIPLIER_CHUNK):
         args = np.multiply(interf, multipliers[start : start + _MULTIPLIER_CHUNK])
         np.subtract(target, args, out=args)
-        out[start : start + _MULTIPLIER_CHUNK] = weight @ q_fn(args, out=args)
+        out[start : start + _MULTIPLIER_CHUNK] = weight @ q_exact(args, out=args)
     return out
 
 
@@ -496,7 +495,7 @@ def _piecewise_sum(pieces, x: np.ndarray) -> float:
 
 
 def _interf_ser_diag(
-    cfg: AnalyticConfig, case: str, detection: str, q_mode: str
+    cfg: AnalyticConfig, case: str, detection: str
 ) -> tuple[float, int]:
     """Mean conditional interference error over the (offset, difference)
     grid and the staircase, and the number of sampled double sums that
@@ -514,7 +513,7 @@ def _interf_ser_diag(
     )
     terms = _double_sum_terms(cfg, case)
     pieces, samples = _piecewise_chebyshev(
-        lambda x, slack: _conditional_sums(terms, x, q_mode, slack),
+        lambda x, slack: _conditional_sums(terms, x, slack),
         float(ends.min()), float(ends.max()), where,
     )
     clamped = int(np.count_nonzero(samples > 1.0) + np.count_nonzero(samples < 0.0))
@@ -525,36 +524,27 @@ def _interf_ser_diag(
     return total / chi.size, clamped
 
 
-def interf_ser(
-    cfg: AnalyticConfig, case: str, detection: str, q_mode: str = "exact"
-) -> float:
+def interf_ser(cfg: AnalyticConfig, case: str, detection: str) -> float:
     """Interference-driven symbol error rate, averaged over offset and
     symbol difference (both uniform)."""
-    return _interf_ser_diag(cfg, case, detection, q_mode)[0]
+    return _interf_ser_diag(cfg, case, detection)[0]
 
 
 def interf_ser_conditional(
-    cfg: AnalyticConfig, case: str, detection: str, chi: float, q_mode: str = "exact"
+    cfg: AnalyticConfig, case: str, detection: str, chi: float
 ) -> float:
     """Conditional interference-driven error probability at one peak bound.
 
     Non-coherent: the plain double sum.  Coherent: additionally averaged
     over the uniformly distributed phase mismatch by the cosine staircase.
     """
-    if detection == "noncoherent":
-        multipliers = np.array([chi], dtype=float)
-    elif detection == "coherent":
-        angles = 2.0 * np.pi * np.arange(1, cfg.staircase_m + 1) / cfg.staircase_m
-        multipliers = chi * np.cos(angles)
-    else:
-        raise ValueError(f"unknown detection {detection!r}")
+    cosines, shares = _staircase(detection, cfg.staircase_m)
     terms = _double_sum_terms(cfg, case)
-    return float(np.clip(_conditional_sums(terms, multipliers, q_mode), 0, 1).mean())
+    return float(shares @ np.clip(_conditional_sums(terms, chi * cosines), 0.0, 1.0))
 
 
 def interf_ser_conditional_numeric(
-    cfg: AnalyticConfig, case: str, detection: str, chi: float, q_mode: str = "exact",
-    phase_nodes: int = 64,
+    cfg: AnalyticConfig, case: str, detection: str, chi: float, phase_nodes: int = 64
 ) -> float:
     """Adaptive-quadrature twin of interf_ser_conditional.
 
@@ -565,7 +555,6 @@ def interf_ser_conditional_numeric(
     """
     from scipy import integrate
 
-    q_fn = _q_function(q_mode)
     scale = math.sqrt(cfg.snr_linear * cfg.params.K)
     target = cfg.target_fit
     interf_fit, power_domain = _interferer_fit(cfg, case)
@@ -600,7 +589,7 @@ def interf_ser_conditional_numeric(
 
     def conditional(multiplier: float) -> float:
         def inner(u, v):
-            return float(q_fn(scale * (u - v * multiplier))) * target_pdf(u) * interf_pdf(v)
+            return float(q_exact(scale * (u - v * multiplier))) * target_pdf(u) * interf_pdf(v)
 
         # split each axis at the density mean so the adaptive rule sees the peak
         u_cut = target.mean
@@ -647,7 +636,7 @@ def ber(cfg: AnalyticConfig, case: str, detection: str) -> BerBreakdown:
         p_noise = noise_ser_coherent(cfg)
     else:
         raise ValueError(f"unknown detection {detection!r}")
-    p_interf, clamps = _interf_ser_diag(cfg, case, detection, q_mode="exact")
+    p_interf, clamps = _interf_ser_diag(cfg, case, detection)
     return _combine(cfg.params, p_noise, p_interf, clamps)
 
 

@@ -8,7 +8,7 @@ independent uniform phase.  Two surface topologies are supported:
 - paired surfaces ("b"): each user has its own optimally phased surface.
 
 `n_elements = 0` degenerates to the surface-free link everywhere, which
-keeps the baselines on one code path.
+keeps the baselines on one code path: `ris_free` is case "a" with N = 0.
 
 Gains are drawn in polar form, a magnitude and a phase per link, and
 aggregated without rebuilding the complex per-element gains.  The
@@ -21,7 +21,9 @@ align (the interferer's reflections off the target's surface, and every
 term under blind phasing) are summed term by term, with a cosine and a
 sine each.  `aggregate` reads which paths are co-phased from its case
 alone: "a" and "b" expect optimal phases and "blind" expects random
-ones, which is how every caller pairs them.
+ones, which is how every caller pairs them.  Phases are one array, the
+target surface's: a paired interferer surface is always co-phased, so its
+sum reads no phases.
 
 The analytic engine represents the combined target amplitude and the
 combined interferer gain by moment-matched Gamma distributions.  The
@@ -116,14 +118,6 @@ class ChannelDraw:
 
 
 @dataclass(frozen=True)
-class RisPhases:
-    """Per-element phase shifts; `interferer` only for the paired topology."""
-
-    target: np.ndarray
-    interferer: np.ndarray | None = None
-
-
-@dataclass(frozen=True)
 class EffectiveGains:
     """Aggregate complex gains seen by the demodulator."""
 
@@ -167,28 +161,18 @@ def draw_channels(
 
 def configure_phases(
     draw: ChannelDraw, mode: str, rng: np.random.Generator | None = None
-) -> RisPhases:
-    """Per-element surface phases for a draw.
+) -> np.ndarray:
+    """Per-element phases of the target surface for a draw, (..., N).
 
     "optimal" co-phases every reflected target path with the direct target
-    path (and, when the draw has a paired interferer surface, every
-    reflected interferer path with the direct interferer path).  "blind"
-    draws all phases uniformly at random.
+    path; "blind" draws every phase uniformly at random from `rng`.
     """
     if mode == "optimal":
-        target = draw.h_td.phase[..., None] - draw.h_t.phase - draw.g_t.phase
-        interferer = None
-        if draw.g_i is not None:
-            interferer = draw.h_id.phase[..., None] - draw.h_i.phase - draw.g_i.phase
-        return RisPhases(target=target, interferer=interferer)
+        return draw.h_td.phase[..., None] - draw.h_t.phase - draw.g_t.phase
     if mode == "blind":
         if rng is None:
             raise ValueError("blind phase configuration needs a random stream")
-        target = 2.0 * np.pi * rng.random(draw.h_t.phase.shape)
-        interferer = None
-        if draw.g_i is not None:
-            interferer = 2.0 * np.pi * rng.random(draw.h_i.phase.shape)
-        return RisPhases(target=target, interferer=interferer)
+        return 2.0 * np.pi * rng.random(draw.h_t.phase.shape)
     raise ValueError(f"unknown phase mode {mode!r}")
 
 
@@ -198,7 +182,8 @@ def _phasor(gain: PolarGain):
 
 def _combine(h: PolarGain, theta, g: PolarGain, direct: PolarGain, co_phased: bool):
     """sum_n h_n e^{i theta_n} g_n + direct, for element vectors on the
-    last axis; co_phased says every reflected term has the direct phase."""
+    last axis; co_phased says every reflected term has the direct phase,
+    and then theta is not read."""
     mag = h.mag * g.mag
     if co_phased:
         return (mag.sum(axis=-1) + direct.mag) * np.exp(1j * direct.phase)
@@ -209,31 +194,26 @@ def _combine(h: PolarGain, theta, g: PolarGain, direct: PolarGain, co_phased: bo
     return (real + 1j * imag) + _phasor(direct)
 
 
-def aggregate(draw: ChannelDraw, phases: RisPhases | None, case: str) -> EffectiveGains:
+def aggregate(draw: ChannelDraw, phases: np.ndarray, case: str) -> EffectiveGains:
     """Combine direct and reflected paths into the two effective gains.
 
     case "a": both users reflect off the target's surface; case "b": the
-    interferer reflects off its own surface; "blind": as "a", with phases
-    that co-phase nothing; "ris_free": direct links only (phases ignored).
-    Cases "a" and "b" take the phases of configure_phases(draw, "optimal")
-    and sum the paths those co-phase as magnitudes times the direct link's
-    phasor (see the module docstring); "blind" sums every term with the
-    given phases.
+    interferer reflects off its own, co-phased surface; "blind": as "a",
+    with phases that co-phase nothing.  Cases "a" and "b" take the phases
+    of configure_phases(draw, "optimal") and sum the paths those co-phase
+    as magnitudes times the direct link's phasor (see the module
+    docstring); "blind" sums every term with the given phases.  At N = 0
+    every case gives the direct links alone.
     """
-    if case == "ris_free":
-        return EffectiveGains(h_eff=_phasor(draw.h_td), h_int=_phasor(draw.h_id))
-    if phases is None:
-        raise ValueError(f"case {case!r} requires surface phases")
-    optimal = case != "blind"
-    h_eff = _combine(draw.h_t, phases.target, draw.g_t, draw.h_td, optimal)
-    if case in ("a", "blind"):
-        h_int = _combine(draw.h_i, phases.target, draw.g_t, draw.h_id, False)
-    elif case == "b":
-        if draw.g_i is None or phases.interferer is None:
-            raise ValueError("paired topology needs interferer links and phases")
-        h_int = _combine(draw.h_i, phases.interferer, draw.g_i, draw.h_id, optimal)
-    else:
+    if case not in ("a", "b", "blind"):
         raise ValueError(f"unknown case {case!r}")
+    h_eff = _combine(draw.h_t, phases, draw.g_t, draw.h_td, case != "blind")
+    if case == "b":
+        if draw.g_i is None:
+            raise ValueError("paired topology needs the interferer's surface links")
+        h_int = _combine(draw.h_i, None, draw.g_i, draw.h_id, True)
+    else:
+        h_int = _combine(draw.h_i, phases, draw.g_t, draw.h_id, False)
     return EffectiveGains(h_eff=h_eff, h_int=h_int)
 
 

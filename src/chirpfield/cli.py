@@ -45,11 +45,11 @@ class ConfigError(Exception):
     """Invalid command line, config file, or preset combination."""
 
 
-def _snr_grid(start: float, stop: float, step: float) -> tuple[float, ...]:
+def _snr_grid(start: float, stop: float, step: float, origin: str) -> tuple[float, ...]:
     if step <= 0:
-        raise ConfigError("SNR step must be positive")
+        raise ConfigError(f"{origin}: SNR step must be positive")
     if stop < start:
-        raise ConfigError("SNR grid stop lies below its start")
+        raise ConfigError(f"{origin}: SNR grid stop lies below its start")
     count = int(round((stop - start) / step))
     grid = [round(start + k * step, 9) for k in range(count + 1)]
     return tuple(g for g in grid if g <= stop + 1e-9)
@@ -82,7 +82,7 @@ def _branches(scenario: str, detection: str) -> tuple[tuple[str, str], ...]:
     return tuple((scenario, d) for d in detections)
 
 
-_PRESET_GRID = _snr_grid(-35.0, -10.0, 1.0)
+_PRESET_GRID = _snr_grid(-35.0, -10.0, 1.0, "preset grid")
 
 _PRESETS: dict[str, dict] = {
     # shared topology across spreading factors
@@ -175,7 +175,7 @@ def _parse_snr_spec(text: str, origin: str) -> tuple[float, ...]:
         raise ConfigError(f"{origin}: bad SNR specification {text!r}: {exc}") from exc
     if not all(map(math.isfinite, values)):
         raise ConfigError(f"{origin}: SNR values must be finite, got {text!r}")
-    return (values[0],) if len(values) == 1 else _snr_grid(*values)
+    return (values[0],) if len(values) == 1 else _snr_grid(*values, origin)
 
 
 def build_spec(args: argparse.Namespace) -> ExperimentSpec:
@@ -195,9 +195,9 @@ def build_spec(args: argparse.Namespace) -> ExperimentSpec:
     seed, _ = setting("seed", args.seed, 1)
     out, _ = setting("out", args.out, "chirpfield.csv")
     workers, _ = setting("workers", args.workers, 1)
-    v1, _ = setting("v1", args.v1, 70)
-    v2, _ = setting("v2", args.v2, 70)
-    staircase_m, _ = setting("staircase_m", args.staircase_m, 20)
+    v1, v1_origin = setting("v1", args.v1, 70)
+    v2, v2_origin = setting("v2", args.v2, 70)
+    staircase_m, staircase_origin = setting("staircase_m", args.staircase_m, 20)
     paper_literal, _ = setting(
         "paper_literal_estimator", args.paper_literal_estimator, False
     )
@@ -207,6 +207,9 @@ def build_spec(args: argparse.Namespace) -> ExperimentSpec:
         raise ConfigError("trials must be >= 1")
     if workers < 1:
         raise ConfigError("workers must be >= 1")
+    for value, origin in ((v1, v1_origin), (v2, v2_origin), (staircase_m, staircase_origin)):
+        if value < 1:
+            raise ConfigError(f"{origin}: must be >= 1, got {value}")
 
     if preset is not None:
         if preset not in _PRESETS:

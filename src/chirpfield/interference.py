@@ -40,17 +40,11 @@ def _check_state(state: InterfererState, params: LoRaParams) -> None:
         raise ValueError(f"offset must be in [0, {K // 2}], got {state.tau}")
 
 
-def build_interferer_frame(state: InterfererState, params: LoRaParams) -> np.ndarray:
-    """Samples of the misaligned interferer over one target-symbol window."""
-    _check_state(state, params)
-    n = np.arange(params.K)
-    return _chirps(np.where(n < state.tau, state.i1, state.i2), params.sf)
-
-
 def build_interferer_frames(
     i1: np.ndarray, i2: np.ndarray, tau: np.ndarray, params: LoRaParams
 ) -> np.ndarray:
-    """Batch of interferer frames; offsets may span the full symbol here."""
+    """Samples of misaligned interferers over one target-symbol window, one
+    row per (i1, i2, tau); offsets may span the full symbol, [0, K)."""
     _check_symbols(i1, params.K)
     _check_symbols(i2, params.K)
     tau = np.asarray(tau)

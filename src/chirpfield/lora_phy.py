@@ -9,7 +9,9 @@ Conventions used throughout the package:
   transmitted symbol's bin, and per-sample noise of variance N0 yields
   per-bin noise of variance N0.  (A library FFT with 1/K or 1/sqrt(K)
   scaling would silently break every SNR calibration in the package.)
-- detector ties are broken toward the lowest bin index.
+- detector ties are broken toward the lowest bin index, and the
+  detectors and `modulate_many` work on any batch shape, a single
+  symbol included, with symbols or bins on the last axis.
 
 Synthesis is exact integer arithmetic plus one table lookup.  Sample n of
 symbol c is sqrt(1/K) * exp(2*pi*i*(n**2/(2K) - n/2 + c*n/K)), and that
@@ -114,14 +116,9 @@ def _base_chirp(sf: int) -> np.ndarray:
     return chirp
 
 
-def modulate(symbol: int, params: LoRaParams) -> np.ndarray:
-    """Baseband samples of one symbol; every sample has magnitude 1/sqrt(K)."""
-    _check_symbols(symbol, params.K)
-    return _chirps(np.full(1, symbol), params.sf)
-
-
 def modulate_many(symbols: np.ndarray, params: LoRaParams) -> np.ndarray:
-    """Rows of modulated symbols for an integer array of symbol values."""
+    """Baseband samples of integer symbol values, one (K,) row per symbol
+    (a single symbol gives one row); every sample has magnitude 1/sqrt(K)."""
     symbols = np.asarray(symbols)
     _check_symbols(symbols, params.K)
     return _chirps(symbols[..., None], params.sf)
@@ -154,9 +151,7 @@ def dechirp_dft_direct(received: np.ndarray, params: LoRaParams) -> np.ndarray:
 
 def detect_noncoherent(bins: np.ndarray):
     """Index of the largest bin magnitude (lowest index wins ties)."""
-    bins = np.asarray(bins)
-    idx = np.argmax(np.abs(bins), axis=-1)
-    return int(idx) if np.ndim(idx) == 0 else idx
+    return np.argmax(np.abs(bins), axis=-1)
 
 
 def detect_coherent(bins: np.ndarray, compensation_phase):
@@ -165,10 +160,8 @@ def detect_coherent(bins: np.ndarray, compensation_phase):
     The compensation phase is the negated target-channel phase (perfect
     estimation).  `compensation_phase` broadcasts against the batch axes.
     """
-    bins = np.asarray(bins)
     phase = np.exp(1j * np.asarray(compensation_phase, dtype=float))
-    idx = np.argmax(np.real(bins * phase[..., None]), axis=-1)
-    return int(idx) if np.ndim(idx) == 0 else idx
+    return np.argmax(np.real(np.asarray(bins) * phase[..., None]), axis=-1)
 
 
 def count_bit_errors_many(sent: np.ndarray, detected: np.ndarray, sf: int) -> np.ndarray:

@@ -56,15 +56,15 @@ from collections import deque
 from collections.abc import Iterator
 from concurrent.futures import Executor, ProcessPoolExecutor
 from contextlib import closing, contextmanager, nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .channel import FadingConfig, aggregate, configure_phases, draw_channels
-# build_interferer_frames, dechirp_dft, modulate and modulate_many are the
-# time-domain chain that block_bins replaces: only its oracle,
-# time_domain_bins, calls them, and the benchmark's trace spans
-# (perfbench/spans.py) wrap three of them under these names.
+# build_interferer_frames, dechirp_dft and modulate_many are the time-domain
+# chain that block_bins replaces: only its oracle, time_domain_bins, calls
+# them, and they are imported here because the benchmark's trace spans
+# (perfbench/spans.py) wrap them by these names in this namespace.
 from .interference import build_interferer_frames
 from .lora_phy import (
     LoRaParams,
@@ -73,7 +73,6 @@ from .lora_phy import (
     dechirp_dft,
     detect_coherent,
     detect_noncoherent,
-    modulate,
     modulate_many,
 )
 
@@ -162,30 +161,15 @@ def _substream(seed: int, point_index: int, block_index: int) -> np.random.Gener
 
 def _draw_gains(cfg: SimConfig, rng: np.random.Generator, size: int):
     """Effective target/interferer gains for one block; h_int is None when
-    the scenario has no interferer."""
-    fading = cfg.fading
-    if cfg.scenario == "ris_free":
-        direct = FadingConfig(
-            fading.m1, fading.m2, fading.m_ht, fading.m_gt, fading.m_hi,
-            fading.m_gi, 0,
-        )
-        draw = draw_channels(direct, "a", rng, size)
-        gains = aggregate(draw, configure_phases(draw, "optimal"), "ris_free")
-        return gains.h_eff, gains.h_int
-    if cfg.scenario == "blind":
-        draw = draw_channels(fading, "a", rng, size)
-        gains = aggregate(draw, configure_phases(draw, "blind", rng), "blind")
-        return gains.h_eff, gains.h_int
-    if cfg.scenario == "case_b":
-        draw = draw_channels(fading, "b", rng, size)
-        gains = aggregate(draw, configure_phases(draw, "optimal"), "b")
-        return gains.h_eff, gains.h_int
-    # case_a and no_interference share the target chain
-    draw = draw_channels(fading, "a", rng, size)
-    gains = aggregate(draw, configure_phases(draw, "optimal"), "a")
-    if cfg.scenario == "no_interference":
-        return gains.h_eff, None
-    return gains.h_eff, gains.h_int
+    the scenario has no interferer.  "ris_free" is "case_a" with no
+    elements, and "no_interference" is "case_a" without its interferer."""
+    scenario = cfg.scenario
+    fading = replace(cfg.fading, n_elements=0) if scenario == "ris_free" else cfg.fading
+    case = {"case_b": "b", "blind": "blind"}.get(scenario, "a")
+    draw = draw_channels(fading, "b" if case == "b" else "a", rng, size)
+    phases = configure_phases(draw, "blind" if case == "blind" else "optimal", rng)
+    gains = aggregate(draw, phases, case)
+    return gains.h_eff, None if scenario == "no_interference" else gains.h_int
 
 
 @dataclass(frozen=True)
@@ -277,7 +261,7 @@ def time_domain_bins(
     K = params.K
     noise = rng.standard_normal((draws.c.size, 2 * K))
     noise *= draws.noise_std
-    received = K * modulate(0, params) * noise.view(np.complex128)  # symbol 0: base chirp
+    received = K * modulate_many(0, params) * noise.view(np.complex128)  # base chirp
     received += draws.h_eff[:, None] * modulate_many(draws.c, params)
     if draws.h_int is not None:
         frames = build_interferer_frames(draws.i1, draws.i2, draws.tau, params)

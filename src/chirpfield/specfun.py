@@ -45,7 +45,6 @@ class QuadratureRule:
     about zero.
     """
 
-    order: int
     nodes: np.ndarray
     weights: np.ndarray
 
@@ -62,7 +61,7 @@ def gauss_hermite(order: int) -> QuadratureRule:
     nodes, weights = np.polynomial.hermite.hermgauss(order)
     nodes.flags.writeable = False
     weights.flags.writeable = False
-    return QuadratureRule(order=order, nodes=nodes, weights=weights)
+    return QuadratureRule(nodes=nodes, weights=weights)
 
 
 def q_exact(x, out=None):

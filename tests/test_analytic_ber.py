@@ -232,7 +232,7 @@ def brute_force_interf_ser(cfg: ab.AnalyticConfig, case: str, detection: str) ->
         np.outer(cosines, chi_of_I_table(cfg.params)), return_counts=True
     )
     terms = ab._double_sum_terms(cfg, case)
-    sums = np.clip(ab._conditional_sums(terms, multipliers, "exact"), 0.0, 1.0)
+    sums = np.clip(ab._conditional_sums(terms, multipliers), 0.0, 1.0)
     return float(sums @ counts) / counts.sum()
 
 
@@ -295,9 +295,9 @@ class TestInterpolatedSum:
         cfg = config(snr_db, FadingConfig.uniform(m, elements))
         terms = ab._double_sum_terms(cfg, case)
         x = float(ab._sorted_chi(SF7)[-1]) * np.array(fractions)
-        full = ab._conditional_sums(terms, x, "exact")
+        full = ab._conditional_sums(terms, x)
         drop = ab._PRUNE_FRACTION * ab._CHEB_TOL * float(full.max())
-        pruned = ab._conditional_sums(terms, x, "exact", drop)
+        pruned = ab._conditional_sums(terms, x, drop)
         roundoff = math.sqrt(terms.weight.size) * np.finfo(float).eps * full
         assert np.all(np.abs(full - pruned) <= drop + roundoff)
 

@@ -80,7 +80,7 @@ class TestPhases:
     def test_empty_surface(self):
         draw = channel.draw_channels(FadingConfig.uniform(2.0, 0), "a", rng_for(11))
         phases = channel.configure_phases(draw, "optimal")
-        assert phases.target.shape == (0,)
+        assert phases.shape == (0,)
 
     def test_blind_needs_rng(self):
         draw = channel.draw_channels(FadingConfig.uniform(2.0, 4), "a", rng_for(12))
@@ -160,7 +160,6 @@ class TestPolarOracle:
             ("b", "optimal", "b"),
             ("a", "blind", "blind"),
             ("b", "blind", "blind"),
-            ("a", "optimal", "ris_free"),
         ],
     )
     def test_matches_complex_sum(self, n_elements, topology, mode, case):
@@ -170,14 +169,13 @@ class TestPolarOracle:
         )
         phases = channel.configure_phases(draw, mode, rng)
         gains = channel.aggregate(draw, phases, case)
-        if case == "ris_free":
-            h_eff, h_int = as_complex(draw.h_td), as_complex(draw.h_id)
+        h_eff = self.reflected(draw.h_t, phases, draw.g_t, draw.h_td)
+        if case == "b":
+            # the paired interferer surface, optimally phased for its own user
+            own = draw.h_id.phase[..., None] - draw.h_i.phase - draw.g_i.phase
+            h_int = self.reflected(draw.h_i, own, draw.g_i, draw.h_id)
         else:
-            h_eff = self.reflected(draw.h_t, phases.target, draw.g_t, draw.h_td)
-            if case == "b":
-                h_int = self.reflected(draw.h_i, phases.interferer, draw.g_i, draw.h_id)
-            else:
-                h_int = self.reflected(draw.h_i, phases.target, draw.g_t, draw.h_id)
+            h_int = self.reflected(draw.h_i, phases, draw.g_t, draw.h_id)
         np.testing.assert_allclose(gains.h_eff, h_eff, rtol=0, atol=1e-12)
         np.testing.assert_allclose(gains.h_int, h_int, rtol=0, atol=1e-12)
 

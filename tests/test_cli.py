@@ -55,6 +55,27 @@ class TestSnrParsing:
         with pytest.raises(cli.ConfigError, match="key 'snr_db'.*finite"):
             spec_for(["simulate", "--config", str(path)])
 
+    @pytest.mark.parametrize("snr, message", [
+        ("-30:-28:-1", "SNR step must be positive"),
+        ("-30:-28:0", "SNR step must be positive"),
+        ("-28:-30:1", "SNR grid stop lies below its start"),
+    ])
+    def test_bad_grid_names_the_flag(self, snr, message, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        code = cli.main(["analytic", f"--snr-db={snr}", "--out", str(out)])
+        assert code == 1 and not out.exists()
+        assert f"flag --snr-db: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("snr, message", [
+        ("-30:-28:-1", "SNR step must be positive"),
+        ("-28:-30:1", "SNR grid stop lies below its start"),
+    ])
+    def test_bad_grid_in_config_file_names_the_key(self, snr, message, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text(f"snr_db = {snr}\n")
+        with pytest.raises(cli.ConfigError, match=f"key 'snr_db': {message}"):
+            spec_for(["simulate", "--config", str(path)])
+
 
 class TestSpecBuilding:
     def test_defaults(self):
@@ -160,6 +181,34 @@ class TestConfigFile:
             spec_for(["simulate", "--config", "/nonexistent/run.cfg"])
 
 
+class TestQuadratureKnobs:
+    """Orders and staircase resolutions below 1 are configuration errors,
+    reported before anything runs; they once died in AnalyticConfig with a
+    traceback, in `both` mode after the whole simulation."""
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--staircase-m", "0"), ("--v1", "0"), ("--v2", "0"), ("--v1", "-3"),
+    ])
+    def test_flag_below_one_is_rejected(self, flag, value, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        code = cli.main(["both", flag, value, "--snr-db", "-30", "--trials", "100",
+                         "--out", str(out)])
+        assert code == 1 and not out.exists()
+        assert f"error: flag {flag}: must be >= 1, got {value}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["staircase_m", "v1", "v2"])
+    def test_config_key_below_one_is_rejected(self, key, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text(f"{key} = 0\n")
+        with pytest.raises(cli.ConfigError, match=f"key '{key}': must be >= 1, got 0"):
+            spec_for(["analytic", "--config", str(path)])
+
+    def test_one_is_accepted(self):
+        spec = spec_for(["analytic", "--v1", "1", "--v2", "1", "--staircase-m", "1"])
+        assert (spec.quadrature_order_v1, spec.quadrature_order_v2, spec.staircase_m) == (
+            1, 1, 1)
+
+
 class TestRuns:
     def test_analytic_single_point(self, tmp_path, capsys):
         out = tmp_path / "ber.csv"
@@ -190,6 +239,31 @@ class TestRuns:
         assert int(fields["bits_sent"]) == 2000 * 7
         assert 0.0 <= float(fields["ber_sim"]) <= 0.55
         assert float(fields["ci_low"]) <= float(fields["ber_sim"]) <= float(fields["ci_high"])
+
+    def test_ris_free_rows_are_the_zero_element_shared_surface(self, tmp_path):
+        # the surface-free baseline is case_a with N = 0: its rows differ from
+        # that run's only in the scenario and element-count columns
+        rows = {}
+        for scenario, elements in (("ris_free", "25"), ("case_a", "0")):
+            out = tmp_path / f"{scenario}.csv"
+            code = cli.main(
+                ["simulate", "--scenario", scenario, "--elements", elements,
+                 "--detection", "both", "--snr-db=-10:0:10", "--trials", "3000",
+                 "--seed", "8", "--out", str(out)]
+            )
+            assert code == 0
+            lines = out.read_text().splitlines()
+            header = lines[0].split(",")
+            rows[scenario] = [dict(zip(header, line.split(","))) for line in lines[1:]]
+        free, bare = rows["ris_free"], rows["case_a"]
+        assert len(free) == len(bare) == 4
+        assert {(row["scenario"], row["n_elements"]) for row in free} == {("ris_free", "25")}
+        assert {(row["scenario"], row["n_elements"]) for row in bare} == {("case_a", "0")}
+        strip = ("scenario", "n_elements")
+        assert [{k: v for k, v in row.items() if k not in strip} for row in free] == [
+            {k: v for k, v in row.items() if k not in strip} for row in bare
+        ]
+        assert all(int(row["bits_sent"]) > 0 and float(row["ber_sim"]) > 0 for row in free)
 
     def test_both_mode_fills_both_sides(self, tmp_path):
         out = tmp_path / "both.csv"

@@ -18,37 +18,32 @@ def sine_ratio(k, length, K):
     return abs(np.sin(np.pi * k * length / K) / np.sin(np.pi * k / K))
 
 
+def frame_of(state, params):
+    """The interferer frame of one state, as a one-row batch."""
+    return interference.build_interferer_frames(
+        np.array([state.i1]), np.array([state.i2]), np.array([state.tau]), params
+    )[0]
+
+
 class TestFrame:
     def test_zero_offset_is_pure_second_symbol(self, sf7):
-        frame = interference.build_interferer_frame(InterfererState(3, 40, 0), sf7)
-        assert np.abs(frame - lora_phy.modulate(40, sf7)).max() < 1e-15
+        frame = frame_of(InterfererState(3, 40, 0), sf7)
+        assert np.abs(frame - lora_phy.modulate_many(40, sf7)).max() < 1e-15
 
     def test_equal_symbols_any_offset(self, sf7):
-        frame = interference.build_interferer_frame(InterfererState(7, 7, 50), sf7)
-        assert np.abs(frame - lora_phy.modulate(7, sf7)).max() < 1e-15
+        frame = frame_of(InterfererState(7, 7, 50), sf7)
+        assert np.abs(frame - lora_phy.modulate_many(7, sf7)).max() < 1e-15
 
     def test_sample_by_sample_split(self, sf7):
-        state = InterfererState(3, 40, 32)
-        frame = interference.build_interferer_frame(state, sf7)
-        assert np.abs(frame[:32] - lora_phy.modulate(3, sf7)[:32]).max() < 1e-15
-        assert np.abs(frame[32:] - lora_phy.modulate(40, sf7)[32:]).max() < 1e-15
+        frame = frame_of(InterfererState(3, 40, 32), sf7)
+        assert np.abs(frame[:32] - lora_phy.modulate_many(3, sf7)[:32]).max() < 1e-15
+        assert np.abs(frame[32:] - lora_phy.modulate_many(40, sf7)[32:]).max() < 1e-15
 
     def test_invariant_violations(self, sf7):
         with pytest.raises(ValueError):
-            interference.build_interferer_frame(InterfererState(3, 40, 65), sf7)
+            frame_of(InterfererState(-1, 40, 10), sf7)
         with pytest.raises(ValueError):
-            interference.build_interferer_frame(InterfererState(-1, 40, 10), sf7)
-        with pytest.raises(ValueError):
-            interference.build_interferer_frame(InterfererState(3, 128, 10), sf7)
-
-    def test_batch_matches_scalar(self, sf7):
-        frames = interference.build_interferer_frames(
-            np.array([3, 7]), np.array([40, 7]), np.array([32, 50]), sf7
-        )
-        ref0 = interference.build_interferer_frame(InterfererState(3, 40, 32), sf7)
-        ref1 = interference.build_interferer_frame(InterfererState(7, 7, 50), sf7)
-        assert np.abs(frames[0] - ref0).max() < 1e-15
-        assert np.abs(frames[1] - ref1).max() < 1e-15
+            frame_of(InterfererState(3, 128, 10), sf7)
 
     def test_batch_rejects_out_of_range_symbols(self, sf7):
         ok = np.array([3, 7])
@@ -58,6 +53,12 @@ class TestFrame:
                 interference.build_interferer_frames(bad, ok, tau, sf7)
             with pytest.raises(ValueError):
                 interference.build_interferer_frames(ok, bad, tau, sf7)
+
+    def test_batch_rejects_out_of_range_offsets(self, sf7):
+        ok = np.array([3, 7])
+        for bad in (np.array([32, -1]), np.array([sf7.K, 50])):
+            with pytest.raises(ValueError, match="offsets"):
+                interference.build_interferer_frames(ok, ok, bad, sf7)
 
 
 class TestPartialSums:
@@ -78,8 +79,7 @@ class TestPartialSums:
     def test_demodulator_sees_the_same_leakage(self, sf7):
         # dechirping the actual frame reproduces the partial-sum magnitudes
         state = InterfererState(3, 40, 32)
-        frame = interference.build_interferer_frame(state, sf7)
-        bins = lora_phy.dechirp_dft(frame, sf7)
+        bins = lora_phy.dechirp_dft(frame_of(state, sf7), sf7)
         for i in (0, 3, 10, 40, 99):
             s1, s2 = interference.psi_partial_sums(i, state, sf7)
             assert abs(bins[i]) == pytest.approx(abs(s1 + s2), abs=1e-12)

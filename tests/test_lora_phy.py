@@ -26,36 +26,39 @@ class TestParams:
 class TestModulate:
     def test_first_sample(self, sf7):
         for c in (0, 17, 127):
-            assert lora_phy.modulate(c, sf7)[0] == pytest.approx(1 / math.sqrt(128))
+            assert lora_phy.modulate_many(c, sf7)[0] == pytest.approx(1 / math.sqrt(128))
 
     def test_unit_energy(self, sf7):
         for c in range(sf7.K):
-            energy = (np.abs(lora_phy.modulate(c, sf7)) ** 2).sum()
+            energy = (np.abs(lora_phy.modulate_many(c, sf7)) ** 2).sum()
             assert abs(energy - 1.0) < 1e-12
 
     def test_orthogonality_brute_force(self, sf7):
-        table = np.stack([lora_phy.modulate(c, sf7) for c in range(sf7.K)])
+        table = np.stack([lora_phy.modulate_many(c, sf7) for c in range(sf7.K)])
         gram = table @ table.conj().T
         assert np.abs(gram - np.eye(sf7.K)).max() < 1e-10
 
     def test_out_of_range(self, sf7):
         with pytest.raises(ValueError):
-            lora_phy.modulate(128, sf7)
+            lora_phy.modulate_many(128, sf7)
         with pytest.raises(ValueError):
-            lora_phy.modulate(-1, sf7)
+            lora_phy.modulate_many(-1, sf7)
 
     def test_modulate_many_matches_scalar(self, sf7):
+        # a batch row equals the one row of that symbol alone, bit for bit
         symbols = np.array([0, 5, 127, 64])
         batch = lora_phy.modulate_many(symbols, sf7)
         for row, c in zip(batch, symbols):
-            assert np.abs(row - lora_phy.modulate(int(c), sf7)).max() < 1e-12
+            single = lora_phy.modulate_many(int(c), sf7)
+            assert single.shape == (sf7.K,)
+            assert np.array_equal(row, single)
 
     def test_modulate_many_large_symbol_length(self):
         # K = 1024: symbols near the top of the range at a larger SF
         params = LoRaParams(10)
         batch = lora_phy.modulate_many(np.array([3, 1000]), params)
-        assert np.abs(batch[0] - lora_phy.modulate(3, params)).max() < 1e-10
-        assert np.abs(batch[1] - lora_phy.modulate(1000, params)).max() < 1e-10
+        assert np.abs(batch[0] - lora_phy.modulate_many(3, params)).max() < 1e-10
+        assert np.abs(batch[1] - lora_phy.modulate_many(1000, params)).max() < 1e-10
 
     def test_synthesis_matches_definition(self):
         # every symbol at SF 2 and 7, random ones at SF 9 and 12, against
@@ -72,7 +75,8 @@ class TestModulate:
             c = np.arange(K) if sf <= 7 else rng.integers(0, K, 16)
             expected = definition(c[:, None], K)
             assert np.abs(lora_phy.modulate_many(c, params) - expected).max() < 1e-12
-            assert np.abs(lora_phy.modulate(int(c[-1]), params) - expected[-1]).max() < 1e-12
+            single = lora_phy.modulate_many(int(c[-1]), params)
+            assert np.abs(single - expected[-1]).max() < 1e-12
 
             i1, i2 = rng.permutation(c), rng.permutation(c)
             tau = rng.integers(0, K, len(c))
@@ -85,14 +89,14 @@ class TestModulate:
 class TestDechirp:
     def test_unit_channel_peak(self, sf7):
         for c in (0, 5, 100):
-            bins = lora_phy.dechirp_dft(lora_phy.modulate(c, sf7), sf7)
+            bins = lora_phy.dechirp_dft(lora_phy.modulate_many(c, sf7), sf7)
             assert bins[c] == pytest.approx(1.0 + 0.0j, abs=1e-10)
             others = np.delete(np.abs(bins), c)
             assert others.max() < 1e-10
 
     def test_linearity(self, sf7):
         gain = 0.5 * np.exp(1j * np.pi / 3)
-        bins = lora_phy.dechirp_dft(gain * lora_phy.modulate(9, sf7), sf7)
+        bins = lora_phy.dechirp_dft(gain * lora_phy.modulate_many(9, sf7), sf7)
         assert bins[9] == pytest.approx(gain, abs=1e-10)
 
     def test_length_mismatch(self, sf7):
@@ -152,27 +156,27 @@ class TestDetectors:
         # a single-symbol interferer (i1 == i2) leaks its full amplitude
         # into its own bin; with |h_int| > |h_eff| the detector locks onto it
         c, i2 = 10, 40
-        y = 0.3 * lora_phy.modulate(c, sf7) + 1.0 * np.exp(1j * 0.7) * lora_phy.modulate(
+        y = 0.3 * lora_phy.modulate_many(c, sf7) + np.exp(1j * 0.7) * lora_phy.modulate_many(
             i2, sf7
         )
         assert lora_phy.detect_noncoherent(lora_phy.dechirp_dft(y, sf7)) == i2
 
     def test_coherent_with_compensation(self, sf7):
         h = np.exp(1j * np.pi / 4)
-        bins = lora_phy.dechirp_dft(h * lora_phy.modulate(77, sf7), sf7)
+        bins = lora_phy.dechirp_dft(h * lora_phy.modulate_many(77, sf7), sf7)
         assert lora_phy.detect_coherent(bins, -np.pi / 4) == 77
 
     def test_coherent_without_compensation_still_correct_when_clean(self, sf7):
         # real part of the peak is cos(pi/4) > 0 while every other bin is ~0
         h = np.exp(1j * np.pi / 4)
-        bins = lora_phy.dechirp_dft(h * lora_phy.modulate(77, sf7), sf7)
+        bins = lora_phy.dechirp_dft(h * lora_phy.modulate_many(77, sf7), sf7)
         assert lora_phy.detect_coherent(bins, 0.0) == 77
 
     def test_coherent_follows_dominant_aligned_interferer(self, sf7):
         # interferer in phase with the compensated axis and stronger than
         # the target: the real-part metric peaks at the interferer bin
         c, i2 = 10, 40
-        y = 0.3 * lora_phy.modulate(c, sf7) + 1.0 * lora_phy.modulate(i2, sf7)
+        y = 0.3 * lora_phy.modulate_many(c, sf7) + 1.0 * lora_phy.modulate_many(i2, sf7)
         assert lora_phy.detect_coherent(lora_phy.dechirp_dft(y, sf7), 0.0) == i2
 
     def test_coherent_equals_noncoherent_when_clean(self, sf7):
@@ -181,7 +185,7 @@ class TestDetectors:
             c = int(rng.integers(0, sf7.K))
             phase = float(rng.uniform(0, 2 * np.pi))
             bins = lora_phy.dechirp_dft(
-                np.exp(1j * phase) * lora_phy.modulate(c, sf7), sf7
+                np.exp(1j * phase) * lora_phy.modulate_many(c, sf7), sf7
             )
             assert lora_phy.detect_coherent(bins, -phase) == lora_phy.detect_noncoherent(
                 bins

@@ -399,6 +399,22 @@ class TestSweep:
         assert est.trials == 1_000
 
 
+class TestSurfaceFreeBaseline:
+    def test_ris_free_is_the_zero_element_shared_surface(self):
+        # the surface-free gain draw is the shared surface's at N = 0, so a
+        # seeded sweep of each gives equal points, apart from the labels
+        cfg = sim_config(scenario="ris_free", snr_db_grid=(-10.0, 0.0),
+                         trials_per_point=6_000, seed=31)
+        bare = dataclasses.replace(cfg, scenario="case_a",
+                                   fading=FadingConfig.uniform(2.0, 0))
+        free = mc.run_sweep(cfg, detections=mc.DETECTIONS)
+        assert [dataclasses.replace(p, scenario="case_a", n_elements=0) for p in free] == (
+            mc.run_sweep(bare, detections=mc.DETECTIONS)
+        )
+        assert {p.n_elements for p in free} == {25}
+        assert all(p.estimate.bit_errors > 0 for p in free)
+
+
 class TestSnrMonotonicity:
     def test_interference_free_ber_non_increasing_within_ci(self):
         grid = (-37.0, -35.0, -33.0, -31.0)
