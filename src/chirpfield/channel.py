@@ -61,8 +61,8 @@ class FadingConfig:
 
     def __post_init__(self):
         for name in ("m1", "m2", "m_ht", "m_gt", "m_hi", "m_gi"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"shape parameter {name} must be positive")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"shape parameter {name} must be positive and finite")
         if self.n_elements < 0:
             raise ValueError("element count must be >= 0")
 

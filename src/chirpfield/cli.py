@@ -68,17 +68,16 @@ class ExperimentSpec:
     trials: int
     seed: int
     out: str
-    workers: int = 1
-    quadrature_order_v1: int = 70
-    quadrature_order_v2: int = 70
-    staircase_m: int = 20
-    paper_literal_estimator: bool = False
-    full_offset_range: bool = False
-    preset: str | None = None
+    workers: int
+    quadrature_order_v1: int
+    quadrature_order_v2: int
+    staircase_m: int
+    paper_literal_estimator: bool
+    full_offset_range: bool
 
 
 def _branches(scenario: str, detection: str) -> tuple[tuple[str, str], ...]:
-    detections = ("noncoherent", "coherent") if detection == "both" else (detection,)
+    detections = montecarlo.DETECTIONS if detection == "both" else (detection,)
     return tuple((scenario, d) for d in detections)
 
 
@@ -110,16 +109,68 @@ _PRESETS: dict[str, dict] = {
 }
 _PRESETS["comparison"] = _PRESETS["fig5"]
 
-# flags a preset pins; giving any of them alongside --preset is an error
+# Every setting, by config key: type, default, help.  A boolean's flag
+# takes no value.
+_SETTINGS: dict[str, tuple[type, object, str]] = {
+    "preset": (str, None, "named experiment preset (pins the grid)"),
+    "sf": (int, 7, "spreading factor (2..12)"),
+    "elements": (int, 25, "surface element count N"),
+    "m": (float, 2.0, "Nakagami shape for every link"),
+    "scenario": (str, "case_a", "|".join(montecarlo.SCENARIOS)),
+    "detection": (str, "both", "noncoherent|coherent|both"),
+    "snr_db": (str, "-35:-10:1", "grid START:STOP:STEP or a single value"),
+    "trials": (int, 100_000, "Monte Carlo trials per point"),
+    "seed": (int, 1, "base seed of the run"),
+    "out": (str, "chirpfield.csv", "output CSV path"),
+    "workers": (int, 1, "parallel workers for sweeps"),
+    "v1": (int, 70, "quadrature order, target axis"),
+    "v2": (int, 70, "quadrature order, interferer axis"),
+    "staircase_m": (int, 20, "cosine staircase resolution for coherent detection"),
+    "paper_literal_estimator": (
+        bool, False, "use the first-moment denominator in the Gamma fits"),
+    "full_offset_range": (
+        bool, False, "let the simulated interferer offset span the whole symbol"),
+}
+
+
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
+
+
+# settings a preset pins; giving any of them alongside a preset is an error
 _PRESET_PINNED = ("sf", "elements", "m", "scenario", "detection", "snr_db")
 
-_CONFIG_KEYS = {
-    "preset": str, "sf": int, "elements": int, "m": float,
-    "scenario": str, "detection": str, "snr_db": str,
-    "trials": int, "seed": int, "out": str, "workers": int,
-    "v1": int, "v2": int, "staircase_m": int,
-    "paper_literal_estimator": bool, "full_offset_range": bool,
+_CHOICES = {
+    "preset": tuple(_PRESETS),
+    "scenario": montecarlo.SCENARIOS,
+    "detection": montecarlo.DETECTIONS + ("both",),
 }
+
+
+def _at_least(low: int):
+    return (lambda value: value >= low), f">= {low}"
+
+
+# each numeric setting's test and the wording of its failure
+_BOUNDS = {
+    "sf": ((lambda value: 2 <= value <= 12), "in [2, 12]"),
+    "elements": _at_least(0),
+    "m": ((lambda value: 0 < value < math.inf), "positive and finite"),
+    "trials": _at_least(1),
+    "workers": _at_least(1),
+    "v1": _at_least(1),
+    "v2": _at_least(1),
+    "staircase_m": _at_least(1),
+}
+
+
+def _check(key: str, value, origin: str) -> None:
+    if key in _CHOICES and value is not None and value not in _CHOICES[key]:
+        raise ConfigError(
+            f"{origin}: must be one of {', '.join(_CHOICES[key])}, got {value!r}"
+        )
+    if key in _BOUNDS and not _BOUNDS[key][0](value):
+        raise ConfigError(f"{origin}: must be {_BOUNDS[key][1]}, got {value}")
 
 
 def _parse_bool(text: str) -> bool:
@@ -147,7 +198,7 @@ def load_config_file(path: str) -> dict[str, str]:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw.strip()!r}")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in _CONFIG_KEYS:
+        if key not in _SETTINGS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         if key in values:
             raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
@@ -158,7 +209,7 @@ def load_config_file(path: str) -> dict[str, str]:
 
 
 def _convert(key: str, text: str, origin: str):
-    caster = _CONFIG_KEYS[key]
+    caster = _SETTINGS[key][0]
     try:
         return _parse_bool(text) if caster is bool else caster(text)
     except ValueError as exc:
@@ -181,94 +232,54 @@ def _parse_snr_spec(text: str, origin: str) -> tuple[float, ...]:
 def build_spec(args: argparse.Namespace) -> ExperimentSpec:
     """Merge config file and flags (flags win) into a validated spec."""
     file_values = load_config_file(args.config) if args.config else {}
+    value, origin = {}, {}
+    for key, (_, default, _) in _SETTINGS.items():
+        if getattr(args, key) is not None:
+            value[key], origin[key] = getattr(args, key), "flag " + _flag(key)
+        elif key in file_values:
+            origin[key] = f"{args.config}: key {key!r}"
+            value[key] = _convert(key, file_values[key], origin[key])
+        else:
+            value[key], origin[key] = default, "default"
+        _check(key, value[key], origin[key])
 
-    def setting(key: str, flag_value, default):
-        if flag_value is not None:
-            return flag_value, "flag --" + key.replace("_", "-")
-        if key in file_values:
-            origin = f"{args.config}: key {key!r}"
-            return _convert(key, file_values[key], origin), origin
-        return default, "default"
-
-    preset, _ = setting("preset", args.preset, None)
-    trials, _ = setting("trials", args.trials, 100_000)
-    seed, _ = setting("seed", args.seed, 1)
-    out, _ = setting("out", args.out, "chirpfield.csv")
-    workers, _ = setting("workers", args.workers, 1)
-    v1, v1_origin = setting("v1", args.v1, 70)
-    v2, v2_origin = setting("v2", args.v2, 70)
-    staircase_m, staircase_origin = setting("staircase_m", args.staircase_m, 20)
-    paper_literal, _ = setting(
-        "paper_literal_estimator", args.paper_literal_estimator, False
-    )
-    full_offsets, _ = setting("full_offset_range", args.full_offset_range, False)
-
-    if trials < 1:
-        raise ConfigError("trials must be >= 1")
-    if workers < 1:
-        raise ConfigError("workers must be >= 1")
-    for value, origin in ((v1, v1_origin), (v2, v2_origin), (staircase_m, staircase_origin)):
-        if value < 1:
-            raise ConfigError(f"{origin}: must be >= 1, got {value}")
-
+    preset = value["preset"]
     if preset is not None:
-        if preset not in _PRESETS:
-            raise ConfigError(
-                f"unknown preset {preset!r}; choose from {', '.join(sorted(_PRESETS))}"
-            )
         for key in _PRESET_PINNED:
-            flag = getattr(args, key.replace("-", "_"), None)
-            if flag is not None or key in file_values:
+            if origin[key] != "default":
                 raise ConfigError(
-                    f"preset {preset!r} pins {key!r}; drop the explicit setting"
+                    f"{origin[key]}: preset {preset!r} pins this setting; drop it"
                 )
         chosen = _PRESETS[preset]
         sf_values, n_values, m_values = chosen["sf"], chosen["n"], chosen["m"]
         branches, snr = chosen["branches"], chosen["snr"]
-    else:
-        sf, _ = setting("sf", args.sf, 7)
-        n, _ = setting("elements", args.elements, 25)
-        m, _ = setting("m", args.m, 2.0)
-        scenario, _ = setting("scenario", args.scenario, "case_a")
-        detection, _ = setting("detection", args.detection, "both")
-        snr_text, snr_origin = setting("snr_db", args.snr_db, "-35:-10:1")
-        if scenario not in montecarlo.SCENARIOS:
+        combinations = len(sf_values) * len(n_values) * len(m_values)
+        if args.mode == "validate" and combinations > 1:
             raise ConfigError(
-                f"unknown scenario {scenario!r}; choose from {', '.join(montecarlo.SCENARIOS)}"
+                f"{origin['preset']}: preset {preset!r} sweeps {combinations} "
+                "(sf, N, m) combinations; validate checks one"
             )
-        if detection not in ("noncoherent", "coherent", "both"):
-            raise ConfigError("detection must be noncoherent, coherent, or both")
-        sf_values, n_values, m_values = (sf,), (n,), (m,)
-        branches = _branches(scenario, detection)
-        snr = _parse_snr_spec(snr_text, snr_origin)
-
-    for sf in sf_values:
-        if not 2 <= sf <= 12:
-            raise ConfigError(f"spreading factor {sf} outside [2, 12]")
-    for n in n_values:
-        if n < 0:
-            raise ConfigError("element count must be >= 0")
-    for m in m_values:
-        if m <= 0:
-            raise ConfigError("fading shape m must be positive")
+    else:
+        sf_values, n_values, m_values = (value["sf"],), (value["elements"],), (value["m"],)
+        branches = _branches(value["scenario"], value["detection"])
+        snr = _parse_snr_spec(value["snr_db"], origin["snr_db"])
 
     return ExperimentSpec(
         mode=args.mode,
         branches=branches,
-        sf_values=tuple(sf_values),
-        n_values=tuple(n_values),
-        m_values=tuple(m_values),
+        sf_values=sf_values,
+        n_values=n_values,
+        m_values=m_values,
         snr_db_grid=snr,
-        trials=trials,
-        seed=seed,
-        out=out,
-        workers=workers,
-        quadrature_order_v1=v1,
-        quadrature_order_v2=v2,
-        staircase_m=staircase_m,
-        paper_literal_estimator=paper_literal,
-        full_offset_range=full_offsets,
-        preset=preset,
+        trials=value["trials"],
+        seed=value["seed"],
+        out=value["out"],
+        workers=value["workers"],
+        quadrature_order_v1=value["v1"],
+        quadrature_order_v2=value["v2"],
+        staircase_m=value["staircase_m"],
+        paper_literal_estimator=value["paper_literal_estimator"],
+        full_offset_range=value["full_offset_range"],
     )
 
 
@@ -301,33 +312,30 @@ class _Row:
         return ",".join(_format(getattr(self, col)) for col in _CSV_COLUMNS)
 
 
-def _analytic_task(args):
+def _analytic_task(spec: ExperimentSpec, row: _Row):
     """Evaluate the closed forms for one CSV row; runs in worker processes.
 
     Returns the failure message of a NumericError, or the row's values and
     the warnings raised on the way, each prefixed with the row it names.
     """
-    (scenario, detection, sf, n, m, snr_db,
-     literal, v1, v2, staircase_m) = args
-    label = f"{scenario}/{detection} sf={sf} n={n} m={m} snr={snr_db}"
-    params = LoRaParams(sf)
-    fading = FadingConfig.uniform(m, n)
+    label = (f"{row.scenario}/{row.detection} sf={row.sf} n={row.n_elements} "
+             f"m={row.m} snr={row.snr_db}")
     try:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             cfg = analytic_ber.AnalyticConfig.from_fading(
-                params,
-                fading,
-                10.0 ** (snr_db / 10.0),
-                paper_literal_estimator=literal,
-                quadrature_order_v1=v1,
-                quadrature_order_v2=v2,
-                staircase_m=staircase_m,
+                LoRaParams(row.sf),
+                FadingConfig.uniform(row.m, row.n_elements),
+                10.0 ** (row.snr_db / 10.0),
+                paper_literal_estimator=spec.paper_literal_estimator,
+                quadrature_order_v1=spec.quadrature_order_v1,
+                quadrature_order_v2=spec.quadrature_order_v2,
+                staircase_m=spec.staircase_m,
             )
-            if scenario == "no_interference":
-                result = analytic_ber.ber_no_interference(cfg, detection)
+            if row.scenario == "no_interference":
+                result = analytic_ber.ber_no_interference(cfg, row.detection)
             else:
-                result = analytic_ber.ber(cfg, scenario, detection)
+                result = analytic_ber.ber(cfg, row.scenario, row.detection)
     except NumericError as exc:
         return f"{label}: {exc}"
     notes = [f"{label}: {w.message}" for w in caught]
@@ -338,16 +346,9 @@ def _fill_analytic(
     spec: ExperimentSpec, rows: list["_Row"], failures: list[str], pool: Executor | None
 ) -> None:
     todo = [row for row in rows if row.scenario in _ANALYTIC_SCENARIOS]
-    tasks = [
-        (row.scenario, row.detection, row.sf, row.n_elements, row.m, row.snr_db,
-         spec.paper_literal_estimator, spec.quadrature_order_v1,
-         spec.quadrature_order_v2, spec.staircase_m)
-        for row in todo
-    ]
-    if pool is None:
-        results = [_analytic_task(task) for task in tasks]
-    else:
-        results = list(pool.map(_analytic_task, tasks))
+    results = (map if pool is None else pool.map)(
+        _analytic_task, itertools.repeat(spec), todo
+    )
     for row, result in zip(todo, results):
         if isinstance(result, str):
             failures.append(result)
@@ -462,27 +463,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("mode", choices=("simulate", "analytic", "both", "validate"))
     parser.add_argument("--config", help="flat key = value configuration file")
-    parser.add_argument("--preset", help="named experiment preset (pins the grid)")
-    parser.add_argument("--sf", type=int, help="spreading factor (2..12)")
-    parser.add_argument("--elements", type=int, help="surface element count N")
-    parser.add_argument("--m", type=float, help="Nakagami shape for every link")
-    parser.add_argument("--scenario", help="|".join(montecarlo.SCENARIOS))
-    parser.add_argument("--detection", help="noncoherent|coherent|both")
-    parser.add_argument("--snr-db", dest="snr_db", help="grid START:STOP:STEP or a single value")
-    parser.add_argument("--trials", type=int, help="Monte Carlo trials per point")
-    parser.add_argument("--seed", type=int, help="base seed of the run")
-    parser.add_argument("--out", help="output CSV path")
-    parser.add_argument("--workers", type=int, help="parallel workers for sweeps")
-    parser.add_argument("--v1", type=int, help="quadrature order, target axis")
-    parser.add_argument("--v2", type=int, help="quadrature order, interferer axis")
-    parser.add_argument("--staircase-m", dest="staircase_m", type=int,
-                        help="cosine staircase resolution for coherent detection")
-    parser.add_argument("--paper-literal-estimator", dest="paper_literal_estimator",
-                        action="store_const", const=True, default=None,
-                        help="use the first-moment denominator in the Gamma fits")
-    parser.add_argument("--full-offset-range", dest="full_offset_range",
-                        action="store_const", const=True, default=None,
-                        help="let the simulated interferer offset span the whole symbol")
+    for key, (kind, _, text) in _SETTINGS.items():
+        if kind is bool:
+            parser.add_argument(_flag(key), action="store_const", const=True, help=text)
+        else:
+            parser.add_argument(_flag(key), type=kind, help=text)
     return parser
 
 

@@ -16,7 +16,6 @@ demodulator, which keeps the two routes independent.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -96,7 +95,6 @@ def chi_bound_all_bins(state: InterfererState, params: LoRaParams) -> np.ndarray
     ) / K
 
 
-@lru_cache(maxsize=8)
 def chi_of_I_table(params: LoRaParams) -> np.ndarray:
     """Peak-bin bound on the full (tau, I) grid, I = i2 - i1 mod K; shape
     (K/2 + 1, K), read-only.

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import mpmath
@@ -300,6 +301,19 @@ class TestInterpolatedSum:
         pruned = ab._conditional_sums(terms, x, drop)
         roundoff = math.sqrt(terms.weight.size) * np.finfo(float).eps * full
         assert np.all(np.abs(full - pruned) <= drop + roundoff)
+
+
+def test_sorted_chi_keeps_only_the_sorted_table():
+    # the unsorted table is a temporary: nothing reads it again
+    ab._sorted_chi.cache_clear()
+    tracemalloc.start()
+    try:
+        table = ab._sorted_chi(LoRaParams(10))
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert not table.flags.writeable
+    assert retained <= 1.05 * table.nbytes
 
 
 class TestCombinedBer:

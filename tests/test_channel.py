@@ -275,3 +275,9 @@ class TestGammaFits:
             FadingConfig.uniform(0.0, 10)
         with pytest.raises(ValueError):
             FadingConfig.uniform(2.0, -1)
+
+    @pytest.mark.parametrize("m", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_shape_is_rejected(self, m):
+        # NaN once passed, since nan <= 0 is false
+        with pytest.raises(ValueError, match="positive and finite"):
+            FadingConfig.uniform(m, 25)

@@ -1,7 +1,9 @@
 import multiprocessing
 import os
+import re
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
 
 import pytest
 
@@ -179,6 +181,91 @@ class TestConfigFile:
     def test_missing_file(self):
         with pytest.raises(cli.ConfigError):
             spec_for(["simulate", "--config", "/nonexistent/run.cfg"])
+
+    SAMPLES = {
+        "preset": "fig5", "sf": "8", "elements": "10", "m": "3.5",
+        "scenario": "blind", "detection": "coherent", "snr_db": "-30:-28:1",
+        "trials": "500", "seed": "9", "out": "run.csv", "workers": "2",
+        "v1": "30", "v2": "40", "staircase_m": "8",
+        "paper_literal_estimator": "true", "full_offset_range": "true",
+    }
+
+    @pytest.mark.parametrize("key", list(SAMPLES))
+    def test_flag_and_key_agree(self, key, tmp_path):
+        # each setting means the same as a flag and as a key, and moves the spec
+        assert list(self.SAMPLES) == list(cli._SETTINGS)
+        path = tmp_path / "run.cfg"
+        path.write_text(f"{key} = {self.SAMPLES[key]}\n")
+        flag = cli._flag(key)
+        if cli._SETTINGS[key][0] is not bool:
+            flag += f"={self.SAMPLES[key]}"
+        from_flag = spec_for(["simulate", flag])
+        assert from_flag == spec_for(["simulate", "--config", str(path)])
+        assert from_flag != spec_for(["simulate"])
+
+
+def given_as(source, key, value, tmp_path):
+    """Arguments that give one setting as a flag or a config key, and the
+    origin its errors name."""
+    if source == "flag":
+        return [f"{cli._flag(key)}={value}"], "flag " + cli._flag(key)
+    path = tmp_path / "run.cfg"
+    path.write_text(f"{key} = {value}\n")
+    return ["--config", str(path)], f"{path}: key '{key}'"
+
+
+class TestErrorOrigins:
+    """Every bad setting is a configuration error that starts with the flag
+    or config key it came from, reported before any CSV is written."""
+
+    @pytest.mark.parametrize("source", ["flag", "key"])
+    @pytest.mark.parametrize("key, value", [
+        ("trials", "0"), ("workers", "0"), ("sf", "13"), ("elements", "-1"),
+        ("m", "0"), ("m", "nan"), ("scenario", "tunnel"), ("detection", "x"),
+        ("preset", "fig9"),
+    ])
+    def test_error_starts_with_its_origin(self, key, value, source, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        setting, origin = given_as(source, key, value, tmp_path)
+        code = cli.main(["analytic", *setting, "--out", str(out)])
+        assert code == 1 and not out.exists()
+        assert capsys.readouterr().err.startswith(f"error: {origin}: ")
+
+    # simulate once wrote BER rows near 0.49 and exited 0; analytic died
+    # with a ValueError from log_pcf_d
+    @pytest.mark.parametrize("source", ["flag", "key"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("mode", ["simulate", "analytic"])
+    def test_non_finite_m_is_rejected(self, mode, value, source, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        setting, origin = given_as(source, "m", value, tmp_path)
+        code = cli.main([mode, *setting, "--snr-db", "-30", "--detection", "noncoherent",
+                         "--trials", "100", "--out", str(out)])
+        assert code == 1 and not out.exists()
+        assert (f"error: {origin}: must be positive and finite, got {value}"
+                in capsys.readouterr().err)
+
+    def test_pinned_setting_names_its_origin(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("preset = fig3a\nelements = 30\n")
+        with pytest.raises(cli.ConfigError, match="key 'elements': preset 'fig3a' pins"):
+            spec_for(["analytic", "--config", str(path)])
+
+
+class TestExampleConfig:
+    PATH = Path(__file__).resolve().parents[1] / "docs" / "example-config.cfg"
+
+    def test_header_lists_every_key(self):
+        keys = []
+        for line in self.PATH.read_text().splitlines():
+            listed = re.match(r"#   (\S.*?)\s{2,}", line)
+            if listed:
+                keys += listed.group(1).split(", ")
+        assert keys == list(cli._SETTINGS)
+
+    def test_resolves(self):
+        spec = spec_for(["simulate", "--config", str(self.PATH)])
+        assert spec.out == "case_a_sf7.csv" and spec.workers == 4
 
 
 class TestQuadratureKnobs:
@@ -435,3 +522,25 @@ class TestValidateMode:
         monkeypatch.setattr(cli.validation, "run_validation", fake_run)
         assert cli.main(["validate"]) == 3
         assert "[FAIL]" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("preset", ["fig3a", "fig3b", "fig4a", "fig4b", "fig5a", "fig5b"])
+    def test_multi_point_preset_is_rejected(self, preset, capsys):
+        # validate checks one (sf, N, m); it once checked a sweep's first
+        # point and reported "all checks passed"
+        assert cli.main(["validate", "--preset", preset]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: flag --preset: preset '{preset}' sweeps ")
+
+    @pytest.mark.parametrize("preset", ["fig5", "comparison"])
+    def test_single_point_preset_checks_its_point(self, preset, monkeypatch):
+        from chirpfield import validation
+
+        seen = []
+
+        def fake_run(params, fading, trials, seed):
+            seen.append((params.sf, fading.n_elements, fading.m1))
+            return [validation.CheckResult("synthetic check", True, "forced")]
+
+        monkeypatch.setattr(cli.validation, "run_validation", fake_run)
+        assert cli.main(["validate", "--preset", preset]) == 0
+        assert seen == [(7, 25, 2.0)]
