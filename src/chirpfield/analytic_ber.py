@@ -21,23 +21,23 @@ multiplier x: chi on the (offset, difference) grid, 8,320 values at SF 7
 and 8.4 M at SF 12, and for coherent detection chi*cos of each staircase
 angle as well.  f is smooth in x, so the double sum is evaluated only at
 the Chebyshev points of an adaptive piecewise interpolant on
-[min x, max x], and the interpolant is applied to every multiplier.  Each
-piece is bisected until its trailing Chebyshev coefficients fall below a
-fixed fraction of the largest |f| sampled (Trefethen, Approximation Theory
-and Approximation Practice, ch. 3 and 8); a piece that cannot get there
-raises NumericError.  The interpolant has to be piecewise: at -12 dB f
-can span more than 200 decades over the range, and one global polynomial of
-degree 64 misses the mean by up to 4e-4.
+[min x, max x], and the interpolant is applied to every multiplier.  Every
+weight and interferer amplitude is >= 0, so f does not decrease in x and
+its largest value on the range is f(max x), one full double sum taken
+before any piece is sampled.  Each piece is bisected until its trailing
+Chebyshev coefficients fall below the fixed tolerance _CHEB_TOL * f(max x)
+(Trefethen, Approximation Theory and Approximation Practice, ch. 3 and 8);
+a piece that cannot get there raises NumericError.  The interpolant has to
+be piecewise: at -12 dB f can span more than 200 decades over the range,
+and one global polynomial of degree 64 misses the mean by up to 4e-4.
 
-The double sum's terms are built once per point, as one list sorted by
-weight with a running total, and each interpolant sample leaves out the
-lightest terms whose total weight is at most _PRUNE_FRACTION *
-_CHEB_TOL = 1e-16 of the largest |f| sampled so far (Jaeckel, "A note on
-multivariate Gauss-Hermite quadrature", 2005, prunes product-rule nodes
-of negligible weight the same way).  Every weight is >= 0 and Q lies in
-[0, 1], so a sample falls short of the full sum by at most that mass,
-1000 times below the tolerance the interpolant accepts; the first piece,
-sampled before any |f| is known, keeps every term.
+The double sum's terms are built once per point, sorted by weight, and
+the lightest of them, up to a total weight of _PRUNE_FRACTION *
+_CHEB_TOL = 1e-16 of f(max x), are left out of every interpolant sample
+(Jaeckel, "A note on multivariate Gauss-Hermite quadrature", 2005, prunes
+product-rule nodes of negligible weight the same way).  Every weight is
+>= 0 and Q lies in [0, 1], so a sample falls short of the full sum by at
+most that mass, 1000 times below the tolerance the interpolant accepts.
 
 Every closed form has a `*_numeric` twin evaluated by adaptive quadrature
 on the source integral, used as the test-suite oracle; only those twins
@@ -86,18 +86,18 @@ _TAIL_TERMS = ((1.0 / 12.0, 0.5), (0.25, 2.0 / 3.0))
 _MULTIPLIER_CHUNK = 512
 
 # Piecewise Chebyshev interpolant of the conditional interference error in
-# its multiplier: degree of each piece, the relative size its last
-# _CHEB_TAIL coefficients must fall below, and the bisection depth at
-# which a piece that still misses it is a numeric failure.  The tolerance
-# must stay above the double sum's roundoff floor (about 1e-15), or
-# bisection never ends.
+# its multiplier: degree of each piece, the share of the error's largest
+# value its last _CHEB_TAIL coefficients must fall below, and the
+# bisection depth at which a piece that still misses it is a numeric
+# failure.  The tolerance must stay above the double sum's roundoff floor
+# (about 1e-15), or bisection never ends.
 _CHEB_DEGREE = 32
 _CHEB_TOL = 1e-13
 _CHEB_TAIL = 3
 _CHEB_MAX_DEPTH = 24
 # Share of that acceptance level that the double sum may give up by
-# leaving out its lightest terms (see _conditional_sums): 1e-16 of the
-# largest |f|, below even the sum's own rounding (about 1e-15 of it).
+# leaving out its lightest terms (see _double_sum_terms): 1e-16 of the
+# largest value, below even the sum's own rounding (about 1e-15 of it).
 _PRUNE_FRACTION = 1e-3
 # Multipliers per interpolant evaluation; blocks that fit in cache run
 # several times faster than one pass over a large table.
@@ -382,23 +382,19 @@ def _staircase(detection: str, staircase_m: int) -> tuple[np.ndarray, np.ndarray
     raise ValueError(f"unknown detection {detection!r}")
 
 
-@dataclass(frozen=True)
-class _DoubleSum:
-    """Terms of the Gauss-Hermite double sum, lightest weight first.
+def _double_sum_terms(
+    cfg: AnalyticConfig, case: str, drop_mass: float = 0.0
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The product grid of the two fitted gains as one flat list of terms.
 
-    At multiplier x the sum is  sum_t weight[t] * Q(target[t] - interf[t]*x),
-    with target and interferer amplitudes already scaled by sqrt(snr*K);
-    mass[t] is the total weight of terms 0..t.
+    At multiplier x the double sum is
+    sum_t weight[t] * Q(target[t] - interf[t]*x), with target and
+    interferer amplitudes already scaled by sqrt(snr*K).  Returns
+    (target, interf, weight), lightest weight first, without the longest
+    prefix of lightest terms whose total weight is at most drop_mass:
+    every weight is >= 0 and Q lies in [0, 1], so the pruned sum falls
+    short of the full one by at most drop_mass.
     """
-
-    target: np.ndarray
-    interf: np.ndarray
-    weight: np.ndarray
-    mass: np.ndarray
-
-
-def _double_sum_terms(cfg: AnalyticConfig, case: str) -> _DoubleSum:
-    """The product grid of the two fitted gains as one flat list of terms."""
     scale = math.sqrt(cfg.snr_linear * cfg.params.K)
     target_amp, target_logw = _log_grid(
         cfg.target_fit, cfg.quadrature_order_v1, power_domain=False
@@ -409,31 +405,22 @@ def _double_sum_terms(cfg: AnalyticConfig, case: str) -> _DoubleSum:
     )
     weight = np.exp(target_logw[:, None] + interf_logw[None, :]).ravel()
     order = np.argsort(weight, kind="stable")
-    row, col = np.divmod(order, interf_amp.size)
     weight = weight[order]
-    return _DoubleSum(
-        scale * target_amp[row], scale * interf_amp[col], weight, np.cumsum(weight)
-    )
+    first = int(np.searchsorted(np.cumsum(weight), drop_mass, side="right"))
+    row, col = np.divmod(order[first:], interf_amp.size)
+    return scale * target_amp[row], scale * interf_amp[col], weight[first:]
 
 
-def _conditional_sums(
-    terms: _DoubleSum, multipliers: np.ndarray, drop_mass: float = 0.0
-) -> np.ndarray:
+def _conditional_sums(terms, multipliers: np.ndarray) -> np.ndarray:
     """Gauss-Hermite double sum of P(interferer bin beats signal bin).
 
     One value per effective interferer multiplier (chi, or chi*cos for the
-    coherent staircase), evaluated in chunks to bound memory, with Q
-    written over its own arguments (a fresh array per pass costs more than
-    the pass at these sizes).  The longest
-    prefix of lightest terms whose total weight is at most drop_mass is
-    left out: every weight is >= 0 and Q lies in [0, 1], so the result
-    falls short of the full sum by at most drop_mass.  With drop_mass = 0
-    it is the full sum.
+    coherent staircase), over the terms of _double_sum_terms, evaluated in
+    chunks to bound memory, with Q written over its own arguments (a fresh
+    array per pass costs more than the pass at these sizes).
     """
-    first = int(np.searchsorted(terms.mass, drop_mass, side="right"))
-    target = terms.target[first:, None]
-    interf = terms.interf[first:, None]
-    weight = terms.weight[first:]
+    target, interf, weight = terms
+    target, interf = target[:, None], interf[:, None]
     out = np.empty(len(multipliers))
     for start in range(0, len(multipliers), _MULTIPLIER_CHUNK):
         args = np.multiply(interf, multipliers[start : start + _MULTIPLIER_CHUNK])
@@ -442,37 +429,29 @@ def _conditional_sums(
     return out
 
 
-def _piecewise_chebyshev(fn, lo: float, hi: float, where: str):
+def _piecewise_chebyshev(fn, lo: float, hi: float, tol: float, where: str):
     """Adaptive piecewise Chebyshev interpolant of fn on [lo, hi].
 
-    A piece is bisected until its trailing coefficients fall below
-    _CHEB_TOL times the largest |fn| sampled so far.  fn(x, slack) may
-    return values up to slack away from the true ones; slack is
-    _PRUNE_FRACTION of that acceptance level, so 0 on the first piece.
+    A piece is bisected until its trailing coefficients fall below tol.
     Returns the pieces as (left, right, coefficients) in ascending order,
     and every sampled value of fn.
     """
     nodes = chebpts1(_CHEB_DEGREE + 1)
     pieces, samples = [], []
-    scale = 0.0
     stack = [(lo, hi, 0)]
     while stack:
         left, right, depth = stack.pop()
-        values = fn(
-            0.5 * (left + right) + 0.5 * (right - left) * nodes,
-            _PRUNE_FRACTION * _CHEB_TOL * scale,
-        )
+        values = fn(0.5 * (left + right) + 0.5 * (right - left) * nodes)
         samples.append(values)
-        scale = max(scale, float(np.max(np.abs(values))))
         coeffs = chebfit(nodes, values, _CHEB_DEGREE)
         tail = float(np.max(np.abs(coeffs[-_CHEB_TAIL:])))
-        if tail <= _CHEB_TOL * scale:
+        if tail <= tol:
             pieces.append((left, right, coeffs))
         elif depth == _CHEB_MAX_DEPTH:
             raise NumericError(
                 f"conditional-sum interpolant did not converge ({where}): "
                 f"piece [{left!r}, {right!r}] still has trailing coefficients "
-                f"{tail:.3g} against a scale of {scale:.3g}"
+                f"{tail:.3g} against a tolerance of {tol:.3g}"
             )
         else:
             mid = 0.5 * (left + right)
@@ -511,10 +490,12 @@ def _interf_ser_diag(
         f"case={case}, detection={detection}, "
         f"SNR={10.0 * math.log10(cfg.snr_linear):.10g} dB"
     )
-    terms = _double_sum_terms(cfg, case)
+    lo, hi = float(ends.min()), float(ends.max())
+    # f does not decrease in x, so f(hi) is its largest value on [lo, hi]
+    scale = float(_conditional_sums(_double_sum_terms(cfg, case), np.array([hi]))[0])
+    terms = _double_sum_terms(cfg, case, _PRUNE_FRACTION * _CHEB_TOL * scale)
     pieces, samples = _piecewise_chebyshev(
-        lambda x, slack: _conditional_sums(terms, x, slack),
-        float(ends.min()), float(ends.max()), where,
+        lambda x: _conditional_sums(terms, x), lo, hi, _CHEB_TOL * scale, where
     )
     clamped = int(np.count_nonzero(samples > 1.0) + np.count_nonzero(samples < 0.0))
     total = 0.0

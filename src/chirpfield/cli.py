@@ -140,6 +140,9 @@ def _flag(key: str) -> str:
 # settings a preset pins; giving any of them alongside a preset is an error
 _PRESET_PINNED = ("sf", "elements", "m", "scenario", "detection", "snr_db")
 
+# the only settings validate reads; giving any other to it is an error
+_VALIDATE_READS = ("preset", "sf", "elements", "m", "trials", "seed")
+
 _CHOICES = {
     "preset": tuple(_PRESETS),
     "scenario": montecarlo.SCENARIOS,
@@ -242,6 +245,11 @@ def build_spec(args: argparse.Namespace) -> ExperimentSpec:
         else:
             value[key], origin[key] = default, "default"
         _check(key, value[key], origin[key])
+
+    if args.mode == "validate":
+        for key in _SETTINGS:
+            if key not in _VALIDATE_READS and origin[key] != "default":
+                raise ConfigError(f"{origin[key]}: validate does not read this setting; drop it")
 
     preset = value["preset"]
     if preset is not None:
@@ -404,7 +412,15 @@ def run(spec: ExperimentSpec) -> int:
     failures: list[str] = []
     rows: list[_Row] = []
 
-    with montecarlo.worker_pool(spec.workers) as pool:
+    # opened before anything runs, so a path that cannot be written fails
+    # at once rather than after the whole sweep
+    try:
+        handle = open(spec.out, "w", encoding="utf-8", newline="")
+    except OSError as exc:
+        print(f"error: cannot write {spec.out}: {exc}", file=sys.stderr)
+        return 1
+
+    with handle, montecarlo.worker_pool(spec.workers) as pool:
         estimates = _simulate(spec, pool) if want_sim else {}
         for scenario, detection in spec.branches:
             for sf, n, m in itertools.product(spec.sf_values, spec.n_values, spec.m_values):
@@ -424,14 +440,9 @@ def run(spec: ExperimentSpec) -> int:
         if want_analytic:
             _fill_analytic(spec, rows, failures, pool)
 
-    try:
-        with open(spec.out, "w", encoding="utf-8", newline="") as handle:
-            handle.write(",".join(_CSV_COLUMNS) + "\n")
-            for row in rows:
-                handle.write(row.csv() + "\n")
-    except OSError as exc:
-        print(f"error: cannot write {spec.out}: {exc}", file=sys.stderr)
-        return 1
+        handle.write(",".join(_CSV_COLUMNS) + "\n")
+        for row in rows:
+            handle.write(row.csv() + "\n")
 
     print(f"wrote {len(rows)} rows to {spec.out}")
     if failures:

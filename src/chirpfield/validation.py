@@ -323,9 +323,11 @@ def _check_pruned_double_sum(params: LoRaParams, fading: FadingConfig, _trials, 
             terms = analytic_ber._double_sum_terms(cfg, case)
             full = analytic_ber._conditional_sums(terms, x)
             scale = max(float(full.max()), np.finfo(float).tiny)
-            pruned = analytic_ber._conditional_sums(terms, x, bound * scale)
+            pruned = analytic_ber._conditional_sums(
+                analytic_ber._double_sum_terms(cfg, case, bound * scale), x
+            )
             deviation = np.abs(full - pruned)
-            rounding = math.sqrt(terms.weight.size) * np.finfo(float).eps * full
+            rounding = math.sqrt(terms[2].size) * np.finfo(float).eps * full
             ok &= bool(np.all(deviation <= bound * scale + rounding))
             worst = max(worst, float(deviation.max()) / scale)
     return CheckResult(

@@ -278,9 +278,10 @@ class TestInterpolatedSum:
             NumericError, match=r"case=case_b, detection=coherent, SNR=-12 dB.*piece \["
         ):
             ab.ber(config(-12.0), "case_b", "coherent")
-        # bisection stops at the depth limit on the first unresolved piece
+        # one full sum at the top multiplier sets the tolerance; bisection
+        # then stops at the depth limit on the first unresolved piece
         assert calls
-        assert len(calls) <= ab._CHEB_MAX_DEPTH + 1
+        assert len(calls) <= ab._CHEB_MAX_DEPTH + 2
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -298,9 +299,46 @@ class TestInterpolatedSum:
         x = float(ab._sorted_chi(SF7)[-1]) * np.array(fractions)
         full = ab._conditional_sums(terms, x)
         drop = ab._PRUNE_FRACTION * ab._CHEB_TOL * float(full.max())
-        pruned = ab._conditional_sums(terms, x, drop)
-        roundoff = math.sqrt(terms.weight.size) * np.finfo(float).eps * full
+        pruned = ab._conditional_sums(ab._double_sum_terms(cfg, case, drop), x)
+        roundoff = math.sqrt(terms[2].size) * np.finfo(float).eps * full
         assert np.all(np.abs(full - pruned) <= drop + roundoff)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        elements=ELEMENTS,
+        m=NAKAGAMI_M,
+        snr_db=st.floats(-40.0, 10.0),
+        case=st.sampled_from(CASES),
+        fractions=st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=64),
+    )
+    def test_conditional_sum_never_decreases(self, elements, m, snr_db, case, fractions):
+        # the interpolant's tolerance is taken from f at the top multiplier,
+        # which is f's largest value only because f never decreases
+        cfg = config(snr_db, FadingConfig.uniform(m, elements))
+        terms = ab._double_sum_terms(cfg, case)
+        x = float(ab._sorted_chi(SF7)[-1]) * np.sort(fractions)
+        f = ab._conditional_sums(terms, x)
+        roundoff = math.sqrt(terms[2].size) * np.finfo(float).eps * f[1:]
+        assert np.all(np.diff(f) >= -roundoff)
+
+    @pytest.mark.parametrize("detection", DETECTIONS)
+    @pytest.mark.parametrize("case", CASES)
+    def test_terms_are_pruned_once_per_point(self, case, detection, monkeypatch):
+        # one full sum at the top multiplier, then every interpolant sample
+        # over the same pruned terms; the first piece once kept all 4,900
+        calls = []
+        original = ab._conditional_sums
+
+        def counted(terms, multipliers):
+            calls.append((terms[2].size, len(multipliers)))
+            return original(terms, multipliers)
+
+        monkeypatch.setattr(ab, "_conditional_sums", counted)
+        ab.ber(config(-36.0), case, detection)
+        (top_terms, top_multipliers), *samples = calls
+        assert top_multipliers == 1 and samples
+        kept = {terms for terms, _ in samples}
+        assert len(kept) == 1 and kept.pop() < min(top_terms, 70 * 70)
 
 
 def test_sorted_chi_keeps_only_the_sorted_table():

@@ -1,3 +1,4 @@
+import json
 import multiprocessing
 import os
 import re
@@ -208,7 +209,9 @@ def given_as(source, key, value, tmp_path):
     """Arguments that give one setting as a flag or a config key, and the
     origin its errors name."""
     if source == "flag":
-        return [f"{cli._flag(key)}={value}"], "flag " + cli._flag(key)
+        flag = cli._flag(key)
+        arg = flag if cli._SETTINGS[key][0] is bool else f"{flag}={value}"
+        return [arg], "flag " + flag
     path = tmp_path / "run.cfg"
     path.write_text(f"{key} = {value}\n")
     return ["--config", str(path)], f"{path}: key '{key}'"
@@ -398,6 +401,19 @@ class TestRuns:
         )
         assert code == 1
 
+    def test_unwritable_output_fails_before_running(self, tmp_path, monkeypatch, capsys):
+        # the whole sweep once ran before the write failed
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("ran before the output path was checked")
+
+        monkeypatch.setattr(cli.montecarlo, "run_sweep", must_not_run)
+        monkeypatch.setattr(cli.analytic_ber, "ber", must_not_run)
+        out = tmp_path / "missing" / "ber.csv"
+        code = cli.main(["both", "--scenario", "case_a", "--snr-db", "-30",
+                         "--trials", "100", "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: cannot write {out}: ")
+
     def test_config_error_exit_code(self):
         assert cli.main(["simulate", "--trials", "0"]) == 1
 
@@ -445,6 +461,46 @@ class TestRuns:
         # the run still writes the row, with empty analytic columns
         fields = dict(zip(*[line.split(",") for line in out.read_text().splitlines()]))
         assert fields["ber_analytic"] == ""
+
+
+class TestBenchmarkReference:
+    """The closed-form workload of the benchmark (`analytic_sf7`) at full
+    size: every recorded row within 1e-9 relative, the gate closed-form
+    speedups must keep."""
+
+    REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+    COLUMNS = ("ber_analytic", "p_noise", "p_interf")
+
+    def test_analytic_sf7_rows(self, tmp_path, monkeypatch):
+        # compared unrounded, since the CSV's 10 digits alone move a value
+        # by up to 5e-10; one worker keeps the closed forms in this process
+        results = []
+        original = cli.analytic_ber.ber
+
+        def recorded(*args):
+            results.append(original(*args))
+            return results[-1]
+
+        monkeypatch.setattr(cli.analytic_ber, "ber", recorded)
+        rows = []
+        for scenario in ("case_a", "case_b"):
+            out = tmp_path / f"{scenario}.csv"
+            code = cli.main(["analytic", "--sf", "7", "--elements", "25", "--m", "2",
+                             "--scenario", scenario, "--detection", "both",
+                             "--snr-db=-36:-12:2", "--workers", "1", "--out", str(out)])
+            assert code == 0
+            header, *lines = [line.split(",") for line in out.read_text().splitlines()]
+            rows += [dict(zip(header, line)) for line in lines]
+        expected = json.loads(self.REFERENCE.read_text())["analytic"]
+        assert len(expected) == 52 and len(results) == len(rows)
+        got = {}
+        for row, result in zip(rows, results):
+            values = [result.ber, result.p_noise, result.p_interf]
+            assert [row[column] for column in self.COLUMNS] == list(map(cli._format, values))
+            got[f"{row['scenario']}/{row['detection']}/{row['snr_db']}"] = values
+        assert got.keys() == expected.keys()
+        for key, values in expected.items():
+            assert got[key] == pytest.approx(list(map(float, values)), rel=1e-9, abs=0.0), key
 
 
 class RecordingPool(ProcessPoolExecutor):
@@ -522,6 +578,18 @@ class TestValidateMode:
         monkeypatch.setattr(cli.validation, "run_validation", fake_run)
         assert cli.main(["validate"]) == 3
         assert "[FAIL]" in capsys.readouterr().out
+
+    # validate once accepted every one of these and silently ignored it
+    @pytest.mark.parametrize("source", ["flag", "key"])
+    @pytest.mark.parametrize("key", [
+        "scenario", "detection", "snr_db", "out", "workers", "v1", "v2", "staircase_m",
+        "paper_literal_estimator", "full_offset_range",
+    ])
+    def test_settings_it_does_not_read_are_rejected(self, key, source, tmp_path, capsys):
+        setting, origin = given_as(source, key, TestConfigFile.SAMPLES[key], tmp_path)
+        assert cli.main(["validate", *setting]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: {origin}: validate does not read this setting")
 
     @pytest.mark.parametrize("preset", ["fig3a", "fig3b", "fig4a", "fig4b", "fig5a", "fig5b"])
     def test_multi_point_preset_is_rejected(self, preset, capsys):
