@@ -21,15 +21,30 @@ multiplier x: chi on the (offset, difference) grid, 8,320 values at SF 7
 and 8.4 M at SF 12, and for coherent detection chi*cos of each staircase
 angle as well.  f is smooth in x, so the double sum is evaluated only at
 the Chebyshev points of an adaptive piecewise interpolant on
-[min x, max x], and the interpolant is applied to every multiplier.  Every
-weight and interferer amplitude is >= 0, so f does not decrease in x and
-its largest value on the range is f(max x), one full double sum taken
-before any piece is sampled.  Each piece is bisected until its trailing
-Chebyshev coefficients fall below the fixed tolerance _CHEB_TOL * f(max x)
-(Trefethen, Approximation Theory and Approximation Practice, ch. 3 and 8);
-a piece that cannot get there raises NumericError.  The interpolant has to
-be piecewise: at -12 dB f can span more than 200 decades over the range,
-and one global polynomial of degree 64 misses the mean by up to 4e-4.
+[min x, max x].  Every weight and interferer amplitude is >= 0, so f does
+not decrease in x and its largest value on the range is f(max x), one
+full double sum taken before any piece is sampled.  Each piece is
+bisected until its trailing Chebyshev coefficients fall below the fixed
+tolerance _CHEB_TOL * f(max x) (Trefethen, Approximation Theory and
+Approximation Practice, ch. 3 and 8); a piece that cannot get there
+raises NumericError.  The interpolant has to be piecewise: at -12 dB f
+can span more than 200 decades over the range, and one global polynomial
+of degree 64 misses the mean by up to 4e-4.
+
+The interpolant is then averaged over a compressed quadrature of the chi
+table rather than over every multiplier (Sommariva and Vianello,
+"Compression of multivariate discrete measures and applications", Numer.
+Funct. Anal. Optim. 36, 2015).  The table's distinct values, weighted by
+their counts, are split into equal-width bins; a bin with more than
+_RULE_NODES distinct values is replaced by the Gauss rule of its discrete
+measure (Stieltjes recurrence, then Golub and Welsch, Math. Comp. 23,
+1969), exact for polynomials of degree 2 * _RULE_NODES - 1 on the bin,
+with positive weights and nodes inside it.  The bin count is the smallest
+power of two whose bins are at most _RULE_BIN_SHARE of the interpolant's
+narrowest piece wide, so each bin sees a near-polynomial; it stops where
+every bin is raw, which makes the rule the distinct table itself.  A
+staircase cosine only scales the nodes, so one rule serves every angle,
+and the mean is one pass per piece over the merged nodes of all angles.
 
 The double sum's terms are built once per point, sorted by weight, and
 the lightest of them, up to a total weight of _PRUNE_FRACTION *
@@ -59,7 +74,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial.chebyshev import chebfit, chebpts1, chebval
+from numpy.polynomial.chebyshev import chebpts1, chebval, chebvander
 from scipy.special import gammainc
 
 from .channel import (
@@ -99,9 +114,14 @@ _CHEB_MAX_DEPTH = 24
 # leaving out its lightest terms (see _double_sum_terms): 1e-16 of the
 # largest value, below even the sum's own rounding (about 1e-15 of it).
 _PRUNE_FRACTION = 1e-3
-# Multipliers per interpolant evaluation; blocks that fit in cache run
-# several times faster than one pass over a large table.
-_EVAL_CHUNK = 32768
+# Compressed quadrature of the peak-bound table: Gauss nodes per
+# equal-width bin, and the bin width's largest share of the narrowest
+# interpolant piece (see _chi_rule).  Bin edges sit on a fixed-point grid
+# of _POSITION_BITS bits over [min chi, max chi].
+_RULE_NODES = 8
+_RULE_BIN_SHARE = 0.25
+_POSITION_BITS = 62
+_RULE_GROUP = 1 << 15
 
 # Largest share of the target gain's Gamma fit that may lie where the
 # tail fit's argument is negative (`uncalibrated_mass`) before the noise
@@ -366,6 +386,156 @@ def _sorted_chi(params: LoRaParams) -> np.ndarray:
     return table
 
 
+def _run_starts(ascending: np.ndarray) -> np.ndarray:
+    """Index of the first element of each run of equal elements."""
+    return np.flatnonzero(np.r_[True, ascending[1:] != ascending[:-1]])
+
+
+def _bin_positions(values: np.ndarray) -> np.ndarray:
+    """Fixed-point positions of ascending values on [values[0], values[-1]].
+
+    The bin of a value among 2**level equal-width bins is its position
+    shifted right by _POSITION_BITS - level; the top value joins the last
+    bin.  Bins of successive levels nest exactly.
+    """
+    unit = values - values[0]
+    unit /= values[-1] - values[0]
+    unit *= 2.0**_POSITION_BITS
+    positions = unit.astype(np.int64)
+    return np.minimum(positions, 2**_POSITION_BITS - 1, out=positions)
+
+
+@lru_cache(maxsize=8)
+def _distinct_chi(params: LoRaParams) -> tuple[np.ndarray, np.ndarray, int]:
+    """The distinct peak bounds, ascending, their counts in the table, and
+    the lowest bin level at which every bin holds at most _RULE_NODES of them.
+
+    That is the lowest level at which each value and the _RULE_NODES-th
+    after it fall in different bins.  At level L two positions share a bin
+    iff they agree in their top L bits, so the pair whose positions agree
+    the longest (the smallest XOR) sets the level.
+    """
+    table = _sorted_chi(params)
+    starts = _run_starts(table)
+    values = table[starts]
+    counts = np.diff(starts, append=table.size)
+    del starts
+    positions = _bin_positions(values)
+    differing = positions[_RULE_NODES:] ^ positions[:-_RULE_NODES]
+    top = (
+        min(_POSITION_BITS + 1 - int(differing.min()).bit_length(), _POSITION_BITS)
+        if differing.size
+        else 0
+    )
+    values.flags.writeable = counts.flags.writeable = False
+    return values, counts, top
+
+
+def _bin_gauss_rules(t: np.ndarray, mass: np.ndarray, starts: np.ndarray):
+    """_RULE_NODES-point Gauss rules of discrete measures, one per bin.
+
+    t holds the points of every bin in [-1, 1] and mass their masses; bin b
+    is t[starts[b]:starts[b + 1]] and has more than _RULE_NODES points.  The
+    orthonormal Stieltjes recurrence gives each bin's Jacobi matrix, and
+    its eigenvalues and first eigenvector components give the nodes and
+    weights (Golub and Welsch).  Returns (nodes, weights), each
+    (bins, _RULE_NODES).
+    """
+    sizes = np.diff(starts, append=t.size)
+    total = np.add.reduceat(mass, starts)
+    jacobi = np.zeros((starts.size, _RULE_NODES, _RULE_NODES))
+    beta = np.zeros(starts.size)
+    prev = np.zeros_like(t)
+    cur = np.repeat(1.0 / np.sqrt(total), sizes)
+    for k in range(_RULE_NODES):
+        t_cur = t * cur
+        alpha = np.add.reduceat(mass * t_cur * cur, starts)
+        jacobi[:, k, k] = alpha
+        if k + 1 == _RULE_NODES:
+            break
+        nxt = t_cur - np.repeat(alpha, sizes) * cur - np.repeat(beta, sizes) * prev
+        beta = np.sqrt(np.add.reduceat(mass * nxt * nxt, starts))
+        jacobi[:, k, k + 1] = jacobi[:, k + 1, k] = beta
+        prev, cur = cur, nxt / np.repeat(beta, sizes)
+    nodes, vectors = np.linalg.eigh(jacobi)
+    return nodes, total[:, None] * vectors[:, 0, :] ** 2
+
+
+def _binned_rule(values, counts, bins, lo: float, width: float):
+    """Nodes and unnormalized weights of the rule for consecutive whole bins:
+    bin b spans [lo + b*width, lo + (b+1)*width]."""
+    starts = _run_starts(bins)
+    sizes = np.diff(starts, append=values.size)
+    rich = sizes > _RULE_NODES
+    in_rich = np.repeat(rich, sizes)
+    centers = lo + width * (bins[starts[rich]] + 0.5)
+    t = (values[in_rich] - np.repeat(centers, sizes[rich])) / (0.5 * width)
+    rich_starts = np.cumsum(sizes[rich]) - sizes[rich]
+    t_nodes, rich_weights = _bin_gauss_rules(t, counts[in_rich].astype(float), rich_starts)
+    return (
+        np.concatenate([values[~in_rich], (centers[:, None] + 0.5 * width * t_nodes).ravel()]),
+        np.concatenate([counts[~in_rich], rich_weights.ravel()]),
+    )
+
+
+@lru_cache(maxsize=16)
+def _chi_rule(params: LoRaParams, level: int) -> tuple[np.ndarray, np.ndarray]:
+    """Compressed quadrature of the peak-bound table on 2**level bins.
+
+    Returns (nodes, weights), nodes ascending and weights summing to 1,
+    such that the mean of a polynomial of degree < 2 * _RULE_NODES on each
+    bin over the table equals sum(weights * g(nodes)).  A bin with at most
+    _RULE_NODES distinct values keeps them, weighted by their counts.  The
+    bins are taken in groups of about _RULE_GROUP values, which keeps the
+    recurrence's arrays in cache.
+    """
+    values, counts, _ = _distinct_chi(params)
+    bins = _bin_positions(values)
+    bins >>= _POSITION_BITS - level
+    starts = _run_starts(bins)
+    cuts = [*starts[np.flatnonzero(np.diff(starts // _RULE_GROUP, prepend=-1))], values.size]
+    width = (values[-1] - values[0]) / 2**level
+    parts = [
+        _binned_rule(values[a:b], counts[a:b], bins[a:b], values[0], width)
+        for a, b in zip(cuts, cuts[1:])
+    ]
+    nodes = np.concatenate([part[0] for part in parts])
+    weights = np.concatenate([part[1] for part in parts]) / counts.sum()
+    order = np.argsort(nodes, kind="stable")
+    nodes, weights = nodes[order], weights[order]
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
+def _rule_level(pieces, chi_lo: float, chi_hi: float, top: int) -> int:
+    """Bin level of the chi rule for an interpolant: the smallest whose bins
+    are at most _RULE_BIN_SHARE of its narrowest piece wide, up to top.
+
+    A staircase cosine scales a bin by at most 1, so the bound holds for
+    every angle.
+    """
+    narrowest = min(right - left for left, right, _ in pieces)
+    level = math.ceil(math.log2((chi_hi - chi_lo) / (_RULE_BIN_SHARE * narrowest)))
+    return min(max(level, 0), top)
+
+
+def _rule_mean(pieces, nodes, weights, cosines, shares) -> float:
+    """Mean of the piecewise interpolant, clipped to [0, 1], over the rule
+    (nodes, weights) scaled by every staircase cosine and weighted by its
+    share; one pass per piece over the merged, sorted multipliers."""
+    x = np.multiply.outer(cosines, nodes).ravel()
+    w = np.multiply.outer(shares, weights).ravel()
+    order = np.argsort(x, kind="stable")
+    x, w = x[order], w[order]
+    rights = [right for _, right, _ in pieces[:-1]]
+    bounds = [0, *np.searchsorted(x, rights, side="right"), x.size]
+    total = 0.0
+    for (left, right, coeffs), start, stop in zip(pieces, bounds, bounds[1:]):
+        t = (2.0 * x[start:stop] - left - right) / (right - left)
+        total += float(w[start:stop] @ np.clip(chebval(t, coeffs), 0.0, 1.0))
+    return total
+
+
 def _staircase(detection: str, staircase_m: int) -> tuple[np.ndarray, np.ndarray]:
     """Cosines of the phase staircase and the share of the mean each carries.
 
@@ -405,10 +575,15 @@ def _double_sum_terms(
     )
     weight = np.exp(target_logw[:, None] + interf_logw[None, :]).ravel()
     order = np.argsort(weight, kind="stable")
-    weight = weight[order]
-    first = int(np.searchsorted(np.cumsum(weight), drop_mass, side="right"))
-    row, col = np.divmod(order[first:], interf_amp.size)
-    return scale * target_amp[row], scale * interf_amp[col], weight[first:]
+    row, col = np.divmod(order, interf_amp.size)
+    return _prune((scale * target_amp[row], scale * interf_amp[col], weight[order]), drop_mass)
+
+
+def _prune(terms, drop_mass: float):
+    """The terms of _double_sum_terms without the longest prefix of lightest
+    terms whose total weight is at most drop_mass."""
+    first = int(np.searchsorted(np.cumsum(terms[2]), drop_mass, side="right"))
+    return tuple(column[first:] for column in terms)
 
 
 def _conditional_sums(terms, multipliers: np.ndarray) -> np.ndarray:
@@ -429,6 +604,21 @@ def _conditional_sums(terms, multipliers: np.ndarray) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=1)
+def _chebyshev_transform() -> tuple[np.ndarray, np.ndarray]:
+    """The interpolant's first-kind Chebyshev points on [-1, 1] and the
+    matrix that maps values there to Chebyshev coefficients.
+
+    Interpolation at these n points is a cosine transform: row k of the
+    matrix holds (2 / n) * T_k at the points, and row 0 is halved.
+    """
+    nodes = chebpts1(_CHEB_DEGREE + 1)
+    transform = chebvander(nodes, _CHEB_DEGREE).T * (2.0 / nodes.size)
+    transform[0] *= 0.5
+    nodes.flags.writeable = transform.flags.writeable = False
+    return nodes, transform
+
+
 def _piecewise_chebyshev(fn, lo: float, hi: float, tol: float, where: str):
     """Adaptive piecewise Chebyshev interpolant of fn on [lo, hi].
 
@@ -436,14 +626,14 @@ def _piecewise_chebyshev(fn, lo: float, hi: float, tol: float, where: str):
     Returns the pieces as (left, right, coefficients) in ascending order,
     and every sampled value of fn.
     """
-    nodes = chebpts1(_CHEB_DEGREE + 1)
+    nodes, transform = _chebyshev_transform()
     pieces, samples = [], []
     stack = [(lo, hi, 0)]
     while stack:
         left, right, depth = stack.pop()
         values = fn(0.5 * (left + right) + 0.5 * (right - left) * nodes)
         samples.append(values)
-        coeffs = chebfit(nodes, values, _CHEB_DEGREE)
+        coeffs = transform @ values
         tail = float(np.max(np.abs(coeffs[-_CHEB_TAIL:])))
         if tail <= tol:
             pieces.append((left, right, coeffs))
@@ -460,17 +650,26 @@ def _piecewise_chebyshev(fn, lo: float, hi: float, tol: float, where: str):
     return pieces, np.concatenate(samples)
 
 
-def _piecewise_sum(pieces, x: np.ndarray) -> float:
-    """Sum of the piecewise interpolant, clipped to [0, 1], over ascending x."""
-    rights = np.array([right for _, right, _ in pieces[:-1]])
-    bounds = [0, *np.searchsorted(x, rights, side="right"), len(x)]
-    total = 0.0
-    for (left, right, coeffs), start, stop in zip(pieces, bounds, bounds[1:]):
-        for lo in range(start, stop, _EVAL_CHUNK):
-            chunk = x[lo : min(lo + _EVAL_CHUNK, stop)]
-            t = (2.0 * chunk - left - right) / (right - left)
-            total += float(np.clip(chebval(t, coeffs), 0.0, 1.0).sum())
-    return total
+def _interpolant(cfg: AnalyticConfig, case: str, detection: str):
+    """Pieces of the conditional sum's interpolant over every multiplier of
+    one point, and the number of sampled double sums that left [0, 1]."""
+    cosines, _ = _staircase(detection, cfg.staircase_m)
+    values, _, _ = _distinct_chi(cfg.params)
+    ends = np.outer(cosines, values[[0, -1]])
+    where = (
+        f"case={case}, detection={detection}, "
+        f"SNR={10.0 * math.log10(cfg.snr_linear):.10g} dB"
+    )
+    lo, hi = float(ends.min()), float(ends.max())
+    # f does not decrease in x, so f(hi) is its largest value on [lo, hi]
+    full = _double_sum_terms(cfg, case)
+    scale = float(_conditional_sums(full, np.array([hi]))[0])
+    terms = _prune(full, _PRUNE_FRACTION * _CHEB_TOL * scale)
+    pieces, samples = _piecewise_chebyshev(
+        lambda x: _conditional_sums(terms, x), lo, hi, _CHEB_TOL * scale, where
+    )
+    clamped = int(np.count_nonzero(samples > 1.0) + np.count_nonzero(samples < 0.0))
+    return pieces, clamped
 
 
 def _interf_ser_diag(
@@ -481,28 +680,15 @@ def _interf_ser_diag(
     left [0, 1].
 
     The double sum is evaluated only at the Chebyshev points of the
-    interpolant's pieces; the interpolant is applied to every multiplier.
+    interpolant's pieces; the interpolant is averaged over the chi rule
+    its narrowest piece calls for.
     """
-    cosines, shares = _staircase(detection, cfg.staircase_m)
-    chi = _sorted_chi(cfg.params)
-    ends = np.outer(cosines, chi[[0, -1]])
-    where = (
-        f"case={case}, detection={detection}, "
-        f"SNR={10.0 * math.log10(cfg.snr_linear):.10g} dB"
-    )
-    lo, hi = float(ends.min()), float(ends.max())
-    # f does not decrease in x, so f(hi) is its largest value on [lo, hi]
-    scale = float(_conditional_sums(_double_sum_terms(cfg, case), np.array([hi]))[0])
-    terms = _double_sum_terms(cfg, case, _PRUNE_FRACTION * _CHEB_TOL * scale)
-    pieces, samples = _piecewise_chebyshev(
-        lambda x: _conditional_sums(terms, x), lo, hi, _CHEB_TOL * scale, where
-    )
-    clamped = int(np.count_nonzero(samples > 1.0) + np.count_nonzero(samples < 0.0))
-    total = 0.0
-    for cosine, share in zip(cosines, shares):
-        x = cosine * chi
-        total += share * _piecewise_sum(pieces, x if cosine >= 0.0 else x[::-1])
-    return total / chi.size, clamped
+    pieces, clamped = _interpolant(cfg, case, detection)
+    values, _, top = _distinct_chi(cfg.params)
+    level = _rule_level(pieces, float(values[0]), float(values[-1]), top)
+    nodes, weights = _chi_rule(cfg.params, level)
+    mean = _rule_mean(pieces, nodes, weights, *_staircase(detection, cfg.staircase_m))
+    return mean, clamped
 
 
 def interf_ser(cfg: AnalyticConfig, case: str, detection: str) -> float:

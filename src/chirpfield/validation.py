@@ -338,6 +338,35 @@ def _check_pruned_double_sum(params: LoRaParams, fading: FadingConfig, _trials, 
     )
 
 
+def _check_compressed_rule(params: LoRaParams, fading: FadingConfig, _trials, _rng):
+    # the interpolant's mean over the chi rule its narrowest piece calls
+    # for, against its mean over every distinct value of the table weighted
+    # by its count, one staircase angle at a time
+    values, counts, top = analytic_ber._distinct_chi(params)
+    table = (values, counts / counts.sum())
+    worst = 0.0
+    for snr_db in (-35.0, -12.0, 10.0):
+        cfg = analytic_ber.AnalyticConfig.from_fading(params, fading, 10 ** (snr_db / 10.0))
+        for case in (analytic_ber.CASE_SHARED, analytic_ber.CASE_PAIRED):
+            for detection in ("noncoherent", "coherent"):
+                pieces, _ = analytic_ber._interpolant(cfg, case, detection)
+                level = analytic_ber._rule_level(pieces, values[0], values[-1], top)
+                cosines, shares = analytic_ber._staircase(detection, cfg.staircase_m)
+                rule = analytic_ber._rule_mean(
+                    pieces, *analytic_ber._chi_rule(params, level), cosines, shares
+                )
+                full = sum(
+                    share * analytic_ber._rule_mean(pieces, *table, [cosine], [1.0])
+                    for cosine, share in zip(cosines, shares)
+                )
+                worst = max(worst, float(abs(rule - full) / full))
+    return CheckResult(
+        "compressed chi rule vs full-table mean",
+        worst < 1e-12,
+        f"max relative deviation {worst:.1e} (3 SNRs x 2 cases x 2 detections)",
+    )
+
+
 def _check_block_kernel(params: LoRaParams, fading: FadingConfig, _trials, rng):
     # the production block kernel against the time-domain chain on the same
     # draws, every scenario, offsets over the whole symbol; the oracle draws
@@ -495,6 +524,7 @@ _CHECKS = (
     _check_determinism,
     _check_sim_vs_analytic,
     _check_pruned_double_sum,
+    _check_compressed_rule,
     _check_shared_detector_pass,
 )
 

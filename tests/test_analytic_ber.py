@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial.chebyshev import chebfit, chebval
 
 from chirpfield import analytic_ber as ab
+from chirpfield import validation
 from chirpfield.channel import FadingConfig, GammaFit
 from chirpfield.interference import chi_of_I_table
 from chirpfield.lora_phy import LoRaParams
@@ -352,6 +354,135 @@ def test_sorted_chi_keeps_only_the_sorted_table():
         tracemalloc.stop()
     assert not table.flags.writeable
     assert retained <= 1.05 * table.nbytes
+
+
+@pytest.mark.parametrize("fn", [np.exp, np.cos, lambda x: 1.0 / (1.0 + 25.0 * x * x)])
+def test_cosine_transform_matches_chebfit(fn):
+    # interpolation at first-kind Chebyshev points is the fixed transform;
+    # chebfit solves the same square system by least squares
+    nodes, transform = ab._chebyshev_transform()
+    rng = np.random.default_rng(7)
+    for values in (fn(3.0 * nodes), rng.standard_normal(nodes.size)):
+        expected = chebfit(nodes, values, ab._CHEB_DEGREE)
+        got = transform @ values
+        assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(values))
+
+
+def test_double_sum_terms_built_once_per_point(monkeypatch):
+    calls = []
+    original = ab._double_sum_terms
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(ab, "_double_sum_terms", counted)
+    ab.ber(config(-20.0), "case_a", "coherent")
+    assert len(calls) == 1
+
+
+def table_mean(pieces, params, detection, staircase_m=20) -> float:
+    """Mean of the clipped interpolant over every multiplier of the full
+    peak-bound table and of the staircase, one evaluation per multiplier."""
+    cosines, shares = ab._staircase(detection, staircase_m)
+    chi = chi_of_I_table(params).ravel()
+    total = 0.0
+    for cosine, share in zip(cosines, shares):
+        x = cosine * chi
+        for left, right, coeffs in pieces:
+            # each multiplier to the piece whose right end is the first >= x
+            inside = (x <= right) if left == pieces[0][0] else (x > left) & (x <= right)
+            t = (2.0 * x[inside] - left - right) / (right - left)
+            total += share * np.clip(chebval(t, coeffs), 0.0, 1.0).sum()
+    return total / chi.size
+
+
+def rule_mean(pieces, params, detection, level, staircase_m=20) -> float:
+    nodes, weights = ab._chi_rule(params, level)
+    return ab._rule_mean(pieces, nodes, weights, *ab._staircase(detection, staircase_m))
+
+
+class TestChiRule:
+    @pytest.mark.parametrize("sf, levels", [(7, (0, 2, 5, 8, 14)), (9, (0, 3, 6, 9)), (10, (1, 4, 7))])
+    def test_bin_rules_are_gauss_rules(self, sf, levels):
+        params = LoRaParams(sf)
+        values, counts, top = ab._distinct_chi(params)
+        lo, hi = float(values[0]), float(values[-1])
+        share = counts / counts.sum()
+        for level in levels:
+            nodes, weights = ab._chi_rule(params, level)
+            assert np.all(np.diff(nodes) >= 0.0)
+            assert np.all(weights > 0.0)
+            assert abs(math.fsum(weights) - 1.0) <= 1e-15
+            bins = ab._bin_positions(values) >> (ab._POSITION_BITS - level)
+            first = np.flatnonzero(np.r_[True, bins[1:] != bins[:-1]])
+            last = np.r_[first[1:], values.size]
+            # every node lies inside the hull of one bin's values
+            owner = np.searchsorted(values[last - 1], nodes, side="left")
+            assert np.all(nodes >= values[first[owner]])
+            width = (hi - lo) / 2**level
+            for b, (start, stop) in enumerate(zip(first, last)):
+                mine = owner == b
+                assert np.count_nonzero(mine) == min(stop - start, ab._RULE_NODES)
+                center = lo + width * (bins[start] + 0.5)
+                assert lo + width * bins[start] <= nodes[mine].min()
+                assert nodes[mine].max() <= lo + width * (bins[start] + 1)
+                # degree-15 exactness in the bin's own coordinate, up to the
+                # rounding of a node stored next to the bin's center
+                t_values = (values[start:stop] - center) / (0.5 * width)
+                t_nodes = (nodes[mine] - center) / (0.5 * width)
+                mass = share[start:stop].sum()
+                tol = 64.0 * np.finfo(float).eps * (1.0 + abs(center) / (0.5 * width))
+                for degree in range(2 * ab._RULE_NODES):
+                    table = np.sum(share[start:stop] * t_values**degree)
+                    rule = np.sum(weights[mine] * t_nodes**degree)
+                    assert abs(rule - table) <= tol * mass, (level, b, degree)
+
+    @pytest.mark.parametrize("sf", [7, 9])
+    def test_top_level_rule_is_the_distinct_table(self, sf):
+        params = LoRaParams(sf)
+        values, counts, top = ab._distinct_chi(params)
+        nodes, weights = ab._chi_rule(params, top)
+        assert np.array_equal(nodes, values)
+        assert np.array_equal(weights, counts / counts.sum())
+        # one level below, some bin still holds more than _RULE_NODES values
+        assert top == 0 or ab._chi_rule(params, top - 1)[0].size < values.size
+
+    @pytest.mark.parametrize("snr_db", [-36.0, -12.0, 0.0, 10.0, 30.0])
+    @pytest.mark.parametrize("sf", [7, 9])
+    def test_rule_mean_matches_table_mean(self, sf, snr_db):
+        cfg = ab.AnalyticConfig.from_fading(LoRaParams(sf), FADING_25, 10 ** (snr_db / 10.0))
+        values, _, top = ab._distinct_chi(cfg.params)
+        for case, detection in (("case_a", "coherent"), ("case_b", "noncoherent")):
+            pieces, _ = ab._interpolant(cfg, case, detection)
+            level = ab._rule_level(pieces, values[0], values[-1], top)
+            oracle = table_mean(pieces, cfg.params, detection)
+            got = rule_mean(pieces, cfg.params, detection, level)
+            assert got == pytest.approx(oracle, rel=1e-13, abs=0.0), (case, detection)
+            assert got == ab.interf_ser(cfg, case, detection)
+
+    def test_fixed_quarter_symbol_bins_are_not_enough(self):
+        # K/4 bins whatever the pieces: at +30 dB the interpolant has pieces
+        # far narrower than such a bin, and the mean drifts
+        cfg = config(30.0)
+        values, _, top = ab._distinct_chi(SF7)
+        pieces, _ = ab._interpolant(cfg, "case_b", "noncoherent")
+        oracle = table_mean(pieces, SF7, "noncoherent")
+        fixed = rule_mean(pieces, SF7, "noncoherent", int(math.log2(SF7.K // 4)))
+        assert abs(fixed - oracle) > 1e-13 * oracle
+        assert ab._rule_level(pieces, values[0], values[-1], top) > math.log2(SF7.K // 4)
+
+    def test_sf10_coherent_row(self):
+        cfg = ab.AnalyticConfig.from_fading(LoRaParams(10), FADING_25, 10 ** (-1.2))
+        pieces, _ = ab._interpolant(cfg, "case_b", "coherent")
+        oracle = table_mean(pieces, cfg.params, "coherent")
+        assert ab.interf_ser(cfg, "case_b", "coherent") == pytest.approx(oracle, rel=1e-13, abs=0.0)
+
+    def test_validation_check_has_teeth(self, monkeypatch):
+        assert validation._check_compressed_rule(SF7, FADING_25, 0, None).passed
+        monkeypatch.setattr(ab, "_rule_level", lambda pieces, lo, hi, top: 0)
+        result = validation._check_compressed_rule(SF7, FADING_25, 0, None)
+        assert not result.passed and "relative deviation" in result.detail
 
 
 class TestCombinedBer:

@@ -77,8 +77,10 @@ def test_production_runs_call_every_wrapped_name(monkeypatch, tmp_path):
         monkeypatch.setattr(module, attr, counted)
 
     # a fresh process builds the sorted chi table once, through the wrapped
-    # name; an earlier test in this one may have cached it already
+    # name; an earlier test in this one may have cached it, or the distinct
+    # table made from it, already
     ab._sorted_chi.cache_clear()
+    ab._distinct_chi.cache_clear()
     out = str(tmp_path / "rows.csv")
     common = ["--sf", "7", "--elements", "25", "--m", "2", "--snr-db", "-30",
               "--trials", "500", "--seed", "1", "--out", out]
