@@ -69,9 +69,10 @@ that is at SNRs below the calibrated range.
 from __future__ import annotations
 
 import math
+import threading
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 import numpy as np
 from numpy.polynomial.chebyshev import chebpts1, chebval, chebvander
@@ -378,7 +379,33 @@ def _interferer_fit(cfg: AnalyticConfig, case: str) -> tuple[GammaFit, bool]:
     raise ValueError(f"unknown case {case!r}")
 
 
-@lru_cache(maxsize=8)
+def _built_once(maxsize: int):
+    """`lru_cache(maxsize)` that builds each key once when threads ask for
+    it together: the first caller builds, and later callers of that key
+    wait for its result instead of building a copy of their own (at SF 12
+    the sorted table alone is 64 MB).  Callers of different keys build at
+    the same time.  Keeps `cache_clear`.
+    """
+
+    def decorate(build):
+        cached = lru_cache(maxsize)(build)
+        guard = threading.Lock()
+        key_locks: dict[tuple, threading.Lock] = {}
+
+        @wraps(build)
+        def get(*key):
+            with guard:
+                lock = key_locks.setdefault(key, threading.Lock())
+            with lock:
+                return cached(*key)
+
+        get.cache_clear = cached.cache_clear
+        return get
+
+    return decorate
+
+
+@_built_once(maxsize=8)
 def _sorted_chi(params: LoRaParams) -> np.ndarray:
     """Every peak bound of the (offset, difference) grid, ascending."""
     table = np.sort(chi_of_I_table(params), axis=None)
@@ -405,7 +432,7 @@ def _bin_positions(values: np.ndarray) -> np.ndarray:
     return np.minimum(positions, 2**_POSITION_BITS - 1, out=positions)
 
 
-@lru_cache(maxsize=8)
+@_built_once(maxsize=8)
 def _distinct_chi(params: LoRaParams) -> tuple[np.ndarray, np.ndarray, int]:
     """The distinct peak bounds, ascending, their counts in the table, and
     the lowest bin level at which every bin holds at most _RULE_NODES of them.
@@ -478,7 +505,7 @@ def _binned_rule(values, counts, bins, lo: float, width: float):
     )
 
 
-@lru_cache(maxsize=16)
+@_built_once(maxsize=16)
 def _chi_rule(params: LoRaParams, level: int) -> tuple[np.ndarray, np.ndarray]:
     """Compressed quadrature of the peak-bound table on 2**level bins.
 

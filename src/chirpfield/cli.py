@@ -23,6 +23,7 @@ import argparse
 import itertools
 import math
 import sys
+import threading
 import warnings
 from concurrent.futures import Executor
 from dataclasses import dataclass
@@ -122,7 +123,7 @@ _SETTINGS: dict[str, tuple[type, object, str]] = {
     "trials": (int, 100_000, "Monte Carlo trials per point"),
     "seed": (int, 1, "base seed of the run"),
     "out": (str, "chirpfield.csv", "output CSV path"),
-    "workers": (int, 1, "parallel workers for sweeps"),
+    "workers": (int, 1, "worker threads for sweeps and closed forms"),
     "v1": (int, 70, "quadrature order, target axis"),
     "v2": (int, 70, "quadrature order, interferer axis"),
     "staircase_m": (int, 20, "cosine staircase resolution for coherent detection"),
@@ -320,50 +321,68 @@ class _Row:
         return ",".join(_format(getattr(self, col)) for col in _CSV_COLUMNS)
 
 
-def _analytic_task(spec: ExperimentSpec, row: _Row):
-    """Evaluate the closed forms for one CSV row; runs in worker processes.
+def _analytic_task(spec: ExperimentSpec, row: _Row, caught: threading.local):
+    """Evaluate the closed forms for one CSV row; runs in a pool thread, or
+    in the calling thread of a serial run.
 
     Returns the failure message of a NumericError, or the row's values and
     the warnings raised on the way, each prefixed with the row it names.
+    The warnings are those `_fill_analytic` routes to this thread's
+    `caught.messages` while the task runs.
     """
     label = (f"{row.scenario}/{row.detection} sf={row.sf} n={row.n_elements} "
              f"m={row.m} snr={row.snr_db}")
+    caught.messages = []
     try:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            cfg = analytic_ber.AnalyticConfig.from_fading(
-                LoRaParams(row.sf),
-                FadingConfig.uniform(row.m, row.n_elements),
-                10.0 ** (row.snr_db / 10.0),
-                paper_literal_estimator=spec.paper_literal_estimator,
-                quadrature_order_v1=spec.quadrature_order_v1,
-                quadrature_order_v2=spec.quadrature_order_v2,
-                staircase_m=spec.staircase_m,
-            )
-            if row.scenario == "no_interference":
-                result = analytic_ber.ber_no_interference(cfg, row.detection)
-            else:
-                result = analytic_ber.ber(cfg, row.scenario, row.detection)
+        cfg = analytic_ber.AnalyticConfig.from_fading(
+            LoRaParams(row.sf),
+            FadingConfig.uniform(row.m, row.n_elements),
+            10.0 ** (row.snr_db / 10.0),
+            paper_literal_estimator=spec.paper_literal_estimator,
+            quadrature_order_v1=spec.quadrature_order_v1,
+            quadrature_order_v2=spec.quadrature_order_v2,
+            staircase_m=spec.staircase_m,
+        )
+        if row.scenario == "no_interference":
+            result = analytic_ber.ber_no_interference(cfg, row.detection)
+        else:
+            result = analytic_ber.ber(cfg, row.scenario, row.detection)
     except NumericError as exc:
         return f"{label}: {exc}"
-    notes = [f"{label}: {w.message}" for w in caught]
+    notes = [f"{label}: {message}" for message in caught.messages]
     return result.ber, result.p_noise, result.p_interf, notes
 
 
 def _fill_analytic(
     spec: ExperimentSpec, rows: list["_Row"], failures: list[str], pool: Executor | None
 ) -> None:
+    """Fill the closed-form columns of every row that has them.
+
+    The warning filters and `showwarning` are process-wide, so the tasks
+    cannot each install a capture of their own without undoing another
+    thread's.  One capture, installed here around every task, hands each
+    warning to the list of the thread that raised it, which is the list of
+    the task that thread is running.
+    """
     todo = [row for row in rows if row.scenario in _ANALYTIC_SCENARIOS]
-    results = (map if pool is None else pool.map)(
-        _analytic_task, itertools.repeat(spec), todo
-    )
-    for row, result in zip(todo, results):
-        if isinstance(result, str):
-            failures.append(result)
-        else:
-            row.ber_analytic, row.p_noise, row.p_interf, notes = result
-            for note in notes:
-                print(f"warning: {note}", file=sys.stderr)
+    caught = threading.local()
+
+    def route(message, *details):
+        caught.messages.append(message)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("always")
+        warnings.showwarning = route
+        results = (map if pool is None else pool.map)(
+            _analytic_task, itertools.repeat(spec), todo, itertools.repeat(caught)
+        )
+        for row, result in zip(todo, results):
+            if isinstance(result, str):
+                failures.append(result)
+            else:
+                row.ber_analytic, row.p_noise, row.p_interf, notes = result
+                for note in notes:
+                    print(f"warning: {note}", file=sys.stderr)
 
 
 def _simulate(
@@ -372,14 +391,18 @@ def _simulate(
     """Monte Carlo estimates keyed by (scenario, detection, sf, n, m, snr_db).
 
     One sweep per (scenario, sf, n, m) runs every detector the spec asks
-    of that scenario on the same blocks.
+    of that scenario on the same blocks.  The simulation runs "ris_free"
+    at N = 0 whatever N its rows name, so one sweep per (sf, m) fills its
+    rows of every N.
     """
     detections: dict[str, list[str]] = {}
     for scenario, detection in spec.branches:
         detections.setdefault(scenario, []).append(detection)
     estimates = {}
     for scenario, wanted in detections.items():
-        for sf, n, m in itertools.product(spec.sf_values, spec.n_values, spec.m_values):
+        surface_free = scenario == "ris_free"
+        sweep_n = (0,) if surface_free else spec.n_values
+        for sf, n, m in itertools.product(spec.sf_values, sweep_n, spec.m_values):
             cfg = montecarlo.SimConfig(
                 params=LoRaParams(sf),
                 fading=FadingConfig.uniform(m, n),
@@ -393,16 +416,18 @@ def _simulate(
             points = montecarlo.run_sweep(
                 cfg, spec.workers, detections=tuple(wanted), pool=pool
             )
-            for point in points:
-                estimates[scenario, point.detection, sf, n, m, point.snr_db] = point.estimate
+            for point, row_n in itertools.product(
+                points, spec.n_values if surface_free else (n,)
+            ):
+                estimates[scenario, point.detection, sf, row_n, m, point.snr_db] = point.estimate
     return estimates
 
 
 def run(spec: ExperimentSpec) -> int:
     """Execute a spec and write its CSV; returns the process exit code.
 
-    One pool of `spec.workers` processes serves every sweep and the closed
-    forms of the run.
+    One pool of `spec.workers` threads serves every sweep and the closed
+    forms of the run; at one worker everything runs in the calling thread.
     """
     if spec.mode == "validate":
         return _run_validation(spec)

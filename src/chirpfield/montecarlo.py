@@ -43,10 +43,15 @@ count on its own, so its estimate is the same whether it runs alone or
 beside the other, and the two estimates share every draw.
 
 Pool policy: parallel runs keep at most `workers` blocks in flight on one
-process pool, and submit no further block of a point once every detector
+thread pool, and submit no further block of a point once every detector
 has stopped.  The pool is the caller's when it passes one (the command
 line opens one per run, which the closed forms share), else one is started
 for the sweep, or for the point when `run_point` is called on its own.
+Threads suffice because a block spends its time in numpy calls that
+release the interpreter lock (the normal fills, the FFT, the gathers,
+`argmax` and the ufuncs), and they share one copy of the lookup tables
+where worker processes would each hold their own.  A block shares no
+mutable state with another: it owns its generator and its chunk buffer.
 """
 
 from __future__ import annotations
@@ -54,7 +59,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from collections.abc import Iterator
-from concurrent.futures import Executor, ProcessPoolExecutor
+from concurrent.futures import Executor, ThreadPoolExecutor
 from contextlib import closing, contextmanager, nullcontext
 from dataclasses import dataclass, replace
 
@@ -338,12 +343,13 @@ def _block_results(pool: Executor | None, tasks, depth: int):
 
 @contextmanager
 def worker_pool(workers: int):
-    """A pool of `workers` processes, or None for a serial run.  On exit,
-    tasks that have not started are cancelled and the pool is shut down."""
+    """A pool of `workers` threads, or None for a serial run in the calling
+    thread.  On exit, tasks that have not started are cancelled and the
+    pool is shut down."""
     if workers <= 1:
         yield None
         return
-    pool = ProcessPoolExecutor(max_workers=workers)
+    pool = ThreadPoolExecutor(max_workers=workers)
     try:
         yield pool
     finally:

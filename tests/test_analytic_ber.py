@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 import tracemalloc
 import warnings
 
@@ -477,6 +479,60 @@ class TestChiRule:
         pieces, _ = ab._interpolant(cfg, "case_b", "coherent")
         oracle = table_mean(pieces, cfg.params, "coherent")
         assert ab.interf_ser(cfg, "case_b", "coherent") == pytest.approx(oracle, rel=1e-13, abs=0.0)
+
+    def test_threads_build_each_rule_once(self, monkeypatch):
+        # Six threads, more than the two cores the suite is timed on, ask
+        # at once for one of two levels, with a short switch interval: the
+        # table under the rules is built once, each level once, the two
+        # levels side by side, and every thread gets the serial rule.
+        params, levels = LoRaParams(10), (4, 7)
+        built, tables = [], []
+        binned_rule, table = ab._binned_rule, ab.chi_of_I_table
+
+        def counted_rule(*args):
+            built.append(1)
+            return binned_rule(*args)
+
+        def counted_table(*args):
+            tables.append(1)
+            return table(*args)
+
+        def clear():
+            for cached in (ab._chi_rule, ab._distinct_chi, ab._sorted_chi):
+                cached.cache_clear()
+            built.clear()
+            tables.clear()
+
+        monkeypatch.setattr(ab, "_binned_rule", counted_rule)
+        monkeypatch.setattr(ab, "chi_of_I_table", counted_table)
+        clear()
+        serial = {level: ab._chi_rule(params, level) for level in levels}
+        serial_builds = len(built)
+        clear()
+
+        results = [None] * 6
+        start = threading.Barrier(len(results))
+
+        def ask(index):
+            start.wait(timeout=60)
+            results[index] = ab._chi_rule(params, levels[index % 2])
+
+        threads = [threading.Thread(target=ask, args=(i,)) for i in range(len(results))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(tables) == 1 and len(built) == serial_builds
+        for index, (nodes, weights) in enumerate(results):
+            want_nodes, want_weights = serial[levels[index % 2]]
+            assert nodes.tobytes() == want_nodes.tobytes()
+            assert weights.tobytes() == want_weights.tobytes()
 
     def test_validation_check_has_teeth(self, monkeypatch):
         assert validation._check_compressed_rule(SF7, FADING_25, 0, None).passed

@@ -1,9 +1,10 @@
+import dataclasses
 import json
-import multiprocessing
-import os
 import re
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
+import sys
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -355,6 +356,33 @@ class TestRuns:
         ]
         assert all(int(row["bits_sent"]) > 0 and float(row["ber_sim"]) > 0 for row in free)
 
+    def test_ris_free_runs_once_for_every_element_count(self, tmp_path, monkeypatch):
+        # the simulation runs ris_free at N = 0, so one sweep fills every N
+        sweeps = []
+        run_sweep = mc.run_sweep
+
+        def recording_run_sweep(cfg, *args, **kwargs):
+            sweeps.append(cfg.scenario)
+            return run_sweep(cfg, *args, **kwargs)
+
+        monkeypatch.setattr(mc, "run_sweep", recording_run_sweep)
+        out = tmp_path / "free.csv"
+        spec = dataclasses.replace(
+            spec_for(["simulate", "--scenario", "ris_free", "--snr-db=-10:0:10",
+                      "--trials", "3000", "--seed", "8", "--out", str(out)]),
+            n_values=(0, 25),
+        )
+        assert cli.run(spec) == 0
+        assert sweeps == ["ris_free"]
+        header, *lines = [line.split(",") for line in out.read_text().splitlines()]
+        rows = [dict(zip(header, line)) for line in lines]
+        sim = ("detection", "snr_db", "ber_sim", "ci_low", "ci_high", "bits_sent")
+        by_n = {n: [[row[k] for k in sim] for row in rows if row["n_elements"] == n]
+                for n in ("0", "25")}
+        assert len(rows) == 8 and len(by_n["0"]) == 4
+        assert by_n["0"] == by_n["25"]
+        assert all(int(row["bits_sent"]) > 0 for row in rows)
+
     def test_both_mode_fills_both_sides(self, tmp_path):
         out = tmp_path / "both.csv"
         code = cli.main(
@@ -445,6 +473,36 @@ class TestRuns:
             assert (f"warning: case_a/{detection} sf=7 n=25 m=2.0 snr=-400.0: "
                     "the noise closed form is outside its calibrated domain") in err
 
+    @pytest.mark.parametrize("grid, warned", [
+        ("-400:-399:1", (-400.0, -399.0)),
+        ("-400:-30:370", (-400.0,)),  # -30 dB lies in the calibrated domain
+    ])
+    def test_warnings_on_threads_name_their_own_rows(self, grid, warned, tmp_path, capsys):
+        # each warning's text names the detection and SNR that raised it,
+        # so a warning routed to another thread's row shows a mismatch; the
+        # short switch interval makes the two threads' tasks interleave
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            code = cli.main(["analytic", "--sf", "7", "--elements", "25", "--m", "2",
+                             "--scenario", "case_a", "--detection", "both",
+                             f"--snr-db={grid}", "--workers", "2",
+                             "--out", str(tmp_path / "low.csv")])
+        finally:
+            sys.setswitchinterval(interval)
+        assert code == 0
+        pattern = re.compile(r"warning: case_a/(\w+) sf=7 n=25 m=2\.0 snr=(\S+): "
+                             r".*detection=(\w+), SNR=(\S+) dB")
+        labels = []
+        for line in capsys.readouterr().err.splitlines():
+            if line.startswith("warning:"):
+                detection, snr, raised_by, raised_at = pattern.fullmatch(line).groups()
+                assert (detection, float(snr)) == (raised_by, float(raised_at)), line
+                labels.append((detection, float(snr)))
+        assert sorted(labels) == sorted(
+            (detection, snr) for detection in mc.DETECTIONS for snr in warned
+        )
+
     def test_numeric_failure_exit_code(self, tmp_path, monkeypatch):
         from chirpfield.specfun import NumericError
 
@@ -503,32 +561,46 @@ class TestBenchmarkReference:
             assert got[key] == pytest.approx(list(map(float, values)), rel=1e-9, abs=0.0), key
 
 
-class RecordingPool(ProcessPoolExecutor):
-    """Forked, whatever the interpreter's default start method, so that the
-    workers inherit patched functions; records each pool and shutdown."""
+class RecordingPool(ThreadPoolExecutor):
+    """Records each pool, its shutdowns and the (point, block) of every
+    submitted Monte Carlo block."""
 
     started: list = []
     shut_down: list = []
+    blocks: list = []
 
     def __init__(self, max_workers):
-        super().__init__(max_workers, mp_context=multiprocessing.get_context("fork"))
+        super().__init__(max_workers)
         self.started.append(self)
+
+    def submit(self, fn, /, *args, **kwargs):
+        if fn is mc._block_task:
+            self.blocks.append(args[0][2:4])
+        return super().submit(fn, *args, **kwargs)
 
     def shutdown(self, *args, **kwargs):
         self.shut_down.append(self)
         super().shutdown(*args, **kwargs)
 
 
-@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
-                    reason="the patched functions reach the workers only by fork")
+class BlockFailure(Exception):
+    pass
+
+
 class TestWorkerPool:
     @pytest.fixture(autouse=True)
     def recording_pool(self, monkeypatch):
-        monkeypatch.setattr(mc, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(mc, "ThreadPoolExecutor", RecordingPool)
         monkeypatch.setattr(RecordingPool, "started", [])
         monkeypatch.setattr(RecordingPool, "shut_down", [])
+        monkeypatch.setattr(RecordingPool, "blocks", [])
+
+    @staticmethod
+    def threads_started_since(before: set) -> list:
+        return [thread for thread in threading.enumerate() if thread not in before]
 
     def test_one_pool_serves_the_sweeps_and_the_closed_forms(self, tmp_path):
+        before = set(threading.enumerate())
         out = tmp_path / "both.csv"
         code = cli.main(["both", "--scenario", "case_a", "--snr-db=-30:-29:1",
                          "--trials", "2000", "--workers", "2", "--out", str(out)])
@@ -538,18 +610,25 @@ class TestWorkerPool:
         assert all(row.split(",")[6] and row.split(",")[9] for row in rows)
         assert len(RecordingPool.started) == 1
         assert RecordingPool.shut_down == RecordingPool.started
-        assert not multiprocessing.active_children()
+        assert not self.threads_started_since(before)
 
-    def test_dead_worker_fails_the_run(self, tmp_path, monkeypatch):
-        # patched before the pool forks, so every worker dies in its first block
-        monkeypatch.setattr(mc, "_run_block", lambda *args: os._exit(1))
-        with pytest.raises(BrokenProcessPool):
+    def test_failed_block_fails_the_run(self, tmp_path, monkeypatch):
+        def fail(*args):
+            raise BlockFailure("synthetic block failure")
+
+        monkeypatch.setattr(mc, "_run_block", fail)
+        before = set(threading.enumerate())
+        start = time.perf_counter()
+        with pytest.raises(BlockFailure):
             cli.main(["simulate", "--scenario", "case_a", "--snr-db=-30:-29:1",
                       "--trials", "8192", "--workers", "2",
-                      "--out", str(tmp_path / "dead.csv")])
+                      "--out", str(tmp_path / "failed.csv")])
+        assert time.perf_counter() - start < 30
         assert len(RecordingPool.started) == 1
         assert RecordingPool.shut_down == RecordingPool.started
-        assert not multiprocessing.active_children()
+        assert not self.threads_started_since(before)
+        # the two blocks in flight of the first point, and nothing after them
+        assert RecordingPool.blocks == [(0, 0), (0, 1)]
 
 
 class TestValidateMode:

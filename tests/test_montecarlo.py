@@ -1,13 +1,11 @@
 import ast
 import copy
 import dataclasses
-import multiprocessing
-import os
 import signal
+import threading
 import time
 import tracemalloc
-from concurrent.futures import Executor, Future, ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import Executor, Future, ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -257,42 +255,45 @@ class TestWorkerPool:
             assert pool.submitted == submitted
         assert estimate.trials == cfg.trials_per_point
 
-    @pytest.mark.skipif(
-        "fork" not in multiprocessing.get_all_start_methods(),
-        reason="the patched _run_block reaches the workers only by fork",
-    )
-    def test_dead_worker_fails_the_sweep(self, monkeypatch):
-        shut_down = []
+    def test_failed_block_fails_the_sweep(self, monkeypatch):
+        shut_down, blocks = [], []
 
-        class RecordingPool(ProcessPoolExecutor):
-            # forked, whatever the interpreter's default start method, so the
-            # workers inherit the patched _run_block
-            def __init__(self, max_workers):
-                super().__init__(max_workers, mp_context=multiprocessing.get_context("fork"))
+        class BlockFailure(Exception):
+            pass
+
+        class RecordingPool(ThreadPoolExecutor):
+            def submit(self, fn, /, *args, **kwargs):
+                blocks.append(args[0][2:4])  # (point index, block index)
+                return super().submit(fn, *args, **kwargs)
 
             def shutdown(self, *args, **kwargs):
                 shut_down.append(self)
                 super().shutdown(*args, **kwargs)
 
-        def on_alarm(signum, frame):
-            raise TimeoutError("run_sweep hung after a worker died")
+        def fail(*args):
+            raise BlockFailure("synthetic block failure")
 
-        monkeypatch.setattr(mc, "ProcessPoolExecutor", RecordingPool)
-        # patched before the pool forks, so every worker dies in its first block
-        monkeypatch.setattr(mc, "_run_block", lambda *args: os._exit(1))
+        def on_alarm(signum, frame):
+            raise TimeoutError("run_sweep hung after a block failed")
+
+        monkeypatch.setattr(mc, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(mc, "_run_block", fail)
         cfg = sim_config(snr_db_grid=(-30.0, -25.0), trials_per_point=20_000)
+        before = set(threading.enumerate())
         previous = signal.signal(signal.SIGALRM, on_alarm)
         signal.alarm(120)
         start = time.perf_counter()
         try:
-            with pytest.raises(BrokenProcessPool):
+            with pytest.raises(BlockFailure):
                 mc.run_sweep(cfg, workers=2)
         finally:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
         assert time.perf_counter() - start < 30
         assert len(shut_down) == 1
-        assert not multiprocessing.active_children()
+        assert [thread for thread in threading.enumerate() if thread not in before] == []
+        # the two blocks in flight of the first point, and nothing after them
+        assert blocks == [(0, 0), (0, 1)]
 
 
 class TestSharedDetectorPass:
