@@ -41,10 +41,10 @@ measure (Stieltjes recurrence, then Golub and Welsch, Math. Comp. 23,
 1969), exact for polynomials of degree 2 * _RULE_NODES - 1 on the bin,
 with positive weights and nodes inside it.  The bin count is the smallest
 power of two whose bins are at most _RULE_BIN_SHARE of the interpolant's
-narrowest piece wide, so each bin sees a near-polynomial; it stops where
-every bin is raw, which makes the rule the distinct table itself.  A
-staircase cosine only scales the nodes, so one rule serves every angle,
-and the mean is one pass per piece over the merged nodes of all angles.
+narrowest piece wide, so each bin sees a near-polynomial; once every bin
+is raw, the rule is the distinct table itself.  A staircase cosine only
+scales the nodes, so one rule serves every angle, and the mean is one
+pass per piece over the merged nodes of all angles.
 
 The double sum's terms are built once per point, sorted by weight, and
 the lightest of them, up to a total weight of _PRUNE_FRACTION *
@@ -131,9 +131,11 @@ _RULE_GROUP = 1 << 15
 # detections, -60..-16 dB: 1.05-1.29 up to a share of 1e-3 (the fit's own
 # overshoot), 0.94-1.12 up to 0.03, 0.91 at 0.033, 0.79-0.83 at 0.056,
 # 0.86-0.89 at 0.07-0.08, 0.78-0.79 at 0.15 and 0.63 or less from 0.3 on.
-# 0.05 is where the underestimate passes 10%.  (A bare link, N = 0, is
-# already below 0.84 at a share of 0.002: that is the fit's own error at
-# small positive arguments, which this share does not measure.)
+# 0.05 is where the underestimate passes 10%.  (A bare link, N = 0, m = 2,
+# falls much further below a seeded simulation without a warning, to 0.30
+# at 0 dB and a share of 7e-4 at SF 7.  There the closed form is still 0.89
+# of the exact-tail integral over the same fit: the error is the Gamma fit
+# of the target's Nakagami gain law, which this share does not measure.)
 UNCALIBRATED_MASS_LIMIT = 0.05
 
 CASE_SHARED = "case_a"
@@ -237,7 +239,9 @@ def _gamma_tail_closed(fit: GammaFit, slope: float, offset: float) -> float:
     Each exponential tail term turns the expectation into
     int t^(shape-1) exp(-curv*t^2 - lin*t) dt, which is a parabolic
     cylinder function; evaluated in log space so the huge-exponent /
-    tiny-cylinder-value products stay finite.
+    tiny-cylinder-value products stay finite.  Each term is
+    weight * E[exp(-a*(slope*T - offset)^2)], at most its weight, so the
+    sum lies in [0, 1/3].
     """
     total = 0.0
     for weight, a in _TAIL_TERMS:
@@ -253,11 +257,8 @@ def _gamma_tail_closed(fit: GammaFit, slope: float, offset: float) -> float:
             - a * offset * offset
             + log_pcf_d(fit.shape, lin / root, scaled=True)
         )
-        if log_term < 700.0:  # exp underflow to 0 is fine; overflow is not
-            total += weight * math.exp(log_term)
-        else:  # pragma: no cover - probabilities never reach here
-            total += weight
-    return min(max(total, 0.0), 1.0)
+        total += weight * math.exp(log_term)
+    return total
 
 
 def uncalibrated_mass(fit: GammaFit, slope: float, offset: float) -> float:
@@ -383,7 +384,7 @@ def _built_once(maxsize: int):
     """`lru_cache(maxsize)` that builds each key once when threads ask for
     it together: the first caller builds, and later callers of that key
     wait for its result instead of building a copy of their own (at SF 12
-    the sorted table alone is 64 MB).  Callers of different keys build at
+    the distinct table alone is 92 MB).  Callers of different keys build at
     the same time.  Keeps `cache_clear`.
     """
 
@@ -403,14 +404,6 @@ def _built_once(maxsize: int):
         return get
 
     return decorate
-
-
-@_built_once(maxsize=8)
-def _sorted_chi(params: LoRaParams) -> np.ndarray:
-    """Every peak bound of the (offset, difference) grid, ascending."""
-    table = np.sort(chi_of_I_table(params), axis=None)
-    table.flags.writeable = False
-    return table
 
 
 def _run_starts(ascending: np.ndarray) -> np.ndarray:
@@ -433,29 +426,16 @@ def _bin_positions(values: np.ndarray) -> np.ndarray:
 
 
 @_built_once(maxsize=8)
-def _distinct_chi(params: LoRaParams) -> tuple[np.ndarray, np.ndarray, int]:
-    """The distinct peak bounds, ascending, their counts in the table, and
-    the lowest bin level at which every bin holds at most _RULE_NODES of them.
-
-    That is the lowest level at which each value and the _RULE_NODES-th
-    after it fall in different bins.  At level L two positions share a bin
-    iff they agree in their top L bits, so the pair whose positions agree
-    the longest (the smallest XOR) sets the level.
-    """
-    table = _sorted_chi(params)
+def _distinct_chi(params: LoRaParams) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct peak bounds of the (offset, difference) grid, ascending,
+    and their counts in the table.  The sorted table is a temporary."""
+    table = np.sort(chi_of_I_table(params), axis=None)
     starts = _run_starts(table)
     values = table[starts]
     counts = np.diff(starts, append=table.size)
-    del starts
-    positions = _bin_positions(values)
-    differing = positions[_RULE_NODES:] ^ positions[:-_RULE_NODES]
-    top = (
-        min(_POSITION_BITS + 1 - int(differing.min()).bit_length(), _POSITION_BITS)
-        if differing.size
-        else 0
-    )
+    del table, starts
     values.flags.writeable = counts.flags.writeable = False
-    return values, counts, top
+    return values, counts
 
 
 def _bin_gauss_rules(t: np.ndarray, mass: np.ndarray, starts: np.ndarray):
@@ -516,7 +496,7 @@ def _chi_rule(params: LoRaParams, level: int) -> tuple[np.ndarray, np.ndarray]:
     bins are taken in groups of about _RULE_GROUP values, which keeps the
     recurrence's arrays in cache.
     """
-    values, counts, _ = _distinct_chi(params)
+    values, counts = _distinct_chi(params)
     bins = _bin_positions(values)
     bins >>= _POSITION_BITS - level
     starts = _run_starts(bins)
@@ -534,16 +514,19 @@ def _chi_rule(params: LoRaParams, level: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def _rule_level(pieces, chi_lo: float, chi_hi: float, top: int) -> int:
+def _rule_level(pieces, chi_lo: float, chi_hi: float) -> int:
     """Bin level of the chi rule for an interpolant: the smallest whose bins
-    are at most _RULE_BIN_SHARE of its narrowest piece wide, up to top.
+    are at most _RULE_BIN_SHARE of its narrowest piece wide.
 
     A staircase cosine scales a bin by at most 1, so the bound holds for
-    every angle.
+    every angle.  Bisection stops at depth _CHEB_MAX_DEPTH, so every piece
+    is at least 2**-24 of the interpolant's range wide, and that range
+    covers [chi_lo, chi_hi]; with _RULE_BIN_SHARE = 1/4 the level is at
+    most 26, well inside the _POSITION_BITS of the bin positions.
     """
     narrowest = min(right - left for left, right, _ in pieces)
     level = math.ceil(math.log2((chi_hi - chi_lo) / (_RULE_BIN_SHARE * narrowest)))
-    return min(max(level, 0), top)
+    return max(level, 0)
 
 
 def _rule_mean(pieces, nodes, weights, cosines, shares) -> float:
@@ -579,18 +562,13 @@ def _staircase(detection: str, staircase_m: int) -> tuple[np.ndarray, np.ndarray
     raise ValueError(f"unknown detection {detection!r}")
 
 
-def _double_sum_terms(
-    cfg: AnalyticConfig, case: str, drop_mass: float = 0.0
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _double_sum_terms(cfg: AnalyticConfig, case: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The product grid of the two fitted gains as one flat list of terms.
 
     At multiplier x the double sum is
     sum_t weight[t] * Q(target[t] - interf[t]*x), with target and
     interferer amplitudes already scaled by sqrt(snr*K).  Returns
-    (target, interf, weight), lightest weight first, without the longest
-    prefix of lightest terms whose total weight is at most drop_mass:
-    every weight is >= 0 and Q lies in [0, 1], so the pruned sum falls
-    short of the full one by at most drop_mass.
+    (target, interf, weight), lightest weight first.
     """
     scale = math.sqrt(cfg.snr_linear * cfg.params.K)
     target_amp, target_logw = _log_grid(
@@ -603,12 +581,14 @@ def _double_sum_terms(
     weight = np.exp(target_logw[:, None] + interf_logw[None, :]).ravel()
     order = np.argsort(weight, kind="stable")
     row, col = np.divmod(order, interf_amp.size)
-    return _prune((scale * target_amp[row], scale * interf_amp[col], weight[order]), drop_mass)
+    return scale * target_amp[row], scale * interf_amp[col], weight[order]
 
 
 def _prune(terms, drop_mass: float):
     """The terms of _double_sum_terms without the longest prefix of lightest
-    terms whose total weight is at most drop_mass."""
+    terms whose total weight is at most drop_mass: every weight is >= 0 and
+    Q lies in [0, 1], so the pruned sum falls short of the full one by at
+    most drop_mass."""
     first = int(np.searchsorted(np.cumsum(terms[2]), drop_mass, side="right"))
     return tuple(column[first:] for column in terms)
 
@@ -681,7 +661,7 @@ def _interpolant(cfg: AnalyticConfig, case: str, detection: str):
     """Pieces of the conditional sum's interpolant over every multiplier of
     one point, and the number of sampled double sums that left [0, 1]."""
     cosines, _ = _staircase(detection, cfg.staircase_m)
-    values, _, _ = _distinct_chi(cfg.params)
+    values, _ = _distinct_chi(cfg.params)
     ends = np.outer(cosines, values[[0, -1]])
     where = (
         f"case={case}, detection={detection}, "
@@ -711,8 +691,8 @@ def _interf_ser_diag(
     its narrowest piece calls for.
     """
     pieces, clamped = _interpolant(cfg, case, detection)
-    values, _, top = _distinct_chi(cfg.params)
-    level = _rule_level(pieces, float(values[0]), float(values[-1]), top)
+    values, _ = _distinct_chi(cfg.params)
+    level = _rule_level(pieces, float(values[0]), float(values[-1]))
     nodes, weights = _chi_rule(cfg.params, level)
     mean = _rule_mean(pieces, nodes, weights, *_staircase(detection, cfg.staircase_m))
     return mean, clamped

@@ -314,7 +314,7 @@ def _check_pruned_double_sum(params: LoRaParams, fading: FadingConfig, _trials, 
     # on multipliers spanning the range, the deviation may exceed that only
     # by the two sums' rounding, sqrt(terms) * eps times the sum
     bound = analytic_ber._PRUNE_FRACTION * analytic_ber._CHEB_TOL
-    chi_max = float(analytic_ber._sorted_chi(params)[-1])
+    chi_max = float(analytic_ber._distinct_chi(params)[0][-1])
     x = np.linspace(-chi_max, chi_max, 64)
     worst, ok = 0.0, True
     for snr_db in (-35.0, -25.0, -12.0):
@@ -324,7 +324,7 @@ def _check_pruned_double_sum(params: LoRaParams, fading: FadingConfig, _trials, 
             full = analytic_ber._conditional_sums(terms, x)
             scale = max(float(full.max()), np.finfo(float).tiny)
             pruned = analytic_ber._conditional_sums(
-                analytic_ber._double_sum_terms(cfg, case, bound * scale), x
+                analytic_ber._prune(terms, bound * scale), x
             )
             deviation = np.abs(full - pruned)
             rounding = math.sqrt(terms[2].size) * np.finfo(float).eps * full
@@ -342,7 +342,7 @@ def _check_compressed_rule(params: LoRaParams, fading: FadingConfig, _trials, _r
     # the interpolant's mean over the chi rule its narrowest piece calls
     # for, against its mean over every distinct value of the table weighted
     # by its count, one staircase angle at a time
-    values, counts, top = analytic_ber._distinct_chi(params)
+    values, counts = analytic_ber._distinct_chi(params)
     table = (values, counts / counts.sum())
     worst = 0.0
     for snr_db in (-35.0, -12.0, 10.0):
@@ -350,7 +350,7 @@ def _check_compressed_rule(params: LoRaParams, fading: FadingConfig, _trials, _r
         for case in (analytic_ber.CASE_SHARED, analytic_ber.CASE_PAIRED):
             for detection in ("noncoherent", "coherent"):
                 pieces, _ = analytic_ber._interpolant(cfg, case, detection)
-                level = analytic_ber._rule_level(pieces, values[0], values[-1], top)
+                level = analytic_ber._rule_level(pieces, values[0], values[-1])
                 cosines, shares = analytic_ber._staircase(detection, cfg.staircase_m)
                 rule = analytic_ber._rule_mean(
                     pieces, *analytic_ber._chi_rule(params, level), cosines, shares

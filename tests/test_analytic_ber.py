@@ -140,6 +140,25 @@ class TestCalibratedDomain:
             warnings.simplefilter("error")
             assert ab._noise_ser(high, detection) <= ab._noise_ser(low, detection)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        sf=st.integers(2, 12),
+        elements=st.integers(0, 256),
+        m=st.floats(0.3, 50.0),
+        detection=st.sampled_from(DETECTIONS),
+        snr_db=st.floats(-90.0, 60.0),
+    )
+    def test_noise_ser_within_tail_fit_weights(self, sf, elements, m, detection, snr_db):
+        # each tail term is its weight times an expectation of exp(-x^2),
+        # so the closed form needs no clamp to stay in [0, 1/12 + 1/4]
+        cfg = ab.AnalyticConfig.from_fading(
+            LoRaParams(sf), FadingConfig.uniform(m, elements), 10 ** (snr_db / 10.0)
+        )
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "the coherent noise approximation")
+            warnings.filterwarnings("ignore", "the noise closed form is outside")
+            assert 0.0 <= ab._noise_ser(cfg, detection) <= 1.0 / 3.0
+
 
 class TestInterferenceBranch:
     def test_conditional_matches_adaptive_integration(self):
@@ -300,10 +319,10 @@ class TestInterpolatedSum:
         # also differ by rounding, which grows like sqrt(terms) * eps * f
         cfg = config(snr_db, FadingConfig.uniform(m, elements))
         terms = ab._double_sum_terms(cfg, case)
-        x = float(ab._sorted_chi(SF7)[-1]) * np.array(fractions)
+        x = float(ab._distinct_chi(SF7)[0][-1]) * np.array(fractions)
         full = ab._conditional_sums(terms, x)
         drop = ab._PRUNE_FRACTION * ab._CHEB_TOL * float(full.max())
-        pruned = ab._conditional_sums(ab._double_sum_terms(cfg, case, drop), x)
+        pruned = ab._conditional_sums(ab._prune(terms, drop), x)
         roundoff = math.sqrt(terms[2].size) * np.finfo(float).eps * full
         assert np.all(np.abs(full - pruned) <= drop + roundoff)
 
@@ -320,7 +339,7 @@ class TestInterpolatedSum:
         # which is f's largest value only because f never decreases
         cfg = config(snr_db, FadingConfig.uniform(m, elements))
         terms = ab._double_sum_terms(cfg, case)
-        x = float(ab._sorted_chi(SF7)[-1]) * np.sort(fractions)
+        x = float(ab._distinct_chi(SF7)[0][-1]) * np.sort(fractions)
         f = ab._conditional_sums(terms, x)
         roundoff = math.sqrt(terms[2].size) * np.finfo(float).eps * f[1:]
         assert np.all(np.diff(f) >= -roundoff)
@@ -345,17 +364,17 @@ class TestInterpolatedSum:
         assert len(kept) == 1 and kept.pop() < min(top_terms, 70 * 70)
 
 
-def test_sorted_chi_keeps_only_the_sorted_table():
-    # the unsorted table is a temporary: nothing reads it again
-    ab._sorted_chi.cache_clear()
+def test_distinct_chi_keeps_only_values_and_counts():
+    # the table and its sorted copy are temporaries: nothing reads them again
+    ab._distinct_chi.cache_clear()
     tracemalloc.start()
     try:
-        table = ab._sorted_chi(LoRaParams(10))
+        values, counts = ab._distinct_chi(LoRaParams(10))
         retained, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert not table.flags.writeable
-    assert retained <= 1.05 * table.nbytes
+    assert not values.flags.writeable and not counts.flags.writeable
+    assert retained <= 1.05 * (values.nbytes + counts.nbytes)
 
 
 @pytest.mark.parametrize("fn", [np.exp, np.cos, lambda x: 1.0 / (1.0 + 25.0 * x * x)])
@@ -408,7 +427,7 @@ class TestChiRule:
     @pytest.mark.parametrize("sf, levels", [(7, (0, 2, 5, 8, 14)), (9, (0, 3, 6, 9)), (10, (1, 4, 7))])
     def test_bin_rules_are_gauss_rules(self, sf, levels):
         params = LoRaParams(sf)
-        values, counts, top = ab._distinct_chi(params)
+        values, counts = ab._distinct_chi(params)
         lo, hi = float(values[0]), float(values[-1])
         share = counts / counts.sum()
         for level in levels:
@@ -442,22 +461,21 @@ class TestChiRule:
 
     @pytest.mark.parametrize("sf", [7, 9])
     def test_top_level_rule_is_the_distinct_table(self, sf):
+        # every bin of the finest level holds at most _RULE_NODES values
         params = LoRaParams(sf)
-        values, counts, top = ab._distinct_chi(params)
-        nodes, weights = ab._chi_rule(params, top)
-        assert np.array_equal(nodes, values)
-        assert np.array_equal(weights, counts / counts.sum())
-        # one level below, some bin still holds more than _RULE_NODES values
-        assert top == 0 or ab._chi_rule(params, top - 1)[0].size < values.size
+        values, counts = ab._distinct_chi(params)
+        nodes, weights = ab._chi_rule(params, ab._POSITION_BITS)
+        assert nodes.tobytes() == values.tobytes()
+        assert weights.tobytes() == (counts / counts.sum()).tobytes()
 
     @pytest.mark.parametrize("snr_db", [-36.0, -12.0, 0.0, 10.0, 30.0])
     @pytest.mark.parametrize("sf", [7, 9])
     def test_rule_mean_matches_table_mean(self, sf, snr_db):
         cfg = ab.AnalyticConfig.from_fading(LoRaParams(sf), FADING_25, 10 ** (snr_db / 10.0))
-        values, _, top = ab._distinct_chi(cfg.params)
+        values, _ = ab._distinct_chi(cfg.params)
         for case, detection in (("case_a", "coherent"), ("case_b", "noncoherent")):
             pieces, _ = ab._interpolant(cfg, case, detection)
-            level = ab._rule_level(pieces, values[0], values[-1], top)
+            level = ab._rule_level(pieces, values[0], values[-1])
             oracle = table_mean(pieces, cfg.params, detection)
             got = rule_mean(pieces, cfg.params, detection, level)
             assert got == pytest.approx(oracle, rel=1e-13, abs=0.0), (case, detection)
@@ -467,18 +485,24 @@ class TestChiRule:
         # K/4 bins whatever the pieces: at +30 dB the interpolant has pieces
         # far narrower than such a bin, and the mean drifts
         cfg = config(30.0)
-        values, _, top = ab._distinct_chi(SF7)
+        values, _ = ab._distinct_chi(SF7)
         pieces, _ = ab._interpolant(cfg, "case_b", "noncoherent")
         oracle = table_mean(pieces, SF7, "noncoherent")
         fixed = rule_mean(pieces, SF7, "noncoherent", int(math.log2(SF7.K // 4)))
         assert abs(fixed - oracle) > 1e-13 * oracle
-        assert ab._rule_level(pieces, values[0], values[-1], top) > math.log2(SF7.K // 4)
+        assert ab._rule_level(pieces, values[0], values[-1]) > math.log2(SF7.K // 4)
 
     def test_sf10_coherent_row(self):
         cfg = ab.AnalyticConfig.from_fading(LoRaParams(10), FADING_25, 10 ** (-1.2))
         pieces, _ = ab._interpolant(cfg, "case_b", "coherent")
         oracle = table_mean(pieces, cfg.params, "coherent")
         assert ab.interf_ser(cfg, "case_b", "coherent") == pytest.approx(oracle, rel=1e-13, abs=0.0)
+
+    def test_sf12_noncoherent_row(self):
+        cfg = ab.AnalyticConfig.from_fading(LoRaParams(12), FADING_25, 10 ** (-2.4))
+        pieces, _ = ab._interpolant(cfg, "case_a", "noncoherent")
+        oracle = table_mean(pieces, cfg.params, "noncoherent")
+        assert ab.interf_ser(cfg, "case_a", "noncoherent") == pytest.approx(oracle, rel=1e-13, abs=0.0)
 
     def test_threads_build_each_rule_once(self, monkeypatch):
         # Six threads, more than the two cores the suite is timed on, ask
@@ -498,7 +522,7 @@ class TestChiRule:
             return table(*args)
 
         def clear():
-            for cached in (ab._chi_rule, ab._distinct_chi, ab._sorted_chi):
+            for cached in (ab._chi_rule, ab._distinct_chi):
                 cached.cache_clear()
             built.clear()
             tables.clear()
@@ -536,7 +560,7 @@ class TestChiRule:
 
     def test_validation_check_has_teeth(self, monkeypatch):
         assert validation._check_compressed_rule(SF7, FADING_25, 0, None).passed
-        monkeypatch.setattr(ab, "_rule_level", lambda pieces, lo, hi, top: 0)
+        monkeypatch.setattr(ab, "_rule_level", lambda pieces, lo, hi: 0)
         result = validation._check_compressed_rule(SF7, FADING_25, 0, None)
         assert not result.passed and "relative deviation" in result.detail
 
