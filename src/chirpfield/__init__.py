@@ -1,20 +1,4 @@
 """Link-level simulator and closed-form BER calculator for surface-assisted
 chirp-spread-spectrum links under same-spreading-factor interference."""
 
-from .channel import FadingConfig, GammaFit
-from .lora_phy import LoRaParams
-from .montecarlo import BerEstimate, BerPoint, SimConfig
-from .analytic_ber import AnalyticConfig, BerBreakdown
-
-__all__ = [
-    "AnalyticConfig",
-    "BerBreakdown",
-    "BerEstimate",
-    "BerPoint",
-    "FadingConfig",
-    "GammaFit",
-    "LoRaParams",
-    "SimConfig",
-]
-
 __version__ = "0.1.0"

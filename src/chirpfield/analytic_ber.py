@@ -11,6 +11,13 @@ bound, then scaled by (K/2)/(K-1) to convert symbol errors to bit errors:
   gain distributions, with an additional cosine staircase for coherent
   detection, averaged over the interferer symbol difference and offset.
 
+Both branches take moment-matched Gamma fits of the combined target
+amplitude and the combined interferer gain.  The default estimator matches
+mean and variance; `paper_literal_estimator` switches the denominator from
+(mu2 - mu1^2) to (mu2 - mu1) for side-by-side comparison with a published
+variant of the fit.  A moment whose Gamma functions overflow (from m = 99.1
+on) raises NumericError.
+
 The Gauss-Hermite grids are centered and scaled to each fit's log-domain
 peak (same rule order, numerically equivalent change of variables); plain
 uncentered grids lose 1-3% accuracy once the target fit's shape parameter
@@ -78,17 +85,12 @@ import numpy as np
 from numpy.polynomial.chebyshev import chebpts1, chebval, chebvander
 from scipy.special import gammainc
 
-from .channel import (
-    FadingConfig,
-    GammaFit,
-    fit_gamma_interferer_caseA,
-    fit_gamma_interferer_caseB,
-    fit_gamma_target,
-)
+from .channel import FadingConfig
 from .interference import chi_of_I_table
 from .lora_phy import LoRaParams
 from .specfun import (
     NumericError,
+    gamma_fn,
     gauss_hermite,
     harmonic_approx,
     log_pcf_d,
@@ -140,6 +142,137 @@ UNCALIBRATED_MASS_LIMIT = 0.05
 
 CASE_SHARED = "case_a"
 CASE_PAIRED = "case_b"
+
+
+# ---------------------------------------------------------------------------
+# Moment formulas and Gamma fits
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class GammaFit:
+    """Shape/rate pair of a moment-matched Gamma distribution."""
+
+    shape: float
+    rate: float
+
+    def __post_init__(self):
+        if not (0 < self.shape < math.inf and 0 < self.rate < math.inf):
+            raise ValueError("Gamma fit parameters must be positive and finite")
+
+    @property
+    def mean(self) -> float:
+        return self.shape / self.rate
+
+    @property
+    def variance(self) -> float:
+        return self.shape / (self.rate * self.rate)
+
+
+def _finite(moment: float, what: str) -> float:
+    if not math.isfinite(moment):
+        raise NumericError(f"{what} is not finite (Gamma function overflow)")
+    return moment
+
+
+def nakagami_moment(shape: float, order: float) -> float:
+    """order-th raw moment of a Nakagami(shape, 1) magnitude."""
+    if shape <= 0:
+        raise ValueError("shape must be positive")
+    with np.errstate(over="ignore", invalid="ignore"):
+        moment = float(gamma_fn(shape + order / 2.0) / gamma_fn(shape) * shape ** (-order / 2.0))
+    return _finite(moment, f"the order-{order} Nakagami moment at m = {shape}")
+
+
+def cascade_moment(m_h: float, m_g: float, order: float) -> float:
+    """order-th raw moment of the product of two independent Nakagami magnitudes."""
+    delta = math.sqrt(m_h * m_g)
+    with np.errstate(over="ignore", invalid="ignore"):
+        moment = float(
+            delta ** (-order)
+            * gamma_fn(m_h + order / 2.0)
+            * gamma_fn(m_g + order / 2.0)
+            / (gamma_fn(m_h) * gamma_fn(m_g))
+        )
+    return _finite(moment, f"the order-{order} cascade moment at m = {m_h}, {m_g}")
+
+
+def combined_amplitude_moments(
+    m_direct: float, m_h: float, m_g: float, n_elements: int
+) -> tuple[float, float]:
+    """First two raw moments of |sum of co-phased reflections| + |direct|.
+
+    The reflected sum is N i.i.d. per-element magnitude products; the
+    cross-term count in the second moment is N*(N-1).
+    """
+    z1 = cascade_moment(m_h, m_g, 1)
+    z2 = cascade_moment(m_h, m_g, 2)
+    j1 = n_elements * z1
+    j2 = n_elements * z2 + n_elements * (n_elements - 1) * z1 * z1
+    d1 = nakagami_moment(m_direct, 1)
+    d2 = nakagami_moment(m_direct, 2)
+    return d1 + j1, d2 + j2 + 2.0 * d1 * j1
+
+
+def incoherent_power_moments(m_direct: float, n_elements: int) -> tuple[float, float]:
+    """First two raw moments of |direct + incoherent reflected sum|^2.
+
+    The randomly phased reflected sum of N unit-power terms is treated as
+    complex Gaussian with power N (central limit), i.e. its magnitude is
+    Rayleigh with second moment N and fourth moment 2*N^2.  Mixed terms
+    with an odd power of the Gaussian vanish by phase symmetry.
+    """
+    n = float(n_elements)
+    mu1 = nakagami_moment(m_direct, 2) + n
+    mu2 = nakagami_moment(m_direct, 4) + 2.0 * n * n + 4.0 * nakagami_moment(
+        m_direct, 2
+    ) * n
+    return mu1, mu2
+
+
+def _fit_from_moments(mu1: float, mu2: float, paper_literal: bool) -> GammaFit:
+    denom = (mu2 - mu1) if paper_literal else (mu2 - mu1 * mu1)
+    if denom <= 0:
+        raise ValueError(
+            f"moment-matching denominator is not positive (mu1={mu1}, mu2={mu2})"
+        )
+    return GammaFit(shape=mu1 * mu1 / denom, rate=mu1 / denom)
+
+
+def fit_gamma_target(
+    config: FadingConfig, paper_literal_estimator: bool = False
+) -> GammaFit:
+    """Gamma fit of the combined target amplitude (optimally phased surface)."""
+    mu1, mu2 = combined_amplitude_moments(
+        config.m1, config.m_ht, config.m_gt, config.n_elements
+    )
+    return _fit_from_moments(mu1, mu2, paper_literal_estimator)
+
+
+def fit_gamma_interferer_caseA(
+    config: FadingConfig, paper_literal_estimator: bool = False
+) -> GammaFit:
+    """Gamma fit of the squared interferer gain under the shared surface.
+
+    Power-domain fit: the interferer's reflections are incoherent, so the
+    squared aggregate is close to exponential for large N.
+    """
+    mu1, mu2 = incoherent_power_moments(config.m2, config.n_elements)
+    return _fit_from_moments(mu1, mu2, paper_literal_estimator)
+
+
+def fit_gamma_interferer_caseB(
+    config: FadingConfig, paper_literal_estimator: bool = False
+) -> GammaFit:
+    """Gamma fit of the combined interferer amplitude under paired surfaces.
+
+    Same construction as the target fit, with the interferer's shape
+    parameters; identical to fit_gamma_target when all shapes are equal.
+    """
+    mu1, mu2 = combined_amplitude_moments(
+        config.m2, config.m_hi, config.m_gi, config.n_elements
+    )
+    return _fit_from_moments(mu1, mu2, paper_literal_estimator)
 
 
 @dataclass(frozen=True)

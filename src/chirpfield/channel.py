@@ -1,4 +1,4 @@
-"""Nakagami-m fading links, RIS phase configuration, and Gamma moment fits.
+"""Nakagami-m fading links: sampling, RIS phase configuration, aggregation.
 
 Every link magnitude is Nakagami(m, 1) (unit mean-square power) with an
 independent uniform phase.  Two surface topologies are supported:
@@ -23,13 +23,10 @@ sine each.  `aggregate` reads which paths are co-phased from its case
 alone: "a" and "b" expect optimal phases and "blind" expects random
 ones, which is how every caller pairs them.  Phases are one array, the
 target surface's: a paired interferer surface is always co-phased, so its
-sum reads no phases.
+sum reads no phases, and case "b" reads none at all.
 
-The analytic engine represents the combined target amplitude and the
-combined interferer gain by moment-matched Gamma distributions.  The
-default estimator matches mean and variance; `paper_literal_estimator`
-switches the denominator from (mu2 - mu1^2) to (mu2 - mu1) for
-side-by-side comparison with a published variant of the fit.
+The moment formulas and Gamma fits of the closed forms live in
+`analytic_ber`, so the Monte Carlo reaches none of them through here.
 """
 
 from __future__ import annotations
@@ -38,8 +35,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .specfun import gamma_fn
 
 
 @dataclass(frozen=True)
@@ -70,26 +65,6 @@ class FadingConfig:
     def uniform(cls, m: float, n_elements: int) -> "FadingConfig":
         """All six shape parameters equal; the usual experiment setting."""
         return cls(m, m, m, m, m, m, n_elements)
-
-
-@dataclass(frozen=True)
-class GammaFit:
-    """Shape/rate pair of a moment-matched Gamma distribution."""
-
-    shape: float
-    rate: float
-
-    def __post_init__(self):
-        if self.shape <= 0 or self.rate <= 0:
-            raise ValueError("Gamma fit parameters must be positive")
-
-    @property
-    def mean(self) -> float:
-        return self.shape / self.rate
-
-    @property
-    def variance(self) -> float:
-        return self.shape / (self.rate * self.rate)
 
 
 @dataclass(frozen=True)
@@ -194,7 +169,9 @@ def _combine(h: PolarGain, theta, g: PolarGain, direct: PolarGain, co_phased: bo
     return (real + 1j * imag) + _phasor(direct)
 
 
-def aggregate(draw: ChannelDraw, phases: np.ndarray, case: str) -> EffectiveGains:
+def aggregate(
+    draw: ChannelDraw, phases: np.ndarray | None, case: str
+) -> EffectiveGains:
     """Combine direct and reflected paths into the two effective gains.
 
     case "a": both users reflect off the target's surface; case "b": the
@@ -202,8 +179,9 @@ def aggregate(draw: ChannelDraw, phases: np.ndarray, case: str) -> EffectiveGain
     with phases that co-phase nothing.  Cases "a" and "b" take the phases
     of configure_phases(draw, "optimal") and sum the paths those co-phase
     as magnitudes times the direct link's phasor (see the module
-    docstring); "blind" sums every term with the given phases.  At N = 0
-    every case gives the direct links alone.
+    docstring); case "b" co-phases every path and reads no phases, so it
+    may be given None.  "blind" sums every term with the given phases.  At
+    N = 0 every case gives the direct links alone.
     """
     if case not in ("a", "b", "blind"):
         raise ValueError(f"unknown case {case!r}")
@@ -215,104 +193,3 @@ def aggregate(draw: ChannelDraw, phases: np.ndarray, case: str) -> EffectiveGain
     else:
         h_int = _combine(draw.h_i, phases, draw.g_t, draw.h_id, False)
     return EffectiveGains(h_eff=h_eff, h_int=h_int)
-
-
-# ---------------------------------------------------------------------------
-# Moment formulas and Gamma fits
-# ---------------------------------------------------------------------------
-
-
-def nakagami_moment(shape: float, order: float) -> float:
-    """order-th raw moment of a Nakagami(shape, 1) magnitude."""
-    if shape <= 0:
-        raise ValueError("shape must be positive")
-    return float(gamma_fn(shape + order / 2.0) / gamma_fn(shape) * shape ** (-order / 2.0))
-
-
-def cascade_moment(m_h: float, m_g: float, order: float) -> float:
-    """order-th raw moment of the product of two independent Nakagami magnitudes."""
-    delta = math.sqrt(m_h * m_g)
-    return float(
-        delta ** (-order)
-        * gamma_fn(m_h + order / 2.0)
-        * gamma_fn(m_g + order / 2.0)
-        / (gamma_fn(m_h) * gamma_fn(m_g))
-    )
-
-
-def combined_amplitude_moments(
-    m_direct: float, m_h: float, m_g: float, n_elements: int
-) -> tuple[float, float]:
-    """First two raw moments of |sum of co-phased reflections| + |direct|.
-
-    The reflected sum is N i.i.d. per-element magnitude products; the
-    cross-term count in the second moment is N*(N-1).
-    """
-    z1 = cascade_moment(m_h, m_g, 1)
-    z2 = cascade_moment(m_h, m_g, 2)
-    j1 = n_elements * z1
-    j2 = n_elements * z2 + n_elements * (n_elements - 1) * z1 * z1
-    d1 = nakagami_moment(m_direct, 1)
-    d2 = nakagami_moment(m_direct, 2)
-    return d1 + j1, d2 + j2 + 2.0 * d1 * j1
-
-
-def incoherent_power_moments(m_direct: float, n_elements: int) -> tuple[float, float]:
-    """First two raw moments of |direct + incoherent reflected sum|^2.
-
-    The randomly phased reflected sum of N unit-power terms is treated as
-    complex Gaussian with power N (central limit), i.e. its magnitude is
-    Rayleigh with second moment N and fourth moment 2*N^2.  Mixed terms
-    with an odd power of the Gaussian vanish by phase symmetry.
-    """
-    n = float(n_elements)
-    mu1 = nakagami_moment(m_direct, 2) + n
-    mu2 = nakagami_moment(m_direct, 4) + 2.0 * n * n + 4.0 * nakagami_moment(
-        m_direct, 2
-    ) * n
-    return mu1, mu2
-
-
-def _fit_from_moments(mu1: float, mu2: float, paper_literal: bool) -> GammaFit:
-    denom = (mu2 - mu1) if paper_literal else (mu2 - mu1 * mu1)
-    if denom <= 0:
-        raise ValueError(
-            f"moment-matching denominator is not positive (mu1={mu1}, mu2={mu2})"
-        )
-    return GammaFit(shape=mu1 * mu1 / denom, rate=mu1 / denom)
-
-
-def fit_gamma_target(
-    config: FadingConfig, paper_literal_estimator: bool = False
-) -> GammaFit:
-    """Gamma fit of the combined target amplitude (optimally phased surface)."""
-    mu1, mu2 = combined_amplitude_moments(
-        config.m1, config.m_ht, config.m_gt, config.n_elements
-    )
-    return _fit_from_moments(mu1, mu2, paper_literal_estimator)
-
-
-def fit_gamma_interferer_caseA(
-    config: FadingConfig, paper_literal_estimator: bool = False
-) -> GammaFit:
-    """Gamma fit of the squared interferer gain under the shared surface.
-
-    Power-domain fit: the interferer's reflections are incoherent, so the
-    squared aggregate is close to exponential for large N.
-    """
-    mu1, mu2 = incoherent_power_moments(config.m2, config.n_elements)
-    return _fit_from_moments(mu1, mu2, paper_literal_estimator)
-
-
-def fit_gamma_interferer_caseB(
-    config: FadingConfig, paper_literal_estimator: bool = False
-) -> GammaFit:
-    """Gamma fit of the combined interferer amplitude under paired surfaces.
-
-    Same construction as the target fit, with the interferer's shape
-    parameters; identical to fit_gamma_target when all shapes are equal.
-    """
-    mu1, mu2 = combined_amplitude_moments(
-        config.m2, config.m_hi, config.m_gi, config.n_elements
-    )
-    return _fit_from_moments(mu1, mu2, paper_literal_estimator)

@@ -1,4 +1,4 @@
-"""Misaligned same-SF interferer frames and their cross-correlation bounds.
+"""Cross-correlation bounds of a misaligned same-SF interferer.
 
 An interfering transmitter that is not symbol-synchronized with the target
 contributes two partial symbols per target-symbol window: `i1` for the
@@ -8,9 +8,9 @@ partial sums whose magnitudes follow Dirichlet-kernel (sine-ratio) laws.
 
 The analysis works with a triangle-inequality upper bound `chi` on the
 leaked magnitude, concentrated at its peak bin and parameterized by the
-symbol difference I = i2 - i1 and the offset tau.  The Monte Carlo
-simulator never touches these bounds; it runs the exact frames through the
-demodulator, which keeps the two routes independent.
+symbol difference I = i2 - i1 and the offset tau.  The Monte Carlo never
+imports these bounds; it takes the exact frames from `lora_phy`, which
+keeps the two routes independent.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lora_phy import LoRaParams, _check_symbols, _chirps
+from .lora_phy import LoRaParams
 
 
 @dataclass(frozen=True)
@@ -37,22 +37,6 @@ def _check_state(state: InterfererState, params: LoRaParams) -> None:
         raise ValueError("interferer symbols out of range")
     if not 0 <= state.tau <= K // 2:
         raise ValueError(f"offset must be in [0, {K // 2}], got {state.tau}")
-
-
-def build_interferer_frames(
-    i1: np.ndarray, i2: np.ndarray, tau: np.ndarray, params: LoRaParams
-) -> np.ndarray:
-    """Samples of misaligned interferers over one target-symbol window, one
-    row per (i1, i2, tau); offsets may span the full symbol, [0, K)."""
-    _check_symbols(i1, params.K)
-    _check_symbols(i2, params.K)
-    tau = np.asarray(tau)
-    if tau.size and (tau.min() < 0 or tau.max() >= params.K):
-        raise ValueError("offsets out of range")
-    i1 = np.asarray(i1, dtype=np.int32)[:, None]
-    i2 = np.asarray(i2, dtype=np.int32)[:, None]
-    n = np.arange(params.K)
-    return _chirps(np.where(n < tau[:, None], i1, i2), params.sf)
 
 
 def psi_partial_sums(

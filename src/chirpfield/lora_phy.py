@@ -20,8 +20,8 @@ a multiple of pi/K, j only matters mod 2K, so every sample is one of the
 2K scaled roots of unity sqrt(1/K) * exp(i*pi*j/K), read from a cached
 table at index j & (2K - 1).  The int32 index never overflows for
 K <= 4096 (2*c*n < 2**25), no phase is rounded before the lookup, and
-every symbol, frame and the base chirp itself come out of the same
-`_chirps` kernel.
+every symbol, interferer frame and the base chirp itself come out of the
+same `_chirps` kernel.
 
 The Monte Carlo builds its bins in the dechirped domain instead (the
 dechirp-then-DFT view of Vangelista, IEEE SPL 24(12), 2017).  Sample n of
@@ -122,6 +122,22 @@ def modulate_many(symbols: np.ndarray, params: LoRaParams) -> np.ndarray:
     symbols = np.asarray(symbols)
     _check_symbols(symbols, params.K)
     return _chirps(symbols[..., None], params.sf)
+
+
+def build_interferer_frames(
+    i1: np.ndarray, i2: np.ndarray, tau: np.ndarray, params: LoRaParams
+) -> np.ndarray:
+    """Samples of misaligned interferers over one target-symbol window, one
+    row per (i1, i2, tau); offsets may span the full symbol, [0, K)."""
+    _check_symbols(i1, params.K)
+    _check_symbols(i2, params.K)
+    tau = np.asarray(tau)
+    if tau.size and (tau.min() < 0 or tau.max() >= params.K):
+        raise ValueError("offsets out of range")
+    i1 = np.asarray(i1, dtype=np.int32)[:, None]
+    i2 = np.asarray(i2, dtype=np.int32)[:, None]
+    n = np.arange(params.K)
+    return _chirps(np.where(n < tau[:, None], i1, i2), params.sf)
 
 
 def dechirp_dft(received: np.ndarray, params: LoRaParams) -> np.ndarray:

@@ -10,8 +10,8 @@ and nothing to any other bin, the interferer is a gather of the tones of
 i1 (before tau) and i2 (after), and white circular Gaussian noise keeps its
 law under the unit-modulus dechirp, so it is drawn at the dechirped scale.
 `time_domain_bins` synthesises the same draws as chirps and dechirps them;
-it is the tested oracle of `block_bins`.  Nothing here touches the
-cross-correlation bounds, Gamma fits, or quadrature machinery of the
+it is the tested oracle of `block_bins`.  Only `channel` and `lora_phy`
+are imported, never the bounds, Gamma fits, quadrature or SciPy of the
 analytic engine, so the two sides cross-validate each other.
 
 Every row is independent from its noise draw to its detector decision, so
@@ -66,14 +66,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .channel import FadingConfig, aggregate, configure_phases, draw_channels
-# build_interferer_frames, dechirp_dft and modulate_many are the time-domain
-# chain that block_bins replaces: only its oracle, time_domain_bins, calls
-# them, and they are imported here because the benchmark's trace spans
-# (perfbench/spans.py) wrap them by these names in this namespace.
-from .interference import build_interferer_frames
+# build_interferer_frames, dechirp_dft and modulate_many are lora_phy's
+# time-domain chain that block_bins replaces: only its oracle,
+# time_domain_bins, calls them, and they are imported by name because the
+# benchmark's trace spans (perfbench/spans.py) wrap them in this namespace.
 from .lora_phy import (
     LoRaParams,
     _tones,
+    build_interferer_frames,
     count_bit_errors_many,
     dechirp_dft,
     detect_coherent,
@@ -172,7 +172,10 @@ def _draw_gains(cfg: SimConfig, rng: np.random.Generator, size: int):
     fading = replace(cfg.fading, n_elements=0) if scenario == "ris_free" else cfg.fading
     case = {"case_b": "b", "blind": "blind"}.get(scenario, "a")
     draw = draw_channels(fading, "b" if case == "b" else "a", rng, size)
-    phases = configure_phases(draw, "blind" if case == "blind" else "optimal", rng)
+    # case "b" reads no phases, and "optimal" draws no variates
+    phases = None if case == "b" else configure_phases(
+        draw, "blind" if case == "blind" else "optimal", rng
+    )
     gains = aggregate(draw, phases, case)
     return gains.h_eff, None if scenario == "no_interference" else gains.h_int
 

@@ -13,7 +13,8 @@ from numpy.polynomial.chebyshev import chebfit, chebval
 
 from chirpfield import analytic_ber as ab
 from chirpfield import validation
-from chirpfield.channel import FadingConfig, GammaFit
+from chirpfield.analytic_ber import GammaFit
+from chirpfield.channel import FadingConfig
 from chirpfield.interference import chi_of_I_table
 from chirpfield.lora_phy import LoRaParams
 from chirpfield.specfun import NumericError, q_approx
@@ -626,3 +627,23 @@ class TestCombinedBer:
             ab.AnalyticConfig(
                 params=SF7, snr_linear=1.0, target_fit=GammaFit(1.0, 1.0), staircase_m=0
             )
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0])
+    def test_gamma_fit_rejects_non_finite_and_non_positive(self, value):
+        # NaN once passed, since nan <= 0 is false
+        for shape, rate in ((value, 1.0), (1.0, value)):
+            with pytest.raises(ValueError, match="positive and finite"):
+                GammaFit(shape, rate)
+
+    def test_overflowing_moments_raise_numeric_error(self):
+        # Gamma(m + 1)**2 overflows from m = 99.1 on; the fits once came
+        # out as NaN and the run died later in the cylinder function
+        assert math.isfinite(ab.cascade_moment(99.0, 99.0, 2))
+        fading = FadingConfig.uniform(100.0, 25)
+        for fit in (ab.fit_gamma_target, ab.fit_gamma_interferer_caseB):
+            with pytest.raises(NumericError, match=r"cascade moment at m = 100\.0"):
+                fit(fading)
+        with pytest.raises(NumericError, match=r"Nakagami moment at m = 200\.0"):
+            ab.fit_gamma_interferer_caseA(FadingConfig.uniform(200.0, 25))
+        with pytest.raises(NumericError, match="m = 100"):
+            ab.AnalyticConfig.from_fading(SF7, fading, 1e-3)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from chirpfield import channel
+from chirpfield import analytic_ber, channel
 from chirpfield.channel import FadingConfig
 from chirpfield.specfun import gamma_fn
 
@@ -62,7 +62,7 @@ class TestDraws:
         cfg = FadingConfig.uniform(2.0, 25)
         draw = channel.draw_channels(cfg, "a", rng_for(8), 40_000)
         products = (draw.h_t.mag * draw.g_t.mag).ravel()  # one million element draws
-        expected = channel.cascade_moment(2.0, 2.0, 1)
+        expected = analytic_ber.cascade_moment(2.0, 2.0, 1)
         assert abs(products.mean() - expected) / expected < 0.01
 
     def test_invalid_case(self):
@@ -182,14 +182,14 @@ class TestPolarOracle:
 
 class TestMoments:
     def test_rayleigh_unit_surface_values(self):
-        z1 = channel.cascade_moment(1.0, 1.0, 1)
+        z1 = analytic_ber.cascade_moment(1.0, 1.0, 1)
         assert z1 == pytest.approx(math.pi / 4, rel=1e-12)
-        mu1, _ = channel.combined_amplitude_moments(1.0, 1.0, 1.0, 1)
+        mu1, _ = analytic_ber.combined_amplitude_moments(1.0, 1.0, 1.0, 1)
         assert mu1 == pytest.approx(math.sqrt(math.pi) / 2 + math.pi / 4, rel=1e-12)
         assert mu1 == pytest.approx(1.6716, abs=2e-4)
 
     def test_incoherent_power_moments(self):
-        mu1, mu2 = channel.incoherent_power_moments(2.0, 25)
+        mu1, mu2 = analytic_ber.incoherent_power_moments(2.0, 25)
         assert mu1 == pytest.approx(26.0, rel=1e-12)
         # pieces: direct fourth moment (m+1)/m, Gaussian fourth moment 2N^2,
         # and the 4N cross term
@@ -200,14 +200,14 @@ class TestMoments:
 class TestGammaFits:
     def test_fit_mean_matches_first_moment(self):
         cfg = FadingConfig.uniform(2.0, 25)
-        fit = channel.fit_gamma_target(cfg)
-        mu1, mu2 = channel.combined_amplitude_moments(2.0, 2.0, 2.0, 25)
+        fit = analytic_ber.fit_gamma_target(cfg)
+        mu1, mu2 = analytic_ber.combined_amplitude_moments(2.0, 2.0, 2.0, 25)
         assert fit.mean == pytest.approx(mu1, rel=1e-12)
         assert fit.variance == pytest.approx(mu2 - mu1 * mu1, rel=1e-12)
 
     def test_target_fit_against_monte_carlo(self):
         cfg = FadingConfig.uniform(2.0, 25)
-        fit = channel.fit_gamma_target(cfg)
+        fit = analytic_ber.fit_gamma_target(cfg)
         rng = rng_for(20)
         amps = []
         for _ in range(10):
@@ -220,7 +220,7 @@ class TestGammaFits:
 
     def test_target_fit_distribution_shape(self):
         cfg = FadingConfig.uniform(2.0, 25)
-        fit = channel.fit_gamma_target(cfg)
+        fit = analytic_ber.fit_gamma_target(cfg)
         rng = rng_for(21)
         draw = channel.draw_channels(cfg, "a", rng, 100_000)
         gains = channel.aggregate(draw, channel.configure_phases(draw, "optimal"), "a")
@@ -230,7 +230,7 @@ class TestGammaFits:
 
     def test_shared_interferer_fit_against_monte_carlo(self):
         cfg = FadingConfig.uniform(2.0, 25)
-        fit = channel.fit_gamma_interferer_caseA(cfg)
+        fit = analytic_ber.fit_gamma_interferer_caseA(cfg)
         rng = rng_for(22)
         powers = []
         for _ in range(10):
@@ -242,22 +242,22 @@ class TestGammaFits:
 
     def test_paper_literal_estimator_differs(self):
         cfg = FadingConfig.uniform(2.0, 25)
-        default = channel.fit_gamma_target(cfg)
-        literal = channel.fit_gamma_target(cfg, paper_literal_estimator=True)
+        default = analytic_ber.fit_gamma_target(cfg)
+        literal = analytic_ber.fit_gamma_target(cfg, paper_literal_estimator=True)
         assert literal.shape != pytest.approx(default.shape, rel=0.01)
         # both reproduce the first moment
         assert literal.mean == pytest.approx(default.mean, rel=1e-12)
-        mu1, mu2 = channel.combined_amplitude_moments(2.0, 2.0, 2.0, 25)
+        mu1, mu2 = analytic_ber.combined_amplitude_moments(2.0, 2.0, 2.0, 25)
         assert literal.shape == pytest.approx(mu1 * mu1 / (mu2 - mu1), rel=1e-12)
 
     def test_paired_fit_equals_target_fit_for_uniform_shapes(self):
         cfg = FadingConfig.uniform(3.0, 20)
-        assert channel.fit_gamma_interferer_caseB(cfg) == channel.fit_gamma_target(cfg)
+        assert analytic_ber.fit_gamma_interferer_caseB(cfg) == analytic_ber.fit_gamma_target(cfg)
 
     def test_paired_fit_differs_for_unequal_shapes(self):
         cfg = FadingConfig(m1=2.0, m2=4.0, m_ht=2.0, m_gt=2.0, m_hi=4.0, m_gi=4.0,
                            n_elements=20)
-        assert channel.fit_gamma_interferer_caseB(cfg) != channel.fit_gamma_target(cfg)
+        assert analytic_ber.fit_gamma_interferer_caseB(cfg) != analytic_ber.fit_gamma_target(cfg)
 
     def test_power_scaling_with_element_count(self):
         # target mean-square power grows ~N^2, interferer power ~N: the
@@ -265,8 +265,8 @@ class TestGammaFits:
         ratios = []
         for n in (5, 10, 20, 40):
             cfg = FadingConfig.uniform(2.0, n)
-            _, target_mu2 = channel.combined_amplitude_moments(2.0, 2.0, 2.0, n)
-            interferer_mu1, _ = channel.incoherent_power_moments(2.0, n)
+            _, target_mu2 = analytic_ber.combined_amplitude_moments(2.0, 2.0, 2.0, n)
+            interferer_mu1, _ = analytic_ber.incoherent_power_moments(2.0, n)
             ratios.append(target_mu2 / interferer_mu1)
         assert all(a < b for a, b in zip(ratios, ratios[1:]))
 

@@ -520,6 +520,24 @@ class TestRuns:
         fields = dict(zip(*[line.split(",") for line in out.read_text().splitlines()]))
         assert fields["ber_analytic"] == ""
 
+    @pytest.mark.parametrize("mode", ["analytic", "both"])
+    def test_overflowing_moments_fail_as_numeric(self, mode, tmp_path, capsys):
+        # from m = 99.1 the Gamma fits' moments overflow; the run once died
+        # with a traceback, and `both` left an empty CSV after simulating
+        out = tmp_path / "m100.csv"
+        code = cli.main([mode, "--m", "100", "--scenario", "case_a",
+                         "--detection", "noncoherent", "--snr-db", "-30",
+                         "--trials", "500", "--out", str(out)])
+        assert code == 2
+        failure = capsys.readouterr().err.splitlines()
+        assert len(failure) == 1
+        assert failure[0].startswith(
+            "numeric failure: case_a/noncoherent sf=7 n=25 m=100.0 snr=-30.0: "
+            "the order-1 cascade moment at m = 100.0, 100.0 is not finite")
+        fields = dict(zip(*[line.split(",") for line in out.read_text().splitlines()]))
+        assert fields["ber_analytic"] == ""
+        assert (fields["ber_sim"] != "") == (mode == "both")
+
 
 class TestBenchmarkReference:
     """The closed-form workload of the benchmark (`analytic_sf7`) at full
@@ -647,6 +665,17 @@ class TestValidateMode:
         captured = capsys.readouterr().out
         assert "[FAIL]" not in captured
         assert code == 0
+
+    def test_overflowing_moments_fail_their_checks(self, capsys):
+        # every check that takes a Gamma fit fails with the numeric error;
+        # the rest still run
+        code = cli.main(["validate", "--m", "100", "--trials", "2000"])
+        lines = capsys.readouterr().out.splitlines()
+        failed = [line for line in lines if line.startswith("[FAIL]")]
+        assert code == 3
+        assert failed and len(failed) < len(lines) - 1
+        assert all("numeric failure: the order-1 cascade moment at m = 100.0" in line
+                   for line in failed)
 
     def test_failure_exit_code(self, capsys, monkeypatch):
         from chirpfield import validation

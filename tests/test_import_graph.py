@@ -10,6 +10,11 @@ example by the first call of a SciPy routine), not only at import time.
 What `scipy.special` loads by itself is the floor: SciPy before 1.17
 imports `scipy.linalg` (and through it `scipy.sparse`) inside
 `scipy.special`, which chirpfield needs for `ndtr` and `gammainc`.
+
+The Monte Carlo route loads none of SciPy at all: `montecarlo` imports
+only `channel` and `lora_phy`, so a simulation of every scenario in a
+fresh interpreter leaves no closed-form module (`analytic_ber`,
+`specfun`, `interference`, `validation`) and no `scipy` module behind.
 """
 
 import json
@@ -46,15 +51,45 @@ print(json.dumps({"codes": codes, "floor": floor, "loaded": heavy()}))
 """
 
 
-def test_cli_runs_load_no_heavy_scipy(tmp_path):
+def run_fresh(script: str, *args: str) -> dict:
+    """Run `script` in a fresh interpreter; returns its last line as JSON."""
     done = subprocess.run(
-        [sys.executable, "-c", f"HEAVY = {HEAVY!r}\n{SCRIPT}", str(tmp_path / "rows.csv")],
+        [sys.executable, "-c", script, *args],
         capture_output=True, text=True, timeout=300,
         env={**os.environ, "PYTHONPATH": os.pathsep.join(
             filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))},
     )
     assert done.returncode == 0, done.stderr
-    report = json.loads(done.stdout.splitlines()[-1])
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_cli_runs_load_no_heavy_scipy(tmp_path):
+    report = run_fresh(f"HEAVY = {HEAVY!r}\n{SCRIPT}", str(tmp_path / "rows.csv"))
     assert report["codes"] == [0, 0]
     added = sorted(set(report["loaded"]) - set(report["floor"]))
     assert not added, f"a production run imported {added}"
+
+
+# The Monte Carlo route on its own: every scenario, both detectors.
+SIMULATION = """
+import json, sys
+
+from chirpfield import montecarlo as mc
+from chirpfield.channel import FadingConfig
+from chirpfield.lora_phy import LoRaParams
+
+for scenario in mc.SCENARIOS:
+    cfg = mc.SimConfig(params=LoRaParams(7), fading=FadingConfig.uniform(2.0, 4),
+                       scenario=scenario, detection="noncoherent",
+                       snr_db_grid=(-20.0,), trials_per_point=300, seed=1)
+    assert len(mc.run_sweep(cfg, detections=mc.DETECTIONS)) == 2
+print(json.dumps(sorted(sys.modules)))
+"""
+
+
+def test_simulation_loads_no_closed_form_and_no_scipy():
+    loaded = run_fresh(SIMULATION)
+    package = {name for name in loaded if name.startswith("chirpfield.")}
+    assert package == {"chirpfield.channel", "chirpfield.lora_phy", "chirpfield.montecarlo"}
+    scipy = [name for name in loaded if name.startswith("scipy")]
+    assert not scipy, f"a simulation imported {scipy[:5]}"

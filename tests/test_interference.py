@@ -20,7 +20,7 @@ def sine_ratio(k, length, K):
 
 def frame_of(state, params):
     """The interferer frame of one state, as a one-row batch."""
-    return interference.build_interferer_frames(
+    return lora_phy.build_interferer_frames(
         np.array([state.i1]), np.array([state.i2]), np.array([state.tau]), params
     )[0]
 
@@ -50,15 +50,15 @@ class TestFrame:
         tau = np.array([32, 50])
         for bad in (np.array([3, 128]), np.array([-1, 7])):
             with pytest.raises(ValueError):
-                interference.build_interferer_frames(bad, ok, tau, sf7)
+                lora_phy.build_interferer_frames(bad, ok, tau, sf7)
             with pytest.raises(ValueError):
-                interference.build_interferer_frames(ok, bad, tau, sf7)
+                lora_phy.build_interferer_frames(ok, bad, tau, sf7)
 
     def test_batch_rejects_out_of_range_offsets(self, sf7):
         ok = np.array([3, 7])
         for bad in (np.array([32, -1]), np.array([sf7.K, 50])):
             with pytest.raises(ValueError, match="offsets"):
-                interference.build_interferer_frames(ok, ok, bad, sf7)
+                lora_phy.build_interferer_frames(ok, ok, bad, sf7)
 
 
 class TestPartialSums:

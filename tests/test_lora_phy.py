@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from chirpfield import interference, lora_phy
+from chirpfield import lora_phy
 from chirpfield.lora_phy import LoRaParams
 
 
@@ -82,7 +82,7 @@ class TestModulate:
             tau = rng.integers(0, K, len(c))
             tau[:2] = (0, K - 1)
             per_sample = np.where(np.arange(K) < tau[:, None], i1[:, None], i2[:, None])
-            frames = interference.build_interferer_frames(i1, i2, tau, params)
+            frames = lora_phy.build_interferer_frames(i1, i2, tau, params)
             assert np.abs(frames - definition(per_sample, K)).max() < 1e-12
 
 
