@@ -61,11 +61,9 @@ product-rule nodes of negligible weight the same way).  Every weight is
 >= 0 and Q lies in [0, 1], so a sample falls short of the full sum by at
 most that mass, 1000 times below the tolerance the interpolant accepts.
 
-Every closed form has a `*_numeric` twin evaluated by adaptive quadrature
-on the source integral, used as the test-suite oracle; only those twins
-import scipy.integrate, inside the function.  The interference sums always
-take the exact tail `q_exact`; only `noise_ser_numeric` has a `q_mode`,
-whose "exact" measures the error of the two-exponential fit.
+Every closed form has an adaptive-quadrature twin in `reference`, the
+oracle of `validate` and the tests.  The interference sums always take
+the exact tail `q_exact`.
 
 The two-exponential fit is only valid for positive tail arguments.  The
 noise closed forms warn when more than UNCALIBRATED_MASS_LIMIT of the
@@ -88,6 +86,7 @@ from scipy.special import gammainc
 from .channel import FadingConfig
 from .interference import chi_of_I_table
 from .lora_phy import LoRaParams
+# q_approx only so that perfbench/spans.py can wrap it in this namespace
 from .specfun import (
     NumericError,
     gamma_fn,
@@ -428,45 +427,6 @@ def noise_ser_noncoherent(cfg: AnalyticConfig) -> float:
 def noise_ser_coherent(cfg: AnalyticConfig) -> float:
     """Noise-driven symbol error rate of the phase-compensated detector."""
     return _noise_ser(cfg, "coherent")
-
-
-def _q_function(q_mode: str):
-    if q_mode == "exact":
-        return q_exact
-    if q_mode == "approx":
-        return q_approx
-    raise ValueError(f"unknown q_mode {q_mode!r}")
-
-
-def noise_ser_numeric(
-    cfg: AnalyticConfig, detection: str, q_mode: str = "approx"
-) -> float:
-    """Adaptive-quadrature twin of the noise-driven closed forms.
-
-    With q_mode="approx" (default) the integrand embeds the same
-    two-exponential tail fit as the closed form, so the comparison
-    isolates the cylinder-function reduction.  q_mode="exact" uses the
-    true Gaussian tail to expose the modeling error of the fit itself.
-    """
-    from scipy import integrate
-
-    slope, offset = _noise_slope_offset(cfg, detection)
-    q_fn = _q_function(q_mode)
-    fit = cfg.target_fit
-    log_norm = fit.shape * math.log(fit.rate) - math.lgamma(fit.shape)
-
-    def integrand(t):
-        if t <= 0.0:
-            return 0.0
-        log_pdf = log_norm + (fit.shape - 1.0) * math.log(t) - fit.rate * t
-        if log_pdf < -745.0:
-            return 0.0
-        return float(q_fn(slope * t - offset)) * math.exp(log_pdf)
-
-    mid = fit.mean
-    lo, _ = integrate.quad(integrand, 0.0, mid, epsabs=1e-14, epsrel=1e-10, limit=200)
-    hi, _ = integrate.quad(integrand, mid, np.inf, epsabs=1e-14, epsrel=1e-10, limit=200)
-    return lo + hi
 
 
 # ---------------------------------------------------------------------------
@@ -835,89 +795,6 @@ def interf_ser(cfg: AnalyticConfig, case: str, detection: str) -> float:
     """Interference-driven symbol error rate, averaged over offset and
     symbol difference (both uniform)."""
     return _interf_ser_diag(cfg, case, detection)[0]
-
-
-def interf_ser_conditional(
-    cfg: AnalyticConfig, case: str, detection: str, chi: float
-) -> float:
-    """Conditional interference-driven error probability at one peak bound.
-
-    Non-coherent: the plain double sum.  Coherent: additionally averaged
-    over the uniformly distributed phase mismatch by the cosine staircase.
-    """
-    cosines, shares = _staircase(detection, cfg.staircase_m)
-    terms = _double_sum_terms(cfg, case)
-    return float(shares @ np.clip(_conditional_sums(terms, chi * cosines), 0.0, 1.0))
-
-
-def interf_ser_conditional_numeric(
-    cfg: AnalyticConfig, case: str, detection: str, chi: float, phase_nodes: int = 64
-) -> float:
-    """Adaptive-quadrature twin of interf_ser_conditional.
-
-    The double integral runs over both gain amplitudes; the coherent phase
-    average uses Gauss-Legendre on a half period instead of the staircase,
-    so every approximation of the closed-form path is replaced by an
-    independent one.
-    """
-    from scipy import integrate
-
-    scale = math.sqrt(cfg.snr_linear * cfg.params.K)
-    target = cfg.target_fit
-    interf_fit, power_domain = _interferer_fit(cfg, case)
-
-    log_norm_t = target.shape * math.log(target.rate) - math.lgamma(target.shape)
-    log_norm_i = interf_fit.shape * math.log(interf_fit.rate) - math.lgamma(
-        interf_fit.shape
-    )
-
-    def target_pdf(u):
-        return math.exp(log_norm_t + (target.shape - 1.0) * math.log(u) - target.rate * u)
-
-    if power_domain:
-        # amplitude density of a power-domain Gamma fit
-        def interf_pdf(v):
-            return 2.0 * v * math.exp(
-                log_norm_i
-                + (interf_fit.shape - 1.0) * math.log(v * v)
-                - interf_fit.rate * v * v
-            )
-
-        interf_mean_amp = math.sqrt(interf_fit.mean)
-    else:
-        def interf_pdf(v):
-            return math.exp(
-                log_norm_i
-                + (interf_fit.shape - 1.0) * math.log(v)
-                - interf_fit.rate * v
-            )
-
-        interf_mean_amp = interf_fit.mean
-
-    def conditional(multiplier: float) -> float:
-        def inner(u, v):
-            return float(q_exact(scale * (u - v * multiplier))) * target_pdf(u) * interf_pdf(v)
-
-        # split each axis at the density mean so the adaptive rule sees the peak
-        u_cut = target.mean
-        v_cut = interf_mean_amp
-        total = 0.0
-        for u_lo, u_hi in ((0.0, u_cut), (u_cut, np.inf)):
-            for v_lo, v_hi in ((0.0, v_cut), (v_cut, np.inf)):
-                part, _ = integrate.dblquad(
-                    inner, v_lo, v_hi, u_lo, u_hi, epsabs=1e-14, epsrel=1e-8
-                )
-                total += part
-        return total
-
-    if detection == "noncoherent":
-        return conditional(chi)
-    if detection == "coherent":
-        nodes, weights = np.polynomial.legendre.leggauss(phase_nodes)
-        theta = 0.5 * np.pi * (nodes + 1.0)
-        vals = np.array([conditional(chi * math.cos(t)) for t in theta])
-        return float((weights * vals).sum() * 0.5)  # mean over the half period
-    raise ValueError(f"unknown detection {detection!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -53,6 +53,10 @@ def _snr_grid(start: float, stop: float, step: float, origin: str) -> tuple[floa
         raise ConfigError(f"{origin}: SNR grid stop lies below its start")
     count = int(round((stop - start) / step))
     grid = [round(start + k * step, 9) for k in range(count + 1)]
+    if len(set(grid)) < len(grid):
+        raise ConfigError(
+            f"{origin}: SNR grid points repeat once rounded to 1e-9 dB (step {step:g})"
+        )
     return tuple(g for g in grid if g <= stop + 1e-9)
 
 

@@ -29,8 +29,8 @@ symbol c times the conjugate base chirp is exactly (1/K) *
 exp(2*pi*i*c*n/K): the quadratic phase cancels, so a symbol dechirps to a
 pure tone that the DFT puts, with weight 1, in bin c alone.  `_tones` reads
 these from a cached table of the K roots of unity scaled by 1/K, at the
-intp index c*n & (K - 1); it is the dechirped counterpart of `_chirps`, and
-`dechirp_dft(_chirps(...))` is its time-domain oracle.
+intp index c*n & (K - 1); it is the dechirped counterpart of `_chirps`.
+`reference` runs `dechirp_dft(_chirps(...))` as its time-domain oracle.
 """
 
 from __future__ import annotations
@@ -152,17 +152,6 @@ def dechirp_dft(received: np.ndarray, params: LoRaParams) -> np.ndarray:
             f"expected {params.K} samples on the last axis, got {received.shape[-1]}"
         )
     return np.fft.fft(received * np.conj(_base_chirp(params.sf)), axis=-1)
-
-
-def dechirp_dft_direct(received: np.ndarray, params: LoRaParams) -> np.ndarray:
-    """Direct-sum DFT of the dechirped signal; slow reference for dechirp_dft."""
-    received = np.asarray(received)
-    if received.shape[-1] != params.K:
-        raise ValueError("length mismatch")
-    K = params.K
-    n = np.arange(K)
-    twiddle = np.exp(-2j * np.pi * np.outer(n, n) / K)
-    return (received * np.conj(_base_chirp(params.sf))) @ twiddle
 
 
 def detect_noncoherent(bins: np.ndarray):

@@ -9,10 +9,10 @@ and cheap: sample n of symbol c times the conjugate base chirp is
 and nothing to any other bin, the interferer is a gather of the tones of
 i1 (before tau) and i2 (after), and white circular Gaussian noise keeps its
 law under the unit-modulus dechirp, so it is drawn at the dechirped scale.
-`time_domain_bins` synthesises the same draws as chirps and dechirps them;
-it is the tested oracle of `block_bins`.  Only `channel` and `lora_phy`
-are imported, never the bounds, Gamma fits, quadrature or SciPy of the
-analytic engine, so the two sides cross-validate each other.
+`reference.time_domain_bins` synthesises the same draws as chirps and
+dechirps them; it is the tested oracle of `block_bins`.  Only `channel`
+and `lora_phy` are imported, never the bounds, Gamma fits, quadrature or
+SciPy of the analytic engine, so the two sides cross-validate each other.
 
 Every row is independent from its noise draw to its detector decision, so
 a block streams through chunks of `_TONE_CHUNK` samples of whole rows (4
@@ -66,10 +66,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .channel import FadingConfig, aggregate, configure_phases, draw_channels
-# build_interferer_frames, dechirp_dft and modulate_many are lora_phy's
-# time-domain chain that block_bins replaces: only its oracle,
-# time_domain_bins, calls them, and they are imported by name because the
-# benchmark's trace spans (perfbench/spans.py) wrap them in this namespace.
+# build_interferer_frames, dechirp_dft and modulate_many, lora_phy's
+# time-domain chain that block_bins replaces, are called nowhere here: they
+# are imported by name only because the benchmark's trace spans
+# (perfbench/spans.py) wrap them in this namespace.
 from .lora_phy import (
     LoRaParams,
     _tones,
@@ -252,29 +252,6 @@ def block_bins(
         np.fft.fft(y, axis=-1, out=y)
         y[np.arange(len(y)), draws.c[rows]] += draws.h_eff[rows]
         yield rows, y
-
-
-def time_domain_bins(
-    draws: BlockDraws, params: LoRaParams, rng: np.random.Generator
-) -> np.ndarray:
-    """The bins of block_bins, all rows at once, by the time-domain chain;
-    the slow oracle for it.
-
-    `rng` must stand where block_bins starts, e.g. a copy of the block's
-    generator taken after `draw_block`: the whole (size, K) noise is drawn
-    from it in one call.  Synthesises h_eff * chirp(c) + h_int *
-    interferer frame + w, with the receiver noise w = K * base chirp *
-    dechirped-scale noise, then dechirps and transforms.
-    """
-    K = params.K
-    noise = rng.standard_normal((draws.c.size, 2 * K))
-    noise *= draws.noise_std
-    received = K * modulate_many(0, params) * noise.view(np.complex128)  # base chirp
-    received += draws.h_eff[:, None] * modulate_many(draws.c, params)
-    if draws.h_int is not None:
-        frames = build_interferer_frames(draws.i1, draws.i2, draws.tau, params)
-        received += draws.h_int[:, None] * frames
-    return dechirp_dft(received, params)
 
 
 def _detect(detection: str, bins: np.ndarray, compensation: np.ndarray) -> np.ndarray:

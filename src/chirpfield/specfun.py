@@ -9,7 +9,7 @@ trapezoid sum and the Gauss-Hermite rules come from numpy, so a production
 run never loads scipy.integrate or scipy.linalg (which scipy.integrate and
 scipy.special.roots_hermite pull in, along with scipy.optimize and
 scipy.sparse); scipy.integrate is imported only by the `*_numeric` oracles
-of analytic_ber.
+in `reference`, which also holds `pcf_d`, the cylinder function itself.
 """
 
 from __future__ import annotations
@@ -174,8 +174,3 @@ def log_pcf_d(neg_order: float, argument: float, scaled: bool = False) -> float:
     log_peak = omega * math.log(peak) - omega + 0.5 * peak_sq
     scale = 0.0 if scaled else -0.25 * z * z
     return scale - math.lgamma(omega) + log_peak + math.log(total)
-
-
-def pcf_d(neg_order: float, argument: float) -> float:
-    """Parabolic cylinder function D_{-omega}(z) for omega > 0, real z."""
-    return math.exp(log_pcf_d(neg_order, argument))

@@ -14,17 +14,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import analytic_ber, montecarlo, specfun
+from . import analytic_ber, montecarlo, reference, specfun
 from .channel import FadingConfig, aggregate, configure_phases, draw_channels
-from .interference import (
-    InterfererState,
-    chi_bound_all_bins,
-    psi_partial_sums,
-)
 from .lora_phy import (
     LoRaParams,
     dechirp_dft,
-    dechirp_dft_direct,
     detect_coherent,
     detect_noncoherent,
     modulate_many,
@@ -67,7 +61,7 @@ def _check_round_trip(params: LoRaParams, *_):
 
 def _check_fft_matches_direct(params: LoRaParams, _fading, _trials, rng):
     y = rng.standard_normal((4, params.K)) + 1j * rng.standard_normal((4, params.K))
-    err = float(np.abs(dechirp_dft(y, params) - dechirp_dft_direct(y, params)).max())
+    err = float(np.abs(dechirp_dft(y, params) - reference.dechirp_dft_direct(y, params)).max())
     return CheckResult("FFT vs direct-sum DFT", err < 1e-9, f"max deviation {err:.2e}")
 
 
@@ -107,12 +101,12 @@ def _check_leakage_bounds(params: LoRaParams, _fading, _trials, rng):
     K = params.K
     worst = -1.0
     for _ in range(100):
-        state = InterfererState(
+        state = reference.InterfererState(
             int(rng.integers(0, K)), int(rng.integers(0, K)), int(rng.integers(0, K // 2 + 1))
         )
-        bound = chi_bound_all_bins(state, params)
+        bound = reference.chi_bound_all_bins(state, params)
         for i in range(K):
-            s1, s2 = psi_partial_sums(i, state, params)
+            s1, s2 = reference.psi_partial_sums(i, state, params)
             worst = max(worst, abs(s1 + s2) - bound[i])
     return CheckResult(
         "triangle bound dominates exact leakage",
@@ -129,8 +123,8 @@ def _check_peak_bin(params: LoRaParams, _fading, _trials, rng):
     i2 = rng.integers(0, K, n)
     tau = rng.integers(0, K // 2 + 1, n)
     for a, b, t in zip(i1, i2, tau):
-        state = InterfererState(int(a), int(b), int(t))
-        if int(np.argmax(chi_bound_all_bins(state, params))) == b:
+        state = reference.InterfererState(int(a), int(b), int(t))
+        if int(np.argmax(reference.chi_bound_all_bins(state, params))) == b:
             hits += 1
     frac = hits / n
     return CheckResult(
@@ -209,9 +203,9 @@ def _check_cylinder_function(params, _fading, _trials, _rng):
     worst = 0.0
     for z in (0.0, 0.5, 1.0, 2.0):
         closed = math.exp(z * z / 4.0) * math.sqrt(math.pi / 2.0) * math.erfc(z / math.sqrt(2.0))
-        worst = max(worst, abs(specfun.pcf_d(1.0, z) - closed) / closed)
-    trivia = abs(specfun.pcf_d(1.0, 0.0) - math.sqrt(math.pi / 2.0)) + abs(
-        specfun.pcf_d(2.0, 0.0) - 1.0
+        worst = max(worst, abs(reference.pcf_d(1.0, z) - closed) / closed)
+    trivia = abs(reference.pcf_d(1.0, 0.0) - math.sqrt(math.pi / 2.0)) + abs(
+        reference.pcf_d(2.0, 0.0) - 1.0
     )
     ok = worst < 1e-8 and trivia < 1e-8
     return CheckResult(
@@ -267,7 +261,7 @@ def _check_noise_closed_form(params: LoRaParams, fading: FadingConfig, _trials, 
                 missing.append(f"{detection} {level:.0e}")
                 continue
             cfg = _analytic_config(params, fading, snr_db)
-            oracle = analytic_ber.noise_ser_numeric(cfg, detection)
+            oracle = reference.noise_ser_numeric(cfg, detection)
             deviation = abs(closed_form(cfg) - oracle) / max(oracle, np.finfo(float).tiny)
             worst = max(worst, deviation)
             snrs.append(f"{snr_db:+.0f}")
@@ -287,8 +281,8 @@ def _check_interference_closed_form(params: LoRaParams, fading: FadingConfig, _t
     worst = 0.0
     for case in (analytic_ber.CASE_SHARED, analytic_ber.CASE_PAIRED):
         for chi in (0.8, 1.0):
-            gh = analytic_ber.interf_ser_conditional(cfg, case, "noncoherent", chi)
-            oracle = analytic_ber.interf_ser_conditional_numeric(
+            gh = reference.interf_ser_conditional(cfg, case, "noncoherent", chi)
+            oracle = reference.interf_ser_conditional_numeric(
                 cfg, case, "noncoherent", chi
             )
             if oracle > 1e-12:
@@ -378,7 +372,7 @@ def _check_block_kernel(params: LoRaParams, fading: FadingConfig, _trials, rng):
             full_offset_range=True,
         )
         draws = montecarlo.draw_block(cfg, 10 ** (-2.5), rng, size)
-        expected = montecarlo.time_domain_bins(draws, params, copy.deepcopy(rng))
+        expected = reference.time_domain_bins(draws, params, copy.deepcopy(rng))
         scale = max(1.0, float(np.abs(expected).max()))
         compensation = -np.angle(draws.h_eff)
         for rows, bins in montecarlo.block_bins(draws, params, rng):

@@ -10,15 +10,20 @@ criteria are asserted exactly as specified.
 """
 
 import math
+import os
 
 from chirpfield import analytic_ber as ab
 from chirpfield import montecarlo as mc
-from chirpfield import validation
+from chirpfield import reference, validation
 from chirpfield.channel import FadingConfig
 from chirpfield.interference import chi_of_I_table
 from chirpfield.lora_phy import LoRaParams
 
 SF7 = LoRaParams(7)
+
+# Blocks of one point run on this many threads; by the determinism contract
+# every estimate is the one a serial run gives.
+WORKERS = min(2, len(os.sched_getaffinity(0)))
 
 
 def report(number: int, passed: bool, detail: str) -> None:
@@ -33,7 +38,7 @@ def analytic_ber_value(sf, n, m, snr_db, case, detection, **kwargs) -> float:
 
 
 def simulate(scenario, detection, n, m, snr_db, trials, seed,
-             max_bit_errors=1000, sf=7, grid=None) -> mc.BerEstimate:
+             max_bit_errors=1000, sf=7, grid=None, workers=WORKERS) -> mc.BerEstimate:
     """One point; pass the whole `grid` so each point gets its own stream."""
     cfg = mc.SimConfig(
         params=LoRaParams(sf),
@@ -45,7 +50,7 @@ def simulate(scenario, detection, n, m, snr_db, trials, seed,
         seed=seed,
         max_bit_errors=max_bit_errors,
     )
-    return mc.run_point(cfg, snr_db)
+    return mc.run_point(cfg, snr_db, workers)
 
 
 def crossing_snr(curve: dict[float, float], level: float) -> float:
@@ -202,9 +207,9 @@ def test_criterion_5_closed_forms_match_their_integrals():
     noise_cfg = ab.AnalyticConfig.from_fading(SF7, FadingConfig.uniform(2.0, 25),
                                               10 ** (-3.0))
     points.append(("noise/noncoherent", ab.noise_ser_noncoherent(noise_cfg),
-                   ab.noise_ser_numeric(noise_cfg, "noncoherent")))
+                   reference.noise_ser_numeric(noise_cfg, "noncoherent")))
     points.append(("noise/coherent", ab.noise_ser_coherent(noise_cfg),
-                   ab.noise_ser_numeric(noise_cfg, "coherent")))
+                   reference.noise_ser_numeric(noise_cfg, "coherent")))
 
     interf_cfg = ab.AnalyticConfig.from_fading(SF7, FadingConfig.uniform(2.0, 25),
                                                10 ** (-2.5))
@@ -213,17 +218,17 @@ def test_criterion_5_closed_forms_match_their_integrals():
                       ("case_b", chi_table[10, 40]), ("case_b", 0.9)):
         points.append((
             f"interference/{case}/noncoherent chi={chi:.3f}",
-            ab.interf_ser_conditional(interf_cfg, case, "noncoherent", chi),
-            ab.interf_ser_conditional_numeric(interf_cfg, case, "noncoherent", chi),
+            reference.interf_ser_conditional(interf_cfg, case, "noncoherent", chi),
+            reference.interf_ser_conditional_numeric(interf_cfg, case, "noncoherent", chi),
         ))
     coh_cfg = ab.AnalyticConfig.from_fading(SF7, FadingConfig.uniform(2.0, 25),
                                             10 ** (-2.7))
     for case in ("case_a", "case_b"):
         points.append((
             f"interference/{case}/coherent chi=0.9",
-            ab.interf_ser_conditional(coh_cfg, case, "coherent", 0.9),
-            ab.interf_ser_conditional_numeric(coh_cfg, case, "coherent", 0.9,
-                                              phase_nodes=48),
+            reference.interf_ser_conditional(coh_cfg, case, "coherent", 0.9),
+            reference.interf_ser_conditional_numeric(coh_cfg, case, "coherent", 0.9,
+                                                     phase_nodes=48),
         ))
 
     rels = [(name, abs(closed - oracle) / oracle) for name, closed, oracle in points
@@ -285,6 +290,13 @@ def test_criterion_7_paired_topology_error_floor():
         f"-8 dB: {high.ber:.3e} [{high.ci95_low:.2e},{high.ci95_high:.2e}]",
     )
     assert ok, "paired-topology floor points are statistically distinguishable"
+
+
+def test_criterion_point_is_the_same_at_one_and_two_workers():
+    # criterion 7's low point, early stop included, as the serial run gives it
+    args = ("case_b", "noncoherent", 25, 2.0, -12.0)
+    kwargs = dict(trials=400_000, seed=71, max_bit_errors=3000)
+    assert simulate(*args, **kwargs, workers=2) == simulate(*args, **kwargs, workers=1)
 
 
 def test_criterion_8_invariant_suites():

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from numpy.polynomial.chebyshev import chebfit, chebval
 
 from chirpfield import analytic_ber as ab
-from chirpfield import validation
+from chirpfield import reference, validation
 from chirpfield.analytic_ber import GammaFit
 from chirpfield.channel import FadingConfig
 from chirpfield.interference import chi_of_I_table
@@ -47,7 +47,7 @@ class TestNoiseBranch:
             if detection == "noncoherent"
             else ab.noise_ser_coherent(cfg)
         )
-        oracle = ab.noise_ser_numeric(cfg, detection)
+        oracle = reference.noise_ser_numeric(cfg, detection)
         assert closed == pytest.approx(oracle, rel=1e-3)
 
     def test_vanishes_at_high_snr(self):
@@ -68,12 +68,12 @@ class TestNoiseBranch:
         # the embedded two-exponential fit overshoots the true tail in the
         # waterfall band and saturates below it once errors are common
         waterfall = config(-36.0)
-        assert ab.noise_ser_numeric(waterfall, "noncoherent", q_mode="approx") > (
-            ab.noise_ser_numeric(waterfall, "noncoherent", q_mode="exact")
+        assert reference.noise_ser_numeric(waterfall, "noncoherent", q_mode="approx") > (
+            reference.noise_ser_numeric(waterfall, "noncoherent", q_mode="exact")
         )
         saturated = config(-40.0)
-        assert ab.noise_ser_numeric(saturated, "noncoherent", q_mode="approx") < (
-            ab.noise_ser_numeric(saturated, "noncoherent", q_mode="exact")
+        assert reference.noise_ser_numeric(saturated, "noncoherent", q_mode="approx") < (
+            reference.noise_ser_numeric(saturated, "noncoherent", q_mode="exact")
         )
 
     def test_warns_below_calibrated_spreading_factor(self):
@@ -168,16 +168,16 @@ class TestInterferenceBranch:
         pairs = [(0, 0), (5, 32), (1, 64), (40, 10), (64, 64)]
         for shift, tau in pairs:
             chi = chi_of_I_table(SF7)[tau, shift]
-            gh = ab.interf_ser_conditional(cfg, "case_a", "noncoherent", chi)
-            oracle = ab.interf_ser_conditional_numeric(cfg, "case_a", "noncoherent", chi)
+            gh = reference.interf_ser_conditional(cfg, "case_a", "noncoherent", chi)
+            oracle = reference.interf_ser_conditional_numeric(cfg, "case_a", "noncoherent", chi)
             if oracle > 1e-12:
                 assert gh == pytest.approx(oracle, rel=1e-2)
 
     def test_coherent_conditional_matches_adaptive_integration(self):
         cfg = config(-27.0)
         for case in ("case_a", "case_b"):
-            gh = ab.interf_ser_conditional(cfg, case, "coherent", 0.9)
-            oracle = ab.interf_ser_conditional_numeric(
+            gh = reference.interf_ser_conditional(cfg, case, "coherent", 0.9)
+            oracle = reference.interf_ser_conditional_numeric(
                 cfg, case, "coherent", 0.9, phase_nodes=48
             )
             assert gh == pytest.approx(oracle, rel=1e-2)
@@ -187,16 +187,16 @@ class TestInterferenceBranch:
         # to E[Q(scale * |H|)] which cannot exceed one half
         cfg = config(-25.0)
         for case in ("case_a", "case_b"):
-            value = ab.interf_ser_conditional(cfg, case, "noncoherent", 0.0)
+            value = reference.interf_ser_conditional(cfg, case, "noncoherent", 0.0)
             assert 0.0 <= value < 0.5
 
     def test_symmetric_gains_give_half_at_full_overlap(self):
         # paired topology with identical fits and chi = 1: the comparison
         # is symmetric, so the error probability is exactly one half
         cfg = config(-25.0)
-        assert ab.interf_ser_conditional(cfg, "case_b", "noncoherent", 1.0) == pytest.approx(
-            0.5, abs=1e-9
-        )
+        assert reference.interf_ser_conditional(
+            cfg, "case_b", "noncoherent", 1.0
+        ) == pytest.approx(0.5, abs=1e-9)
 
     def test_paired_worse_than_shared(self):
         for snr_db in (-30.0, -20.0, -10.0):
@@ -594,7 +594,7 @@ class TestCombinedBer:
         # p_interf -> 1 caps the bit error rate at (K/2)/(K-1)
         assert 64.0 / 127.0 == pytest.approx(0.503937, abs=1e-6)
         cfg = config(-25.0)
-        half = ab.interf_ser_conditional(cfg, "case_b", "noncoherent", 1.0)
+        half = reference.interf_ser_conditional(cfg, "case_b", "noncoherent", 1.0)
         assert half <= 64.0 / 127.0 / 0.5  # sanity tie-in with the cap
 
     def test_total_ber_non_increasing_in_element_count(self):

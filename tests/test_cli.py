@@ -63,6 +63,8 @@ class TestSnrParsing:
         ("-30:-28:-1", "SNR step must be positive"),
         ("-30:-28:0", "SNR step must be positive"),
         ("-28:-30:1", "SNR grid stop lies below its start"),
+        # once wrote each point three times, every copy identical
+        ("0:1e-9:2e-10", "SNR grid points repeat once rounded to 1e-9 dB"),
     ])
     def test_bad_grid_names_the_flag(self, snr, message, tmp_path, capsys):
         out = tmp_path / "out.csv"
@@ -73,6 +75,7 @@ class TestSnrParsing:
     @pytest.mark.parametrize("snr, message", [
         ("-30:-28:-1", "SNR step must be positive"),
         ("-28:-30:1", "SNR grid stop lies below its start"),
+        ("0:1e-9:2e-10", "SNR grid points repeat once rounded to 1e-9 dB"),
     ])
     def test_bad_grid_in_config_file_names_the_key(self, snr, message, tmp_path):
         path = tmp_path / "run.cfg"

@@ -1,11 +1,13 @@
-"""Production runs load no heavy SciPy subpackage of their own.
+"""Production runs load no heavy SciPy subpackage of their own, and no
+module keeps an import it does not use.
 
 `scipy.integrate` drags in `scipy.optimize`, `scipy.sparse` and
 `scipy.linalg`, which cost most of a run's start-up, and `scipy.stats`
-is as heavy.  Only the `*_numeric` oracles and `validate` need them, so
-they import them where they are called.  The check runs in a fresh
-interpreter, so that it also catches an import made at run time (for
-example by the first call of a SciPy routine), not only at import time.
+is as heavy.  Only the `*_numeric` oracles in `reference` and `validate`
+need them, so they import them where they are called.  The check runs in
+a fresh interpreter, so that it also catches an import made at run time
+(for example by the first call of a SciPy routine), not only at import
+time.
 
 What `scipy.special` loads by itself is the floor: SciPy before 1.17
 imports `scipy.linalg` (and through it `scipy.sparse`) inside
@@ -14,14 +16,23 @@ imports `scipy.linalg` (and through it `scipy.sparse`) inside
 The Monte Carlo route loads none of SciPy at all: `montecarlo` imports
 only `channel` and `lora_phy`, so a simulation of every scenario in a
 fresh interpreter leaves no closed-form module (`analytic_ber`,
-`specfun`, `interference`, `validation`) and no `scipy` module behind.
+`specfun`, `interference`, `reference`, `validation`) and no `scipy`
+module behind.
+
+A name that a module imports and never uses is what a move leaves behind.
+The only ones allowed are those the benchmark's trace spans wrap in that
+module's namespace (`_WRAPS` in perfbench/spans.py), since the spans need
+the name to resolve there.
 """
 
+import ast
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+from test_perfbench_spans import load_spans
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -93,3 +104,25 @@ def test_simulation_loads_no_closed_form_and_no_scipy():
     assert package == {"chirpfield.channel", "chirpfield.lora_phy", "chirpfield.montecarlo"}
     scipy = [name for name in loaded if name.startswith("scipy")]
     assert not scipy, f"a simulation imported {scipy[:5]}"
+
+
+def imported_names(tree: ast.Module) -> set[str]:
+    """Every name an import binds anywhere in the module."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names.update(alias.asname or alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            names.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+    return names
+
+
+def test_every_import_is_used():
+    pinned = {(module, attr) for module, attr, *_ in load_spans()._WRAPS}
+    unused = []
+    for path in sorted((SRC / "chirpfield").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.stem}.{name}" for name in sorted(imported_names(tree) - used)
+                   if (path.stem, name) not in pinned]
+    assert not unused, f"imported but never used: {unused}"

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from chirpfield import interference, lora_phy
-from chirpfield.interference import InterfererState
+from chirpfield import interference, lora_phy, reference
+from chirpfield.reference import InterfererState
 from chirpfield.lora_phy import LoRaParams
 
 
@@ -63,16 +63,16 @@ class TestFrame:
 
 class TestPartialSums:
     def test_aligned_with_first_symbol(self, sf7):
-        s1, _ = interference.psi_partial_sums(3, InterfererState(3, 40, 32), sf7)
+        s1, _ = reference.psi_partial_sums(3, InterfererState(3, 40, 32), sf7)
         assert s1 == pytest.approx(32 / 128, abs=1e-14)
 
     def test_aligned_with_second_symbol(self, sf7):
-        _, s2 = interference.psi_partial_sums(40, InterfererState(3, 40, 32), sf7)
+        _, s2 = reference.psi_partial_sums(40, InterfererState(3, 40, 32), sf7)
         assert s2 == pytest.approx((128 - 32) / 128, abs=1e-14)
 
     def test_generic_bin_magnitudes_match_sine_ratios(self, sf7):
         state = InterfererState(3, 40, 32)
-        s1, s2 = interference.psi_partial_sums(10, state, sf7)
+        s1, s2 = reference.psi_partial_sums(10, state, sf7)
         assert abs(s1) == pytest.approx(sine_ratio(10 - 3, 32, 128) / 128, abs=1e-12)
         assert abs(s2) == pytest.approx(sine_ratio(10 - 40, 96, 128) / 128, abs=1e-12)
 
@@ -81,12 +81,12 @@ class TestPartialSums:
         state = InterfererState(3, 40, 32)
         bins = lora_phy.dechirp_dft(frame_of(state, sf7), sf7)
         for i in (0, 3, 10, 40, 99):
-            s1, s2 = interference.psi_partial_sums(i, state, sf7)
+            s1, s2 = reference.psi_partial_sums(i, state, sf7)
             assert abs(bins[i]) == pytest.approx(abs(s1 + s2), abs=1e-12)
 
 
 def chi_bound(bin_index, state, params):
-    return interference.chi_bound_all_bins(state, params)[bin_index]
+    return reference.chi_bound_all_bins(state, params)[bin_index]
 
 
 class TestChiBound:
@@ -109,9 +109,9 @@ class TestChiBound:
                 int(rng.integers(0, 128)),
                 int(rng.integers(0, 65)),
             )
-            bound = interference.chi_bound_all_bins(state, sf7)
+            bound = reference.chi_bound_all_bins(state, sf7)
             for i in range(128):
-                s1, s2 = interference.psi_partial_sums(i, state, sf7)
+                s1, s2 = reference.psi_partial_sums(i, state, sf7)
                 assert bound[i] - abs(s1 + s2) >= -1e-12
 
     def test_all_bins_helper_matches_scalar(self, sf7):
@@ -123,7 +123,7 @@ class TestChiBound:
                 int(rng.integers(0, 65)),
             )
             # against the scalar sine-ratio oracle, bin by bin
-            vec = interference.chi_bound_all_bins(state, sf7)
+            vec = reference.chi_bound_all_bins(state, sf7)
             for i in rng.integers(0, 128, 5):
                 expected = (
                     sine_ratio(i - state.i1, state.tau, 128)
@@ -143,7 +143,7 @@ class TestChiBound:
                 int(rng.integers(0, 128)),
                 int(rng.integers(0, 65)),
             )
-            hits += int(np.argmax(interference.chi_bound_all_bins(state, sf7))) == state.i2
+            hits += int(np.argmax(reference.chi_bound_all_bins(state, sf7))) == state.i2
         assert hits / n >= 0.95
 
 
@@ -205,6 +205,6 @@ class TestChiOfI:
         with pytest.raises(IndexError):
             chi_of_I(128, 10, sf7)
         with pytest.raises(ValueError):
-            interference.chi_bound_all_bins(InterfererState(3, 40, 65), sf7)
+            reference.chi_bound_all_bins(InterfererState(3, 40, 65), sf7)
         with pytest.raises(ValueError):
-            interference.chi_bound_all_bins(InterfererState(3, 128, 10), sf7)
+            reference.chi_bound_all_bins(InterfererState(3, 128, 10), sf7)

@@ -13,6 +13,7 @@ import pytest
 
 from chirpfield import analytic_ber as ab
 from chirpfield import montecarlo as mc
+from chirpfield import reference
 from chirpfield.channel import FadingConfig
 from chirpfield.lora_phy import LoRaParams
 
@@ -191,7 +192,7 @@ class TestBlockKernel:
             draws.tau[:3] = (0, K - 1, K // 2)
             draws.c[3:5] = draws.i2[3:5]  # target/interferer collisions
         # the oracle draws the whole noise at once from an identical generator
-        expected = mc.time_domain_bins(draws, params, copy.deepcopy(rng))
+        expected = reference.time_domain_bins(draws, params, copy.deepcopy(rng))
         compensation = -np.angle(draws.h_eff)
         step = mc._TONE_CHUNK // K
         covered = 0
@@ -345,7 +346,8 @@ class TestSharedDetectorPass:
 
 class TestIndependence:
     """The Monte Carlo route imports the channel sampling and the waveform
-    code, and nothing of the closed forms.
+    code, and nothing of the closed forms; only `validation` imports the
+    oracles of `reference`.
 
     Checked on the source, since a test process has every module loaded;
     tests/test_import_graph.py checks sys.modules after a simulation in a
@@ -379,6 +381,13 @@ class TestIndependence:
                     reachable.add(module)
                     todo.append(module)
         assert reachable == {"channel", "lora_phy"}
+
+    def test_only_validation_imports_reference(self):
+        # the oracles stay out of both production routes
+        package = Path(mc.__file__).parent
+        importers = {path.stem for path in package.glob("*.py")
+                     if "reference" in self.package_imports(path)}
+        assert importers == {"validation"}
 
 
 class TestSweep:

@@ -49,8 +49,9 @@ def test_closed_forms_reach_q_through_the_wrapped_name(monkeypatch):
     assert sum(evaluated) > 0
 
 
-# Wrapped names that only the time-domain oracle of the Monte Carlo block
-# (montecarlo.time_domain_bins) or a test reaches; every other one must be
+# Wrapped names that no production run calls: montecarlo and analytic_ber
+# import them only for these spans, and only the oracles in `reference`
+# and the tests run them, from their home modules.  Every other one must be
 # called by the runs below, or its span is dead.
 ORACLE_ONLY = {
     "montecarlo.modulate_many",
