@@ -23,9 +23,6 @@ import argparse
 import itertools
 import math
 import sys
-import threading
-import warnings
-from concurrent.futures import Executor
 from dataclasses import dataclass
 
 from . import analytic_ber, montecarlo, validation
@@ -46,12 +43,19 @@ class ConfigError(Exception):
     """Invalid command line, config file, or preset combination."""
 
 
+# Most points an SNR grid may have; the presets use 26.
+_MAX_SNR_POINTS = 100_000
+
+
 def _snr_grid(start: float, stop: float, step: float, origin: str) -> tuple[float, ...]:
     if step <= 0:
         raise ConfigError(f"{origin}: SNR step must be positive")
     if stop < start:
         raise ConfigError(f"{origin}: SNR grid stop lies below its start")
-    count = int(round((stop - start) / step))
+    intervals = (stop - start) / step  # inf once the span overflows
+    if not (math.isfinite(intervals) and round(intervals) < _MAX_SNR_POINTS):
+        raise ConfigError(f"{origin}: SNR grid has more than {_MAX_SNR_POINTS} points")
+    count = int(round(intervals))
     grid = [round(start + k * step, 9) for k in range(count + 1)]
     if len(set(grid)) < len(grid):
         raise ConfigError(
@@ -325,18 +329,15 @@ class _Row:
         return ",".join(_format(getattr(self, col)) for col in _CSV_COLUMNS)
 
 
-def _analytic_task(spec: ExperimentSpec, row: _Row, caught: threading.local):
+def _analytic_task(spec: ExperimentSpec, row: _Row):
     """Evaluate the closed forms for one CSV row; runs in a pool thread, or
     in the calling thread of a serial run.
 
     Returns the failure message of a NumericError, or the row's values and
-    the warnings raised on the way, each prefixed with the row it names.
-    The warnings are those `_fill_analytic` routes to this thread's
-    `caught.messages` while the task runs.
+    the result's calibration notes, each prefixed with the row it names.
     """
     label = (f"{row.scenario}/{row.detection} sf={row.sf} n={row.n_elements} "
              f"m={row.m} snr={row.snr_db}")
-    caught.messages = []
     try:
         cfg = analytic_ber.AnalyticConfig.from_fading(
             LoRaParams(row.sf),
@@ -353,32 +354,17 @@ def _analytic_task(spec: ExperimentSpec, row: _Row, caught: threading.local):
             result = analytic_ber.ber(cfg, row.scenario, row.detection)
     except NumericError as exc:
         return f"{label}: {exc}"
-    notes = [f"{label}: {message}" for message in caught.messages]
+    notes = [f"{label}: {note}" for note in result.notes]
     return result.ber, result.p_noise, result.p_interf, notes
 
 
-def _fill_analytic(
-    spec: ExperimentSpec, rows: list["_Row"], failures: list[str], pool: Executor | None
-) -> None:
-    """Fill the closed-form columns of every row that has them.
-
-    The warning filters and `showwarning` are process-wide, so the tasks
-    cannot each install a capture of their own without undoing another
-    thread's.  One capture, installed here around every task, hands each
-    warning to the list of the thread that raised it, which is the list of
-    the task that thread is running.
-    """
+def _fill_analytic(spec: ExperimentSpec, rows: list["_Row"], failures: list[str]) -> None:
+    """Fill the closed-form columns of every row that has them, on a pool of
+    `spec.workers` threads, and print their notes in row order."""
     todo = [row for row in rows if row.scenario in _ANALYTIC_SCENARIOS]
-    caught = threading.local()
-
-    def route(message, *details):
-        caught.messages.append(message)
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("always")
-        warnings.showwarning = route
+    with montecarlo.worker_pool(spec.workers) as pool:
         results = (map if pool is None else pool.map)(
-            _analytic_task, itertools.repeat(spec), todo, itertools.repeat(caught)
+            _analytic_task, itertools.repeat(spec), todo
         )
         for row, result in zip(todo, results):
             if isinstance(result, str):
@@ -389,24 +375,18 @@ def _fill_analytic(
                     print(f"warning: {note}", file=sys.stderr)
 
 
-def _simulate(
-    spec: ExperimentSpec, pool: Executor | None
-) -> dict[tuple, montecarlo.BerEstimate]:
+def _simulate(spec: ExperimentSpec) -> dict[tuple, montecarlo.BerEstimate]:
     """Monte Carlo estimates keyed by (scenario, detection, sf, n, m, snr_db).
 
     One sweep per (scenario, sf, n, m) runs every detector the spec asks
-    of that scenario on the same blocks.  The simulation runs "ris_free"
-    at N = 0 whatever N its rows name, so one sweep per (sf, m) fills its
-    rows of every N.
+    of that scenario on the same blocks.
     """
     detections: dict[str, list[str]] = {}
     for scenario, detection in spec.branches:
         detections.setdefault(scenario, []).append(detection)
     estimates = {}
     for scenario, wanted in detections.items():
-        surface_free = scenario == "ris_free"
-        sweep_n = (0,) if surface_free else spec.n_values
-        for sf, n, m in itertools.product(spec.sf_values, sweep_n, spec.m_values):
+        for sf, n, m in itertools.product(spec.sf_values, spec.n_values, spec.m_values):
             cfg = montecarlo.SimConfig(
                 params=LoRaParams(sf),
                 fading=FadingConfig.uniform(m, n),
@@ -417,21 +397,17 @@ def _simulate(
                 seed=spec.seed,
                 full_offset_range=spec.full_offset_range,
             )
-            points = montecarlo.run_sweep(
-                cfg, spec.workers, detections=tuple(wanted), pool=pool
-            )
-            for point, row_n in itertools.product(
-                points, spec.n_values if surface_free else (n,)
-            ):
-                estimates[scenario, point.detection, sf, row_n, m, point.snr_db] = point.estimate
+            for point in montecarlo.run_sweep(cfg, spec.workers, detections=tuple(wanted)):
+                estimates[scenario, point.detection, sf, n, m, point.snr_db] = point.estimate
     return estimates
 
 
 def run(spec: ExperimentSpec) -> int:
     """Execute a spec and write its CSV; returns the process exit code.
 
-    One pool of `spec.workers` threads serves every sweep and the closed
-    forms of the run; at one worker everything runs in the calling thread.
+    Each sweep, and the closed forms, run on a pool of `spec.workers`
+    threads of their own; at one worker everything runs in the calling
+    thread.
     """
     if spec.mode == "validate":
         return _run_validation(spec)
@@ -449,8 +425,8 @@ def run(spec: ExperimentSpec) -> int:
         print(f"error: cannot write {spec.out}: {exc}", file=sys.stderr)
         return 1
 
-    with handle, montecarlo.worker_pool(spec.workers) as pool:
-        estimates = _simulate(spec, pool) if want_sim else {}
+    with handle:
+        estimates = _simulate(spec) if want_sim else {}
         for scenario, detection in spec.branches:
             for sf, n, m in itertools.product(spec.sf_values, spec.n_values, spec.m_values):
                 for snr_db in spec.snr_db_grid:
@@ -467,7 +443,7 @@ def run(spec: ExperimentSpec) -> int:
                     rows.append(row)
 
         if want_analytic:
-            _fill_analytic(spec, rows, failures, pool)
+            _fill_analytic(spec, rows, failures)
 
         handle.write(",".join(_CSV_COLUMNS) + "\n")
         for row in rows:

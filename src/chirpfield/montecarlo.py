@@ -42,16 +42,15 @@ still counting.  A detector therefore counts exactly the blocks it would
 count on its own, so its estimate is the same whether it runs alone or
 beside the other, and the two estimates share every draw.
 
-Pool policy: parallel runs keep at most `workers` blocks in flight on one
-thread pool, and submit no further block of a point once every detector
-has stopped.  The pool is the caller's when it passes one (the command
-line opens one per run, which the closed forms share), else one is started
-for the sweep, or for the point when `run_point` is called on its own.
-Threads suffice because a block spends its time in numpy calls that
-release the interpreter lock (the normal fills, the FFT, the gathers,
-`argmax` and the ufuncs), and they share one copy of the lookup tables
-where worker processes would each hold their own.  A block shares no
-mutable state with another: it owns its generator and its chunk buffer.
+Pool policy: `run_sweep` and `run_point` each start a pool of `workers`
+threads (none at one worker) and shut it down before they return.  They
+keep at most `workers` blocks in flight on it, and submit no further block
+of a point once every detector has stopped.  Threads suffice because a
+block spends its time in numpy calls that release the interpreter lock
+(the normal fills, the FFT, the gathers, `argmax` and the ufuncs), and
+they share one copy of the lookup tables where worker processes would each
+hold their own.  A block shares no mutable state with another: it owns its
+generator and its chunk buffer.
 """
 
 from __future__ import annotations
@@ -60,7 +59,7 @@ import math
 from collections import deque
 from collections.abc import Iterator
 from concurrent.futures import Executor, ThreadPoolExecutor
-from contextlib import closing, contextmanager, nullcontext
+from contextlib import closing, contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -375,8 +374,7 @@ def _run_detectors(
     )
 
     tallies = {detection: [0, 0, 0] for detection in detections}  # errors, trials, collisions
-    pool_context = worker_pool(workers) if pool is None else nullcontext(pool)
-    with pool_context as pool, closing(_block_results(pool, tasks, workers)) as results:
+    with closing(_block_results(pool, tasks, workers)) as results:
         for block_errors, size, block_collisions in results:
             for detection in tuple(running):
                 tally = tallies[detection]
@@ -390,41 +388,32 @@ def _run_detectors(
     return [_estimate(*tallies[detection], cfg.params.sf) for detection in detections]
 
 
-def run_point(
-    cfg: SimConfig, snr_db: float, workers: int = 1, *, pool: Executor | None = None
-) -> BerEstimate:
+def run_point(cfg: SimConfig, snr_db: float, workers: int = 1) -> BerEstimate:
     """Estimate the bit error rate of `cfg.detection` at one grid SNR.
 
     Blocks are accumulated in index order and the early-stop rule is
     evaluated at block boundaries, so the counted set of trials (and hence
-    the estimate) is independent of the worker count.  With `workers > 1`
-    the blocks run on `pool` when one is given, else on a pool started for
-    this point.
+    the estimate) is independent of the worker count.
     """
-    return _run_detectors(cfg, snr_db, (cfg.detection,), workers, pool)[0]
+    with worker_pool(workers) as pool:
+        return _run_detectors(cfg, snr_db, (cfg.detection,), workers, pool)[0]
 
 
 def run_sweep(
-    cfg: SimConfig,
-    workers: int = 1,
-    *,
-    detections: tuple[str, ...] | None = None,
-    pool: Executor | None = None,
+    cfg: SimConfig, workers: int = 1, *, detections: tuple[str, ...] | None = None
 ) -> list[BerPoint]:
     """One BerPoint per grid SNR and detector, SNR-major, the detectors in
     the order of `detections` (default: `cfg.detection` alone).
 
     Every detector reads the bins of the same blocks and gets the estimate
-    a sweep of it alone would give.  With `workers > 1` the blocks run on
-    `pool` when one is given, else on one pool started for the sweep.
+    a sweep of it alone would give.  The points share one pool.
     """
     detections = (cfg.detection,) if detections is None else tuple(detections)
     unknown = set(detections) - set(DETECTIONS)
     if not detections or unknown or len(set(detections)) < len(detections):
         raise ValueError(f"detections must be distinct entries of {DETECTIONS}")
     points = []
-    pool_context = worker_pool(workers) if pool is None else nullcontext(pool)
-    with pool_context as pool:
+    with worker_pool(workers) as pool:
         for snr_db in cfg.snr_db_grid:
             estimates = _run_detectors(cfg, snr_db, detections, workers, pool)
             points += [

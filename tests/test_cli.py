@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import re
 import sys
@@ -65,6 +64,10 @@ class TestSnrParsing:
         ("-28:-30:1", "SNR grid stop lies below its start"),
         # once wrote each point three times, every copy identical
         ("0:1e-9:2e-10", "SNR grid points repeat once rounded to 1e-9 dB"),
+        # once died with an OverflowError traceback
+        ("-1e308:1e308:1e-300", "SNR grid has more than 100000 points"),
+        # once built a list of a million points before checking anything
+        ("0:1e-4:1e-10", "SNR grid has more than 100000 points"),
     ])
     def test_bad_grid_names_the_flag(self, snr, message, tmp_path, capsys):
         out = tmp_path / "out.csv"
@@ -76,6 +79,8 @@ class TestSnrParsing:
         ("-30:-28:-1", "SNR step must be positive"),
         ("-28:-30:1", "SNR grid stop lies below its start"),
         ("0:1e-9:2e-10", "SNR grid points repeat once rounded to 1e-9 dB"),
+        ("-1e308:1e308:1e-300", "SNR grid has more than 100000 points"),
+        ("0:1e-4:1e-10", "SNR grid has more than 100000 points"),
     ])
     def test_bad_grid_in_config_file_names_the_key(self, snr, message, tmp_path):
         path = tmp_path / "run.cfg"
@@ -359,33 +364,6 @@ class TestRuns:
         ]
         assert all(int(row["bits_sent"]) > 0 and float(row["ber_sim"]) > 0 for row in free)
 
-    def test_ris_free_runs_once_for_every_element_count(self, tmp_path, monkeypatch):
-        # the simulation runs ris_free at N = 0, so one sweep fills every N
-        sweeps = []
-        run_sweep = mc.run_sweep
-
-        def recording_run_sweep(cfg, *args, **kwargs):
-            sweeps.append(cfg.scenario)
-            return run_sweep(cfg, *args, **kwargs)
-
-        monkeypatch.setattr(mc, "run_sweep", recording_run_sweep)
-        out = tmp_path / "free.csv"
-        spec = dataclasses.replace(
-            spec_for(["simulate", "--scenario", "ris_free", "--snr-db=-10:0:10",
-                      "--trials", "3000", "--seed", "8", "--out", str(out)]),
-            n_values=(0, 25),
-        )
-        assert cli.run(spec) == 0
-        assert sweeps == ["ris_free"]
-        header, *lines = [line.split(",") for line in out.read_text().splitlines()]
-        rows = [dict(zip(header, line)) for line in lines]
-        sim = ("detection", "snr_db", "ber_sim", "ci_low", "ci_high", "bits_sent")
-        by_n = {n: [[row[k] for k in sim] for row in rows if row["n_elements"] == n]
-                for n in ("0", "25")}
-        assert len(rows) == 8 and len(by_n["0"]) == 4
-        assert by_n["0"] == by_n["25"]
-        assert all(int(row["bits_sent"]) > 0 for row in rows)
-
     def test_both_mode_fills_both_sides(self, tmp_path):
         out = tmp_path / "both.csv"
         code = cli.main(
@@ -620,7 +598,7 @@ class TestWorkerPool:
     def threads_started_since(before: set) -> list:
         return [thread for thread in threading.enumerate() if thread not in before]
 
-    def test_one_pool_serves_the_sweeps_and_the_closed_forms(self, tmp_path):
+    def test_every_pool_is_shut_down(self, tmp_path):
         before = set(threading.enumerate())
         out = tmp_path / "both.csv"
         code = cli.main(["both", "--scenario", "case_a", "--snr-db=-30:-29:1",
@@ -629,7 +607,8 @@ class TestWorkerPool:
         rows = out.read_text().splitlines()[1:]
         assert len(rows) == 4
         assert all(row.split(",")[6] and row.split(",")[9] for row in rows)
-        assert len(RecordingPool.started) == 1
+        # one for the sweep and one for the closed forms
+        assert len(RecordingPool.started) == 2
         assert RecordingPool.shut_down == RecordingPool.started
         assert not self.threads_started_since(before)
 

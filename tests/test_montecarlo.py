@@ -231,29 +231,33 @@ class TestBlockKernel:
 
 
 class InlinePool(Executor):
-    """Runs each block when it is submitted and counts the submissions."""
+    """Runs each block when it is submitted and counts the submissions of
+    every instance."""
 
-    def __init__(self):
-        self.submitted = 0
+    submitted = 0
+
+    def __init__(self, max_workers):
+        pass
 
     def submit(self, fn, /, *args, **kwargs):
-        self.submitted += 1
+        InlinePool.submitted += 1
         future = Future()
         future.set_result(fn(*args, **kwargs))
         return future
 
 
 class TestWorkerPool:
-    def test_early_stop_submits_no_further_block(self):
+    def test_early_stop_submits_no_further_block(self, monkeypatch):
         # five blocks a point; at -37 dB the first block passes 300 bit
         # errors, at -33 dB no block does
         cfg = sim_config(snr_db_grid=(-37.0, -33.0), trials_per_point=20_000,
                          max_bit_errors=300)
+        monkeypatch.setattr(mc, "ThreadPoolExecutor", InlinePool)
         for snr_db, submitted in ((-37.0, 2), (-33.0, 5)):
-            pool = InlinePool()
-            estimate = mc.run_point(cfg, snr_db, workers=2, pool=pool)
+            monkeypatch.setattr(InlinePool, "submitted", 0)
+            estimate = mc.run_point(cfg, snr_db, workers=2)
             assert estimate == mc.run_point(cfg, snr_db)
-            assert pool.submitted == submitted
+            assert InlinePool.submitted == submitted
         assert estimate.trials == cfg.trials_per_point
 
     def test_failed_block_fails_the_sweep(self, monkeypatch):
