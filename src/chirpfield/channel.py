@@ -25,6 +25,23 @@ ones, which is how every caller pairs them.  Phases are one array, the
 target surface's: a paired interferer surface is always co-phased, so its
 sum reads no phases, and case "b" reads none at all.
 
+Two routes compute the same gains.  `draw_channels` -> `configure_phases`
+-> `aggregate` is the readable model: it draws every link vector, then
+reduces them, holding about ten (trials, N) arrays at once, and it is the
+oracle the tests and `validate` use.  `effective_gains`, which the Monte
+Carlo runs, draws the same variates in the same order and reduces each
+(trials, N) array as soon as the variates it needs are drawn, into
+buffers it reuses, so the two agree to the last bit and leave the
+generator at the same place.  The buffers live at once are four on the
+shared surface (the target surface's magnitudes, theta and phases, and
+the interferer's magnitudes), two on the paired one, and six under blind
+phasing, whose theta comes last and so holds every other array until it
+is drawn.  Variates that no sum reads (every phase in case "b", and on
+the shared surface without an interferer every phase and the
+interferer's magnitudes) are drawn into one scratch buffer and left
+unscaled; theta and the interferer's phase add their terms left to
+right, as `configure_phases` and `aggregate` do.
+
 The moment formulas and Gamma fits of the closed forms live in
 `analytic_ber`, so the Monte Carlo reaches none of them through here.
 """
@@ -94,10 +111,11 @@ class ChannelDraw:
 
 @dataclass(frozen=True)
 class EffectiveGains:
-    """Aggregate complex gains seen by the demodulator."""
+    """Aggregate complex gains seen by the demodulator; h_int is None when
+    `effective_gains` was asked for no interferer."""
 
     h_eff: np.ndarray
-    h_int: np.ndarray
+    h_int: np.ndarray | None
 
 
 def sample_nakagami(shape: float, rng: np.random.Generator, size=None):
@@ -155,18 +173,29 @@ def _phasor(gain: PolarGain):
     return gain.mag * np.exp(1j * gain.phase)
 
 
+def _cophased_sum(reflected_mag, direct: PolarGain):
+    """The reflected magnitudes' sum plus the direct link, all at its phase."""
+    return (reflected_mag + direct.mag) * np.exp(1j * direct.phase)
+
+
+def _scattered_sum(mag, phase, direct: PolarGain, scratch: np.ndarray):
+    """sum_n mag_n e^{i phase_n} + direct, for element vectors on the last
+    axis, with a cosine and a sine per term; overwrites `scratch`."""
+    real = np.multiply(mag, np.cos(phase, out=scratch), out=scratch).sum(axis=-1)
+    imag = np.multiply(mag, np.sin(phase, out=scratch), out=scratch).sum(axis=-1)
+    return (real + 1j * imag) + _phasor(direct)
+
+
 def _combine(h: PolarGain, theta, g: PolarGain, direct: PolarGain, co_phased: bool):
     """sum_n h_n e^{i theta_n} g_n + direct, for element vectors on the
     last axis; co_phased says every reflected term has the direct phase,
     and then theta is not read."""
     mag = h.mag * g.mag
     if co_phased:
-        return (mag.sum(axis=-1) + direct.mag) * np.exp(1j * direct.phase)
+        return _cophased_sum(mag.sum(axis=-1), direct)
     phase = h.phase + theta
     phase += g.phase
-    real = (mag * np.cos(phase)).sum(axis=-1)
-    imag = (mag * np.sin(phase)).sum(axis=-1)
-    return (real + 1j * imag) + _phasor(direct)
+    return _scattered_sum(mag, phase, direct, np.empty_like(mag))
 
 
 def aggregate(
@@ -192,4 +221,121 @@ def aggregate(
         h_int = _combine(draw.h_i, None, draw.g_i, draw.h_id, True)
     else:
         h_int = _combine(draw.h_i, phases, draw.g_t, draw.h_id, False)
+    return EffectiveGains(h_eff=h_eff, h_int=h_int)
+
+
+# The batch route.  Each helper fills a (trials, N) buffer from `rng` with
+# the variates, and the bits, of the three-stage route's draw of that shape.
+
+
+def _magnitudes(shape: float, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+    """sample_nakagami(shape, rng, out.shape), in `out`: rng.gamma scales
+    each standard Gamma variate by 1/shape, as this does."""
+    rng.standard_gamma(shape, out=out)
+    out *= 1.0 / shape
+    return np.sqrt(out, out=out)
+
+
+def _phases(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+    """The phases of _polar_gain, in `out`."""
+    rng.random(out=out)
+    out *= 2.0 * np.pi
+    return out
+
+
+
+
+def _shared_gains(config, rng, h_td, h_id, shape, interferer):
+    """Case "a": h_t, g_t and h_i, each a magnitude then a phase."""
+    target = _magnitudes(config.m_ht, rng, np.empty(shape))
+    if not interferer:
+        # the co-phased target sum reads magnitudes only
+        scratch = np.empty(shape)
+        rng.random(out=scratch)
+        target *= _magnitudes(config.m_gt, rng, scratch)
+        h_eff = _cophased_sum(target.sum(axis=-1), h_td)
+        # g_t's phase, then h_i, which no sum reads
+        rng.random(out=scratch)
+        rng.standard_gamma(config.m_hi, out=scratch)
+        rng.random(out=scratch)
+        return h_eff, None
+    theta = _phases(rng, np.empty(shape))  # h_t's phase, then theta
+    g_mag = _magnitudes(config.m_gt, rng, np.empty(shape))
+    target *= g_mag
+    h_eff = _cophased_sum(target.sum(axis=-1), h_td)
+    g_phase = _phases(rng, target)
+    # theta = phi_direct - phi_h - phi_g, subtracted left to right
+    np.subtract(h_td.phase[:, None], theta, out=theta)
+    theta -= g_phase
+    mag = _magnitudes(config.m_hi, rng, np.empty(shape))
+    mag *= g_mag
+    phase = _phases(rng, g_mag)
+    phase += theta
+    phase += g_phase
+    return h_eff, _scattered_sum(mag, phase, h_id, theta)
+
+
+def _paired_gains(config, rng, h_td, h_id, shape, interferer):
+    """Case "b": h_t, g_t, h_i and g_i, each a magnitude then a phase.
+    Both surfaces are co-phased, so no sum reads a phase."""
+    mag, scratch = np.empty(shape), np.empty(shape)
+    sums = []
+    for m_h, m_g in ((config.m_ht, config.m_gt), (config.m_hi, config.m_gi)):
+        _magnitudes(m_h, rng, mag)
+        rng.random(out=scratch)
+        mag *= _magnitudes(m_g, rng, scratch)
+        sums.append(mag.sum(axis=-1))
+        rng.random(out=scratch)
+    h_int = _cophased_sum(sums[1], h_id) if interferer else None
+    return _cophased_sum(sums[0], h_td), h_int
+
+
+def _blind_gains(config, rng, h_td, h_id, shape, interferer):
+    """Case "blind": h_t, g_t and h_i, each a magnitude then a phase, and
+    last the surface's random phases theta, which every sum reads."""
+    target = _magnitudes(config.m_ht, rng, np.empty(shape))
+    target_phase = _phases(rng, np.empty(shape))
+    g_mag = _magnitudes(config.m_gt, rng, np.empty(shape))
+    target *= g_mag
+    g_phase = _phases(rng, np.empty(shape))
+    mag = _magnitudes(config.m_hi, rng, np.empty(shape))
+    mag *= g_mag
+    phase = _phases(rng, g_mag)
+    theta = _phases(rng, np.empty(shape))
+    target_phase += theta
+    target_phase += g_phase
+    phase += theta
+    phase += g_phase
+    h_eff = _scattered_sum(target, target_phase, h_td, theta)
+    return h_eff, _scattered_sum(mag, phase, h_id, theta) if interferer else None
+
+
+_CASE_GAINS = {"a": _shared_gains, "b": _paired_gains, "blind": _blind_gains}
+
+
+def effective_gains(
+    config: FadingConfig,
+    case: str,
+    rng: np.random.Generator,
+    size: int,
+    *,
+    interferer: bool = True,
+) -> EffectiveGains:
+    """The effective gains of `size` independent draws, case "a", "b" or
+    "blind" as in `aggregate`.
+
+    Bit for bit, and leaving `rng` where they leave it, this is
+    aggregate(draw, phases, case) of draw = draw_channels(config, "b" if
+    case == "b" else "a", rng, size) and phases = configure_phases(draw,
+    "blind" if case == "blind" else "optimal", rng); see the module
+    docstring for how it holds fewer (size, N) arrays.  interferer=False
+    draws the interferer's variates all the same, so the stream is
+    unchanged, but returns h_int None without summing it.
+    """
+    if case not in _CASE_GAINS:
+        raise ValueError(f"unknown case {case!r}")
+    h_td = _polar_gain(config.m1, rng, size)
+    h_id = _polar_gain(config.m2, rng, size)
+    shape = (size, config.n_elements)
+    h_eff, h_int = _CASE_GAINS[case](config, rng, h_td, h_id, shape, interferer)
     return EffectiveGains(h_eff=h_eff, h_int=h_int)

@@ -467,6 +467,8 @@ def _run_validation(spec: ExperimentSpec) -> int:
         status = "PASS" if result.passed else "FAIL"
         all_ok &= result.passed
         print(f"[{status}] {result.name:<{width}}  {result.detail}")
+        for note in result.notes:
+            print(f"warning: {result.name}: {note}", file=sys.stderr)
     print("validation:", "all checks passed" if all_ok else "FAILURES detected")
     return 0 if all_ok else 3
 

@@ -19,8 +19,11 @@ a block streams through chunks of `_TONE_CHUNK` samples of whole rows (4
 rows at SF 12, 128 at SF 7): each chunk draws its noise into one reused
 buffer, adds the tones, transforms in place, adds the target, and the
 detectors write their decisions for its rows.  No (block, K) array exists;
-an SF 12 block of 2,048 trials peaks at about 5 MB of allocations, mostly
-its gain draw, against 134 MB for its received block alone.
+an SF 12 block of 2,048 trials peaks at about 1.5 MB of allocations,
+against 134 MB for its received block alone.  The gain draw
+(`channel.effective_gains`) holds at most four (block, N) arrays on the
+shared surface, 3.3 MB for 4,096 trials at N = 25 (3.8 MB of peak with
+its direct links), two on the paired one and six under blind phasing.
 
 Reproducibility contract: trials are processed in fixed-size blocks, and
 every block gets its own `SFC64` random stream, seeded by
@@ -64,11 +67,18 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channel import FadingConfig, aggregate, configure_phases, draw_channels
-# build_interferer_frames, dechirp_dft and modulate_many, lora_phy's
-# time-domain chain that block_bins replaces, are called nowhere here: they
-# are imported by name only because the benchmark's trace spans
-# (perfbench/spans.py) wrap them in this namespace.
+# aggregate, configure_phases and draw_channels, the three-stage gain draw
+# that effective_gains replaces, and build_interferer_frames, dechirp_dft
+# and modulate_many, lora_phy's time-domain chain that block_bins replaces,
+# are called nowhere here: they are imported by name only because the
+# benchmark's trace spans (perfbench/spans.py) wrap them in this namespace.
+from .channel import (
+    FadingConfig,
+    aggregate,
+    configure_phases,
+    draw_channels,
+    effective_gains,
+)
 from .lora_phy import (
     LoRaParams,
     _tones,
@@ -166,17 +176,15 @@ def _substream(seed: int, point_index: int, block_index: int) -> np.random.Gener
 def _draw_gains(cfg: SimConfig, rng: np.random.Generator, size: int):
     """Effective target/interferer gains for one block; h_int is None when
     the scenario has no interferer.  "ris_free" is "case_a" with no
-    elements, and "no_interference" is "case_a" without its interferer."""
+    elements, and "no_interference" is "case_a" without its interferer,
+    whose variates are drawn all the same."""
     scenario = cfg.scenario
     fading = replace(cfg.fading, n_elements=0) if scenario == "ris_free" else cfg.fading
     case = {"case_b": "b", "blind": "blind"}.get(scenario, "a")
-    draw = draw_channels(fading, "b" if case == "b" else "a", rng, size)
-    # case "b" reads no phases, and "optimal" draws no variates
-    phases = None if case == "b" else configure_phases(
-        draw, "blind" if case == "blind" else "optimal", rng
+    gains = effective_gains(
+        fading, case, rng, size, interferer=scenario != "no_interference"
     )
-    gains = aggregate(draw, phases, case)
-    return gains.h_eff, None if scenario == "no_interference" else gains.h_int
+    return gains.h_eff, gains.h_int
 
 
 @dataclass(frozen=True)

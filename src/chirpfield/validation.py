@@ -2,7 +2,8 @@
 
 Each check pits one implementation route against an independent one
 (brute-force enumeration, adaptive quadrature, Monte Carlo moments) and
-reports pass/fail with a one-line detail.  Monte Carlo sample counts scale
+reports pass/fail with a one-line detail, plus the calibration notes of
+the closed-form points it evaluated.  Monte Carlo sample counts scale
 with the configured trial budget so the whole suite stays interactive.
 """
 
@@ -27,9 +28,13 @@ from .lora_phy import (
 
 @dataclass(frozen=True)
 class CheckResult:
+    """`notes` are the calibration notes (`BerBreakdown.notes`) of the
+    closed-form points the check evaluated, each once, in order."""
+
     name: str
     passed: bool
     detail: str
+    notes: tuple[str, ...] = ()
 
 
 def _check_chirp_orthogonality(params: LoRaParams, *_):
@@ -250,7 +255,7 @@ def _check_noise_closed_form(params: LoRaParams, fading: FadingConfig, _trials, 
         "noncoherent": analytic_ber.noise_ser_noncoherent,
         "coherent": analytic_ber.noise_ser_coherent,
     }
-    worst, compared, missing = 0.0, [], []
+    worst, compared, missing, notes = 0.0, [], [], []
     for detection, closed_form in noise_ser.items():
         snrs = []
         for level in _NOISE_CHECK_LEVELS:
@@ -261,8 +266,11 @@ def _check_noise_closed_form(params: LoRaParams, fading: FadingConfig, _trials, 
                 missing.append(f"{detection} {level:.0e}")
                 continue
             cfg = _analytic_config(params, fading, snr_db)
+            # the same noise closed form, with its calibration notes
+            closed = analytic_ber.ber_no_interference(cfg, detection)
+            notes += closed.notes
             oracle = reference.noise_ser_numeric(cfg, detection)
-            deviation = abs(closed_form(cfg) - oracle) / max(oracle, np.finfo(float).tiny)
+            deviation = abs(closed.p_noise - oracle) / max(oracle, np.finfo(float).tiny)
             worst = max(worst, deviation)
             snrs.append(f"{snr_db:+.0f}")
         compared.append(f"{detection} at {'/'.join(snrs)} dB")
@@ -273,6 +281,7 @@ def _check_noise_closed_form(params: LoRaParams, fading: FadingConfig, _trials, 
         "noise tail closed form vs quadrature",
         worst < 1e-3 and not missing,
         detail,
+        tuple(dict.fromkeys(notes)),
     )
 
 
@@ -428,17 +437,18 @@ _SIM_CHECK_LEVEL = 1e-3
 def _check_sim_vs_analytic(params: LoRaParams, fading: FadingConfig, trials, _rng):
     # scanned down from the top of the paper's grid: the interference
     # double sum gets dearer above it
-    def model_ber(snr_db):
+    def closed_form(snr_db):
         acfg = _analytic_config(params, fading, snr_db)
-        return analytic_ber.ber(acfg, analytic_ber.CASE_SHARED, "noncoherent").ber
+        return analytic_ber.ber(acfg, analytic_ber.CASE_SHARED, "noncoherent")
 
-    snr_db = _crossing_snr_db(model_ber, _SIM_CHECK_LEVEL, -10.0)
+    snr_db = _crossing_snr_db(lambda s: closed_form(s).ber, _SIM_CHECK_LEVEL, -10.0)
     if snr_db is None:
         return CheckResult(
             "simulation vs closed form (shared surface)", False,
             f"no SNR in [-60, -10] dB with a predicted BER of {_SIM_CHECK_LEVEL:.0e} or more",
         )
-    model = model_ber(snr_db)
+    closed = closed_form(snr_db)
+    model = closed.ber
     cfg = montecarlo.SimConfig(
         params=params,
         fading=fading,
@@ -455,6 +465,7 @@ def _check_sim_vs_analytic(params: LoRaParams, fading: FadingConfig, trials, _rn
         "simulation vs closed form (shared surface)",
         ok,
         f"at {snr_db:+.0f} dB simulated {est.ber:.3e}, closed form {model:.3e}",
+        closed.notes,
     )
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,7 +6,9 @@ import pytest
 from scipy import stats
 
 from chirpfield import analytic_ber, channel
+from chirpfield import montecarlo as mc
 from chirpfield.channel import FadingConfig
+from chirpfield.lora_phy import LoRaParams
 from chirpfield.specfun import gamma_fn
 
 
@@ -178,6 +181,51 @@ class TestPolarOracle:
             h_int = self.reflected(draw.h_i, phases, draw.g_t, draw.h_id)
         np.testing.assert_allclose(gains.h_eff, h_eff, rtol=0, atol=1e-12)
         np.testing.assert_allclose(gains.h_int, h_int, rtol=0, atol=1e-12)
+
+
+class TestEffectiveGains:
+    """The Monte Carlo's batch gain draw against the three-stage route,
+    draw_channels -> configure_phases -> aggregate, on the same stream:
+    equal bytes, and the generator left at the same place."""
+
+    SHAPES = {
+        "uniform": (2.0,) * 6,
+        "mixed": (1.5, 3.0, 2.5, 0.8, 4.0, 1.2),
+        "below one": (0.7,) * 6,
+    }
+
+    @staticmethod
+    def three_stage(cfg: mc.SimConfig, rng, size):
+        scenario = cfg.scenario
+        fading = cfg.fading
+        if scenario == "ris_free":
+            fading = dataclasses.replace(fading, n_elements=0)
+        case = {"case_b": "b", "blind": "blind"}.get(scenario, "a")
+        draw = channel.draw_channels(fading, "b" if case == "b" else "a", rng, size)
+        phases = channel.configure_phases(draw, "blind" if case == "blind" else "optimal", rng)
+        gains = channel.aggregate(draw, phases, case)
+        return gains.h_eff, None if scenario == "no_interference" else gains.h_int
+
+    @pytest.mark.parametrize("shapes", SHAPES)
+    @pytest.mark.parametrize("n_elements", [0, 1, 25])
+    @pytest.mark.parametrize("scenario", mc.SCENARIOS)
+    def test_same_bytes_as_three_stage_route(self, scenario, n_elements, shapes):
+        fading = FadingConfig(*self.SHAPES[shapes], n_elements)
+        cfg = mc.SimConfig(LoRaParams(7), fading, scenario, "noncoherent", (0.0,), 1, 1)
+        # an odd batch, so the vectorised loops end in a partial vector
+        expected_rng, rng = rng_for(40), rng_for(40)
+        expected = self.three_stage(cfg, expected_rng, 257)
+        h_eff, h_int = mc._draw_gains(cfg, rng, 257)
+        assert h_eff.tobytes() == expected[0].tobytes()
+        if scenario == "no_interference":
+            assert h_int is None
+        else:
+            assert h_int.tobytes() == expected[1].tobytes()
+        assert rng.random(4).tobytes() == expected_rng.random(4).tobytes()
+
+    def test_unknown_case(self):
+        with pytest.raises(ValueError):
+            channel.effective_gains(FadingConfig.uniform(2.0, 4), "c", rng_for(41), 8)
 
 
 class TestMoments:

@@ -639,6 +639,31 @@ class TestValidateMode:
         assert captured.count("[PASS]") >= 12
         assert "[FAIL]" not in captured
 
+    def test_prints_calibration_notes_of_its_closed_forms(self, capsys):
+        # at SF 6 the coherent noise closed form it checks is outside its
+        # calibration range; the checks pass, and stderr says so once
+        code = cli.main(["validate", "--sf", "6", "--trials", "12000", "--seed", "6"])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.out.endswith("validation: all checks passed\n")
+        assert captured.err.splitlines() == [
+            "warning: noise tail closed form vs quadrature: the coherent noise "
+            "approximation is fitted for sf >= 7; sf=6 is outside its calibration range"
+        ]
+
+    def test_notes_follow_check_order(self, capsys, monkeypatch):
+        from chirpfield import validation
+
+        def fake_run(params, fading, trials, seed):
+            return [validation.CheckResult("first", True, "ok", ("a", "b")),
+                    validation.CheckResult("second", True, "ok"),
+                    validation.CheckResult("third", False, "forced", ("c",))]
+
+        monkeypatch.setattr(cli.validation, "run_validation", fake_run)
+        assert cli.main(["validate"]) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            "warning: first: a", "warning: first: b", "warning: third: c"]
+
     def test_passes_on_a_larger_surface(self, capsys):
         # the SNRs of the closed-form and simulation checks follow the
         # configured fading, so a 64-element surface passes as well

@@ -215,19 +215,29 @@ class TestBlockKernel:
             assert not bins.flags.owndata
             assert bins.__array_interface__["data"][0] == address
 
-    def test_block_memory_is_bounded(self):
-        # One SF 12 block of 2,048 trials, both detectors.  One (trials, K)
-        # complex array would take 134 MB; the gain draw's (trials, N)
-        # arrays take about 4.8 MB, the chunk buffer and its temporaries
-        # about 1 MB.
-        cfg = sim_config(params=LoRaParams(12), scenario="case_b")
+    @staticmethod
+    def peak_bytes(fn, *args):
         tracemalloc.start()
         try:
-            mc._run_block(cfg, 10 ** (-2.5), mc._substream(1, 0, 0), 2048, mc.DETECTIONS)
-            peak = tracemalloc.get_traced_memory()[1]
+            fn(*args)
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 8e6
+
+    def test_block_memory_is_bounded(self):
+        # One SF 12 block of 2,048 trials, both detectors, peaks at about
+        # 1.5 MB.  One (trials, K) complex array would take 134 MB; the
+        # paired-surface gain draw holds two (trials, N) arrays of 0.4 MB,
+        # the chunk buffer and its temporaries take about 0.5 MB.
+        cfg = sim_config(params=LoRaParams(12), scenario="case_b")
+        rng = mc._substream(1, 0, 0)
+        assert self.peak_bytes(mc._run_block, cfg, 10 ** (-2.5), rng, 2048, mc.DETECTIONS) < 3e6
+        # An SF 7 shared-surface block of 4,096 trials at N = 25: its gain
+        # draw holds four (trials, N) arrays of 0.8 MB at once and peaks at
+        # about 3.8 MB, where drawing every link vector before reducing
+        # any peaked at 8.5 MB.
+        cfg = sim_config(scenario="case_a")
+        assert self.peak_bytes(mc._draw_gains, cfg, mc._substream(1, 0, 0), 4096) < 5e6
 
 
 class InlinePool(Executor):

@@ -50,10 +50,14 @@ def test_closed_forms_reach_q_through_the_wrapped_name(monkeypatch):
 
 
 # Wrapped names that no production run calls: montecarlo and analytic_ber
-# import them only for these spans, and only the oracles in `reference`
-# and the tests run them, from their home modules.  Every other one must be
-# called by the runs below, or its span is dead.
+# import them only for these spans, and only the oracles in `reference`,
+# the checks in `validation` and the tests run them, from their home
+# modules.  Every other one must be called by the runs below, or its span
+# is dead.
 ORACLE_ONLY = {
+    "montecarlo.draw_channels",
+    "montecarlo.configure_phases",
+    "montecarlo.aggregate",
     "montecarlo.modulate_many",
     "montecarlo.build_interferer_frames",
     "montecarlo.dechirp_dft",
