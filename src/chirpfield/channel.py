@@ -36,11 +36,10 @@ generator at the same place.  The buffers live at once are four on the
 shared surface (the target surface's magnitudes, theta and phases, and
 the interferer's magnitudes), two on the paired one, and six under blind
 phasing, whose theta comes last and so holds every other array until it
-is drawn.  Variates that no sum reads (every phase in case "b", and on
-the shared surface without an interferer every phase and the
-interferer's magnitudes) are drawn into one scratch buffer and left
-unscaled; theta and the interferer's phase add their terms left to
-right, as `configure_phases` and `aggregate` do.
+is drawn.  Phases that no sum reads (every phase in case "b") are drawn
+into one scratch buffer and left unscaled; theta and the interferer's
+phase add their terms left to right, as `configure_phases` and
+`aggregate` do.
 
 The moment formulas and Gamma fits of the closed forms live in
 `analytic_ber`, so the Monte Carlo reaches none of them through here.
@@ -111,11 +110,10 @@ class ChannelDraw:
 
 @dataclass(frozen=True)
 class EffectiveGains:
-    """Aggregate complex gains seen by the demodulator; h_int is None when
-    `effective_gains` was asked for no interferer."""
+    """Aggregate complex gains seen by the demodulator."""
 
     h_eff: np.ndarray
-    h_int: np.ndarray | None
+    h_int: np.ndarray
 
 
 def sample_nakagami(shape: float, rng: np.random.Generator, size=None):
@@ -243,22 +241,9 @@ def _phases(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
     return out
 
 
-
-
-def _shared_gains(config, rng, h_td, h_id, shape, interferer):
+def _shared_gains(config, rng, h_td, h_id, shape):
     """Case "a": h_t, g_t and h_i, each a magnitude then a phase."""
     target = _magnitudes(config.m_ht, rng, np.empty(shape))
-    if not interferer:
-        # the co-phased target sum reads magnitudes only
-        scratch = np.empty(shape)
-        rng.random(out=scratch)
-        target *= _magnitudes(config.m_gt, rng, scratch)
-        h_eff = _cophased_sum(target.sum(axis=-1), h_td)
-        # g_t's phase, then h_i, which no sum reads
-        rng.random(out=scratch)
-        rng.standard_gamma(config.m_hi, out=scratch)
-        rng.random(out=scratch)
-        return h_eff, None
     theta = _phases(rng, np.empty(shape))  # h_t's phase, then theta
     g_mag = _magnitudes(config.m_gt, rng, np.empty(shape))
     target *= g_mag
@@ -275,7 +260,7 @@ def _shared_gains(config, rng, h_td, h_id, shape, interferer):
     return h_eff, _scattered_sum(mag, phase, h_id, theta)
 
 
-def _paired_gains(config, rng, h_td, h_id, shape, interferer):
+def _paired_gains(config, rng, h_td, h_id, shape):
     """Case "b": h_t, g_t, h_i and g_i, each a magnitude then a phase.
     Both surfaces are co-phased, so no sum reads a phase."""
     mag, scratch = np.empty(shape), np.empty(shape)
@@ -286,11 +271,10 @@ def _paired_gains(config, rng, h_td, h_id, shape, interferer):
         mag *= _magnitudes(m_g, rng, scratch)
         sums.append(mag.sum(axis=-1))
         rng.random(out=scratch)
-    h_int = _cophased_sum(sums[1], h_id) if interferer else None
-    return _cophased_sum(sums[0], h_td), h_int
+    return _cophased_sum(sums[0], h_td), _cophased_sum(sums[1], h_id)
 
 
-def _blind_gains(config, rng, h_td, h_id, shape, interferer):
+def _blind_gains(config, rng, h_td, h_id, shape):
     """Case "blind": h_t, g_t and h_i, each a magnitude then a phase, and
     last the surface's random phases theta, which every sum reads."""
     target = _magnitudes(config.m_ht, rng, np.empty(shape))
@@ -307,19 +291,14 @@ def _blind_gains(config, rng, h_td, h_id, shape, interferer):
     phase += theta
     phase += g_phase
     h_eff = _scattered_sum(target, target_phase, h_td, theta)
-    return h_eff, _scattered_sum(mag, phase, h_id, theta) if interferer else None
+    return h_eff, _scattered_sum(mag, phase, h_id, theta)
 
 
 _CASE_GAINS = {"a": _shared_gains, "b": _paired_gains, "blind": _blind_gains}
 
 
 def effective_gains(
-    config: FadingConfig,
-    case: str,
-    rng: np.random.Generator,
-    size: int,
-    *,
-    interferer: bool = True,
+    config: FadingConfig, case: str, rng: np.random.Generator, size: int
 ) -> EffectiveGains:
     """The effective gains of `size` independent draws, case "a", "b" or
     "blind" as in `aggregate`.
@@ -328,14 +307,12 @@ def effective_gains(
     aggregate(draw, phases, case) of draw = draw_channels(config, "b" if
     case == "b" else "a", rng, size) and phases = configure_phases(draw,
     "blind" if case == "blind" else "optimal", rng); see the module
-    docstring for how it holds fewer (size, N) arrays.  interferer=False
-    draws the interferer's variates all the same, so the stream is
-    unchanged, but returns h_int None without summing it.
+    docstring for how it holds fewer (size, N) arrays.
     """
     if case not in _CASE_GAINS:
         raise ValueError(f"unknown case {case!r}")
     h_td = _polar_gain(config.m1, rng, size)
     h_id = _polar_gain(config.m2, rng, size)
     shape = (size, config.n_elements)
-    h_eff, h_int = _CASE_GAINS[case](config, rng, h_td, h_id, shape, interferer)
+    h_eff, h_int = _CASE_GAINS[case](config, rng, h_td, h_id, shape)
     return EffectiveGains(h_eff=h_eff, h_int=h_int)

@@ -176,15 +176,12 @@ def _substream(seed: int, point_index: int, block_index: int) -> np.random.Gener
 def _draw_gains(cfg: SimConfig, rng: np.random.Generator, size: int):
     """Effective target/interferer gains for one block; h_int is None when
     the scenario has no interferer.  "ris_free" is "case_a" with no
-    elements, and "no_interference" is "case_a" without its interferer,
-    whose variates are drawn all the same."""
+    elements, and "no_interference" is "case_a" without its interferer."""
     scenario = cfg.scenario
     fading = replace(cfg.fading, n_elements=0) if scenario == "ris_free" else cfg.fading
     case = {"case_b": "b", "blind": "blind"}.get(scenario, "a")
-    gains = effective_gains(
-        fading, case, rng, size, interferer=scenario != "no_interference"
-    )
-    return gains.h_eff, gains.h_int
+    gains = effective_gains(fading, case, rng, size)
+    return gains.h_eff, None if scenario == "no_interference" else gains.h_int
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,7 @@
 Each check pits one implementation route against an independent one
 (brute-force enumeration, adaptive quadrature, Monte Carlo moments) and
 reports pass/fail with a one-line detail, plus the calibration notes of
-the closed-form points it evaluated.  Monte Carlo sample counts scale
+the closed-form points it compares.  Monte Carlo sample counts scale
 with the configured trial budget so the whole suite stays interactive.
 """
 
@@ -29,7 +29,7 @@ from .lora_phy import (
 @dataclass(frozen=True)
 class CheckResult:
     """`notes` are the calibration notes (`BerBreakdown.notes`) of the
-    closed-form points the check evaluated, each once, in order."""
+    closed-form points the check compares, each once, in order."""
 
     name: str
     passed: bool
