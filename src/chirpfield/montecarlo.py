@@ -16,51 +16,62 @@ SciPy of the analytic engine, so the two sides cross-validate each other.
 
 Every row is independent from its noise draw to its detector decision, so
 a block streams through chunks of `_TONE_CHUNK` samples of whole rows (4
-rows at SF 12, 128 at SF 7): each chunk draws its noise into one reused
-buffer, adds the tones, transforms in place, adds the target, and the
-detectors write their decisions for its rows.  No (block, K) array exists;
-an SF 12 block of 2,048 trials peaks at about 1.5 MB of allocations,
-against 134 MB for its received block alone.  The gain draw
-(`channel.effective_gains`) holds at most four (block, N) arrays on the
-shared surface, 3.3 MB for 4,096 trials at N = 25 (3.8 MB of peak with
-its direct links), two on the paired one and six under blind phasing.
+rows at SF 12, 128 at SF 7).  Only the noise scale depends on the SNR: the
+symbols, offset, gains and unit-variance noise do not.  So each chunk draws
+its unit noise into one reused buffer and gathers the interferer's tones
+once, and then, for each SNR the block serves, scales the noise, adds the
+tones, transforms in place and adds the target, and the detectors at that
+SNR write their decisions for its rows.  Every SNR but the last scales the
+noise into a second reused buffer, and the last scales it in place, so a
+one-SNR block does its arithmetic in the one buffer.  Both buffers hold
+256 KB; the tones of a chunk take another 256 KB and their symbols 128 KB.
+No (block, K) array exists: an SF 12 block of 2,048 trials peaks at about
+1.5 MB of allocations, against 134 MB for its received block alone.  The
+gain draw (`channel.effective_gains`) holds at most four (block, N) arrays
+on the shared surface, 3.3 MB for 4,096 trials at N = 25 (3.8 MB of peak
+with its direct links), two on the paired one and six under blind phasing.
 
 Reproducibility contract: trials are processed in fixed-size blocks, and
 every block gets its own `SFC64` random stream, seeded by
-`SeedSequence(seed, spawn_key=(point index, block index))`.  Results are
-therefore identical for a given seed no matter how many workers run the
-blocks, and the block size is a module constant because changing it
-changes the stream mapping.  A block draws c, i1, i2, tau, the gains and
-then the noise; the noise is drawn chunk by chunk from the block's stream,
-and since a generator fills normals in sequence, the chunks hold exactly
-the variates of one (block, 2K) draw, whatever the chunk size.  Changing
-the bit generator, or the order in which a block draws its variates,
-changes every result for a fixed seed.
+`SeedSequence(seed, spawn_key=(block index,))`.  The stream does not depend
+on the SNR, so block b of every point of a sweep holds the same draws and
+is drawn once for all of them.  Results are identical for a given seed no
+matter how many workers run the blocks, and the block size is a module
+constant because changing it changes the stream mapping.  A block draws c,
+i1, i2, tau, the gains and then the noise; the noise is drawn chunk by
+chunk from the block's stream, and since a generator fills normals in
+sequence, the chunks hold exactly the variates of one (block, 2K) draw,
+whatever the chunk size.  Changing the bit generator, or the order in
+which a block draws its variates, changes every result for a fixed seed.
 
-Detector policy: every detector a sweep asks for reads the bins of the
-same blocks, which none of them writes.  Each detector keeps its own
-tally and applies the early-stop rule to it alone; once it stops it counts
-no further block, and a point draws blocks only while some detector is
-still counting.  A detector therefore counts exactly the blocks it would
-count on its own, so its estimate is the same whether it runs alone or
-beside the other, and the two estimates share every draw.
+Pair policy: a sweep estimates one (SNR, detector) pair per grid point and
+detector, and every pair reads the bins of the same blocks, which none of
+them writes.  Each pair keeps its own tally and applies the early-stop rule
+to it alone; once it stops it counts no further block, and a block is
+handed only the pairs still counting when it is submitted.  A pair
+therefore counts exactly the blocks it would count on its own, and since
+its bins are bitwise those of a block that serves its SNR alone, its
+estimate is the same whether it runs alone or beside the others.  The rows
+of one sweep share every draw, so their errors are correlated across SNR
+and detector.
 
-Pool policy: `run_sweep` and `run_point` each start a pool of `workers`
-threads (none at one worker) and shut it down before they return.  They
-keep at most `workers` blocks in flight on it, and submit no further block
-of a point once every detector has stopped.  Threads suffice because a
-block spends its time in numpy calls that release the interpreter lock
-(the normal fills, the FFT, the gathers, `argmax` and the ufuncs), and
-they share one copy of the lookup tables where worker processes would each
-hold their own.  A block shares no mutable state with another: it owns its
-generator and its chunk buffer.
+Pool policy: `run_sweep` starts a pool of `workers` threads (none at one
+worker) and shuts it down before it returns; `run_point` is a one-point
+sweep.  A sweep sends its blocks through one queue, in index order, with
+at most `workers` blocks in flight, and submits no further block once
+every pair has stopped.  Threads suffice because a block spends its time
+in numpy calls that release the interpreter lock (the normal fills, the
+FFT, the gathers, `argmax` and the ufuncs), and they share one copy of the
+lookup tables where worker processes would each hold their own.  A block
+shares no mutable state with another: it owns its generator and its chunk
+buffers.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from concurrent.futures import Executor, ThreadPoolExecutor
 from contextlib import closing, contextmanager
 from dataclasses import dataclass, replace
@@ -94,7 +105,8 @@ _BLOCK = 4096
 
 # Samples per row chunk of a block: a block is drawn, built, transformed
 # and detected this many samples (whole rows) at a time, in one reused
-# 256 KB buffer, so no (block, K) array is ever held.
+# 256 KB buffer (two when the block serves several SNRs), so no (block, K)
+# array is ever held.
 _TONE_CHUNK = 1 << 14
 
 SCENARIOS = ("case_a", "case_b", "ris_free", "blind", "no_interference")
@@ -124,6 +136,9 @@ class SimConfig:
             raise ValueError("SNR grid must not be empty")
         if not all(map(math.isfinite, self.snr_db_grid)):
             raise ValueError(f"SNR grid must be finite, got {self.snr_db_grid}")
+        if len(set(self.snr_db_grid)) < len(self.snr_db_grid):
+            # a sweep keys each point's tally by its SNR
+            raise ValueError(f"SNR grid must not repeat a point, got {self.snr_db_grid}")
         if self.trials_per_point < 1:
             raise ValueError("need at least one trial per point")
         if self.max_bit_errors is not None and self.max_bit_errors < 1:
@@ -168,8 +183,8 @@ def wilson_interval(successes: int, total: int, z: float = 1.96) -> tuple[float,
     return max(0.0, center - half), min(1.0, center + half)
 
 
-def _substream(seed: int, point_index: int, block_index: int) -> np.random.Generator:
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(point_index, block_index))
+def _substream(seed: int, block_index: int) -> np.random.Generator:
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=(block_index,))
     return np.random.Generator(np.random.SFC64(ss))
 
 
@@ -188,11 +203,8 @@ def _draw_gains(cfg: SimConfig, rng: np.random.Generator, size: int):
 class BlockDraws:
     """The random variates of one block of trials, in the order drawn,
     except the receiver noise, which `block_bins` draws chunk by chunk.
-
-    `noise_std` is the standard deviation of each real and imaginary part
-    of the noise at the dechirped scale: per-sample variance
-    1/(snr * K**2), so 1/(snr * K) per DFT bin.  The interferer fields are
-    None when the scenario has none.
+    None of them depends on the SNR.  The interferer fields are None when
+    the scenario has none.
     """
 
     c: np.ndarray
@@ -201,12 +213,16 @@ class BlockDraws:
     tau: np.ndarray | None
     h_eff: np.ndarray
     h_int: np.ndarray | None
-    noise_std: float
 
 
-def draw_block(
-    cfg: SimConfig, snr_linear: float, rng: np.random.Generator, size: int
-) -> BlockDraws:
+def noise_std(snr_linear: float, K: int) -> float:
+    """Standard deviation of each real and imaginary part of the receiver
+    noise at the dechirped scale: per-sample variance 1/(snr * K**2), so
+    1/(snr * K) per DFT bin."""
+    return math.sqrt(0.5 / (snr_linear * K * K))
+
+
+def draw_block(cfg: SimConfig, rng: np.random.Generator, size: int) -> BlockDraws:
     """Draw one block: c, i1, i2, tau, then the gains.  The noise comes
     last in the block's stream, and is left in `rng` for `block_bins`."""
     K = cfg.params.K
@@ -218,44 +234,63 @@ def draw_block(
         tau_hi = (K - 1) if cfg.full_offset_range else K // 2
         tau = rng.integers(0, tau_hi + 1, size)
     h_eff, h_int = _draw_gains(cfg, rng, size)
-    return BlockDraws(c, i1, i2, tau, h_eff, h_int, math.sqrt(0.5 / (snr_linear * K * K)))
+    return BlockDraws(c, i1, i2, tau, h_eff, h_int)
 
 
 def block_bins(
-    draws: BlockDraws, params: LoRaParams, rng: np.random.Generator
-) -> Iterator[tuple[slice, np.ndarray]]:
-    """DFT bins of the dechirped received block, `_TONE_CHUNK` samples of
-    whole rows at a time; yields (rows, bins) with one row per trial.
+    draws: BlockDraws,
+    params: LoRaParams,
+    rng: np.random.Generator,
+    snrs_linear: Sequence[float],
+) -> Iterator[tuple[slice, int, np.ndarray]]:
+    """DFT bins of the dechirped received block at each SNR of
+    `snrs_linear`, `_TONE_CHUNK` samples of whole rows at a time; yields
+    (rows, SNR index, bins) with one row per trial, every SNR of a chunk
+    in order before the next chunk.
 
-    `rng` must stand where `draw_block` left it.  Each chunk draws its
+    `rng` must stand where `draw_block` left it.  Each chunk draws its unit
     noise from it into one reused buffer ((rows, 2K) normals viewed as
-    (rows, K) complex samples, the rows of the one-shot draw in order),
-    adds the interferer, the tone of i1 for its first tau samples and of
-    i2 after, transforms in place, and adds h_eff to bin c, where the
-    dechirped target symbol puts exactly its gain.  Every `bins` is a view
-    of that buffer, which the next chunk overwrites.
+    (rows, K) complex samples, the rows of the one-shot draw in order) and
+    gathers the interferer once: the tone of i1 for its first tau samples
+    and of i2 after, times h_int.  For each SNR it then scales the noise,
+    adds the interferer, transforms in place, and adds h_eff to bin c,
+    where the dechirped target symbol puts exactly its gain.  Every SNR but
+    the last scales the noise into a second reused buffer and the last
+    scales it in place, so each SNR's bins are bitwise those of a call
+    with that SNR alone.  Every `bins` is a view of one of the two buffers,
+    which the next SNR or chunk overwrites.
     """
     K = params.K
     size = draws.c.size
+    stds = [noise_std(snr_linear, K) for snr_linear in snrs_linear]
+    last = len(stds) - 1
     step = max(1, _TONE_CHUNK // K)
     buffer = np.empty((min(step, size), 2 * K))
+    scaled = np.empty_like(buffer) if last else None
     n = np.arange(K)
     for start in range(0, size, step):
         rows = slice(start, min(start + step, size))
         normals = buffer[: rows.stop - start]
         rng.standard_normal(out=normals)
-        normals *= draws.noise_std
-        y = normals.view(np.complex128)
+        tones = None
         if draws.h_int is not None:
             symbols = np.where(
                 n < draws.tau[rows, None], draws.i1[rows, None], draws.i2[rows, None]
             )
             tones = _tones(symbols, params.sf)
             tones *= draws.h_int[rows, None]
-            y += tones
-        np.fft.fft(y, axis=-1, out=y)
-        y[np.arange(len(y)), draws.c[rows]] += draws.h_eff[rows]
-        yield rows, y
+        target = (np.arange(len(normals)), draws.c[rows])
+        for index, std in enumerate(stds):
+            if index == last:
+                normals *= std
+                y = normals.view(np.complex128)
+            else:
+                y = np.multiply(normals, std, out=scaled[: len(normals)]).view(np.complex128)
+            if tones is not None:
+                y += tones
+            np.fft.fft(y, axis=-1, out=y)
+            y[target] += draws.h_eff[rows]
+            yield rows, index, y
 
 
 def _detect(detection: str, bins: np.ndarray, compensation: np.ndarray) -> np.ndarray:
@@ -266,21 +301,24 @@ def _detect(detection: str, bins: np.ndarray, compensation: np.ndarray) -> np.nd
 
 def _run_block(
     cfg: SimConfig,
-    snr_linear: float,
     rng: np.random.Generator,
     size: int,
-    detections: tuple[str, ...],
+    pairs: tuple[tuple[float, str], ...],
 ) -> tuple[np.ndarray, int]:
-    """Simulate one block of trials and run every detector in `detections`
-    on each chunk of its bins; returns per-trial bit errors, one row per
-    detector, and the number of target/interferer peak-bin collisions
-    (c == i2)."""
-    draws = draw_block(cfg, snr_linear, rng, size)
+    """Simulate one block of trials and run every (SNR in dB, detector)
+    pair in `pairs` on each chunk of its bins at that SNR; returns
+    per-trial bit errors, one row per pair, and the number of
+    target/interferer peak-bin collisions (c == i2)."""
+    draws = draw_block(cfg, rng, size)
+    snrs = tuple(dict.fromkeys(snr_db for snr_db, _ in pairs))
+    readers = [[(row, detection) for row, (snr_db, detection) in enumerate(pairs)
+                if snr_db == snr] for snr in snrs]
+    snrs_linear = [10.0 ** (snr_db / 10.0) for snr_db in snrs]
     compensation = -np.angle(draws.h_eff)  # perfect target-phase estimate
-    decisions = np.empty((len(detections), size), dtype=np.intp)
-    for rows, bins in block_bins(draws, cfg.params, rng):
-        for decided, detection in zip(decisions, detections):
-            decided[rows] = _detect(detection, bins, compensation[rows])
+    decisions = np.empty((len(pairs), size), dtype=np.intp)
+    for rows, index, bins in block_bins(draws, cfg.params, rng, snrs_linear):
+        for row, detection in readers[index]:
+            decisions[row, rows] = _detect(detection, bins, compensation[rows])
     errors = np.stack([
         count_bit_errors_many(draws.c, decided, cfg.params.sf) for decided in decisions
     ])
@@ -293,11 +331,11 @@ def _block_sizes(cfg: SimConfig) -> list[int]:
     return [_BLOCK] * full + ([rest] if rest else [])
 
 
-def _block_task(args) -> tuple[dict[str, int], int, int]:
-    cfg, snr_linear, point_index, block_index, size, detections = args
-    rng = _substream(cfg.seed, point_index, block_index)
-    errors, collisions = _run_block(cfg, snr_linear, rng, size, detections)
-    return dict(zip(detections, errors.sum(axis=1).tolist())), size, collisions
+def _block_task(args) -> tuple[dict[tuple[float, str], int], int, int]:
+    cfg, block_index, size, pairs = args
+    rng = _substream(cfg.seed, block_index)
+    errors, collisions = _run_block(cfg, rng, size, pairs)
+    return dict(zip(pairs, errors.sum(axis=1).tolist())), size, collisions
 
 
 def _block_results(pool: Executor | None, tasks, depth: int):
@@ -354,54 +392,15 @@ def _estimate(bit_errors: int, trials: int, collisions: int, sf: int) -> BerEsti
     )
 
 
-def _run_detectors(
-    cfg: SimConfig,
-    snr_db: float,
-    detections: tuple[str, ...],
-    workers: int,
-    pool: Executor | None,
-) -> list[BerEstimate]:
-    """One estimate per detector in `detections` at one grid SNR, all read
-    off the same blocks (see the module's detector and pool policies)."""
-    try:
-        point_index = cfg.snr_db_grid.index(snr_db)
-    except ValueError:
-        raise ValueError(
-            f"snr_db={snr_db} is not on the configured grid {cfg.snr_db_grid}"
-        ) from None
-    snr_linear = 10.0 ** (snr_db / 10.0)
-    running = list(detections)
-    # A generator expression reads `running` as each block is submitted, so
-    # a block runs only the detectors still counting at that moment.
-    tasks = (
-        (cfg, snr_linear, point_index, block_index, size, tuple(running))
-        for block_index, size in enumerate(_block_sizes(cfg))
-    )
-
-    tallies = {detection: [0, 0, 0] for detection in detections}  # errors, trials, collisions
-    with closing(_block_results(pool, tasks, workers)) as results:
-        for block_errors, size, block_collisions in results:
-            for detection in tuple(running):
-                tally = tallies[detection]
-                tally[0] += block_errors[detection]
-                tally[1] += size
-                tally[2] += block_collisions
-                if cfg.max_bit_errors is not None and tally[0] >= cfg.max_bit_errors:
-                    running.remove(detection)
-            if not running:
-                break
-    return [_estimate(*tallies[detection], cfg.params.sf) for detection in detections]
-
-
 def run_point(cfg: SimConfig, snr_db: float, workers: int = 1) -> BerEstimate:
     """Estimate the bit error rate of `cfg.detection` at one grid SNR.
 
-    Blocks are accumulated in index order and the early-stop rule is
-    evaluated at block boundaries, so the counted set of trials (and hence
-    the estimate) is independent of the worker count.
+    A one-point sweep: since a block's stream does not depend on the SNR,
+    this is the estimate at `snr_db` of a sweep of the whole grid.
     """
-    with worker_pool(workers) as pool:
-        return _run_detectors(cfg, snr_db, (cfg.detection,), workers, pool)[0]
+    if snr_db not in cfg.snr_db_grid:
+        raise ValueError(f"snr_db={snr_db} is not on the configured grid {cfg.snr_db_grid}")
+    return run_sweep(replace(cfg, snr_db_grid=(snr_db,)), workers)[0].estimate
 
 
 def run_sweep(
@@ -410,28 +409,46 @@ def run_sweep(
     """One BerPoint per grid SNR and detector, SNR-major, the detectors in
     the order of `detections` (default: `cfg.detection` alone).
 
-    Every detector reads the bins of the same blocks and gets the estimate
-    a sweep of it alone would give.  The points share one pool.
+    Block b is drawn once for every (SNR, detector) pair still counting,
+    and each pair gets the estimate a sweep of it alone would give (see the
+    module's pair and pool policies).  Blocks are tallied in index order
+    and the early-stop rule is evaluated at block boundaries, so the
+    counted set of trials is independent of the worker count.
     """
     detections = (cfg.detection,) if detections is None else tuple(detections)
     unknown = set(detections) - set(DETECTIONS)
     if not detections or unknown or len(set(detections)) < len(detections):
         raise ValueError(f"detections must be distinct entries of {DETECTIONS}")
-    points = []
-    with worker_pool(workers) as pool:
-        for snr_db in cfg.snr_db_grid:
-            estimates = _run_detectors(cfg, snr_db, detections, workers, pool)
-            points += [
-                BerPoint(
-                    scenario=cfg.scenario,
-                    detection=detection,
-                    sf=cfg.params.sf,
-                    n_elements=cfg.fading.n_elements,
-                    m=cfg.fading.m1,
-                    snr_db=snr_db,
-                    seed=cfg.seed,
-                    estimate=estimate,
-                )
-                for detection, estimate in zip(detections, estimates)
-            ]
-    return points
+    pairs = [(snr_db, detection) for snr_db in cfg.snr_db_grid for detection in detections]
+    running = list(pairs)
+    # A generator expression reads `running` as each block is submitted, so
+    # a block runs only the pairs still counting at that moment.
+    tasks = (
+        (cfg, block_index, size, tuple(running))
+        for block_index, size in enumerate(_block_sizes(cfg))
+    )
+    tallies = {pair: [0, 0, 0] for pair in pairs}  # errors, trials, collisions
+    with worker_pool(workers) as pool, closing(_block_results(pool, tasks, workers)) as results:
+        for block_errors, size, block_collisions in results:
+            for pair in tuple(running):
+                tally = tallies[pair]
+                tally[0] += block_errors[pair]
+                tally[1] += size
+                tally[2] += block_collisions
+                if cfg.max_bit_errors is not None and tally[0] >= cfg.max_bit_errors:
+                    running.remove(pair)
+            if not running:
+                break
+    return [
+        BerPoint(
+            scenario=cfg.scenario,
+            detection=detection,
+            sf=cfg.params.sf,
+            n_elements=cfg.fading.n_elements,
+            m=cfg.fading.m1,
+            snr_db=snr_db,
+            seed=cfg.seed,
+            estimate=_estimate(*tallies[snr_db, detection], cfg.params.sf),
+        )
+        for snr_db, detection in pairs
+    ]

@@ -54,7 +54,7 @@ from .lora_phy import (
     dechirp_dft,
     modulate_many,
 )
-from .montecarlo import BlockDraws
+from .montecarlo import BlockDraws, noise_std
 from .specfun import log_pcf_d, q_approx, q_exact
 
 # ---------------------------------------------------------------------------
@@ -264,10 +264,10 @@ def dechirp_dft_direct(received: np.ndarray, params: LoRaParams) -> np.ndarray:
 
 
 def time_domain_bins(
-    draws: BlockDraws, params: LoRaParams, rng: np.random.Generator
+    draws: BlockDraws, params: LoRaParams, rng: np.random.Generator, snr_linear: float
 ) -> np.ndarray:
-    """The bins of montecarlo.block_bins, all rows at once, by the
-    time-domain chain; the slow oracle for it.
+    """The bins of montecarlo.block_bins at one SNR, all rows at once, by
+    the time-domain chain; the slow oracle for it.
 
     `rng` must stand where block_bins starts, e.g. a copy of the block's
     generator taken after `draw_block`: the whole (size, K) noise is drawn
@@ -277,7 +277,7 @@ def time_domain_bins(
     """
     K = params.K
     noise = rng.standard_normal((draws.c.size, 2 * K))
-    noise *= draws.noise_std
+    noise *= noise_std(snr_linear, K)
     received = K * modulate_many(0, params) * noise.view(np.complex128)  # base chirp
     received += draws.h_eff[:, None] * modulate_many(draws.c, params)
     if draws.h_int is not None:

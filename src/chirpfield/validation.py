@@ -89,9 +89,9 @@ def _check_noise_calibration(params: LoRaParams, fading: FadingConfig, trials, r
     chunk = max(1, (1 << 20) // params.K)
     power = 0.0
     for start in range(0, n, chunk):
-        draws = montecarlo.draw_block(cfg, snr_linear, rng, min(chunk, n - start))
+        draws = montecarlo.draw_block(cfg, rng, min(chunk, n - start))
         silent = replace(draws, h_eff=np.zeros_like(draws.h_eff))
-        for _, bins in montecarlo.block_bins(silent, params, rng):
+        for _, _, bins in montecarlo.block_bins(silent, params, rng, (snr_linear,)):
             power += float(np.vdot(bins, bins).real)
     expected = 1.0 / (snr_linear * params.K)
     ratio = power / (n * params.K) / expected
@@ -380,11 +380,11 @@ def _check_block_kernel(params: LoRaParams, fading: FadingConfig, _trials, rng):
             seed=0,
             full_offset_range=True,
         )
-        draws = montecarlo.draw_block(cfg, 10 ** (-2.5), rng, size)
-        expected = reference.time_domain_bins(draws, params, copy.deepcopy(rng))
+        draws = montecarlo.draw_block(cfg, rng, size)
+        expected = reference.time_domain_bins(draws, params, copy.deepcopy(rng), 10 ** (-2.5))
         scale = max(1.0, float(np.abs(expected).max()))
         compensation = -np.angle(draws.h_eff)
-        for rows, bins in montecarlo.block_bins(draws, params, rng):
+        for rows, _, bins in montecarlo.block_bins(draws, params, rng, (10 ** (-2.5),)):
             worst = max(worst, float(np.abs(bins - expected[rows]).max()) / scale)
             differing += int(np.count_nonzero(
                 detect_noncoherent(bins) != detect_noncoherent(expected[rows])

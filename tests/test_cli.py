@@ -561,7 +561,7 @@ class TestBenchmarkReference:
 
 
 class RecordingPool(ThreadPoolExecutor):
-    """Records each pool, its shutdowns and the (point, block) of every
+    """Records each pool, its shutdowns and the block index of every
     submitted Monte Carlo block."""
 
     started: list = []
@@ -574,7 +574,7 @@ class RecordingPool(ThreadPoolExecutor):
 
     def submit(self, fn, /, *args, **kwargs):
         if fn is mc._block_task:
-            self.blocks.append(args[0][2:4])
+            self.blocks.append(args[0][1])
         return super().submit(fn, *args, **kwargs)
 
     def shutdown(self, *args, **kwargs):
@@ -621,14 +621,14 @@ class TestWorkerPool:
         start = time.perf_counter()
         with pytest.raises(BlockFailure):
             cli.main(["simulate", "--scenario", "case_a", "--snr-db=-30:-29:1",
-                      "--trials", "8192", "--workers", "2",
+                      "--trials", "20000", "--workers", "2",
                       "--out", str(tmp_path / "failed.csv")])
         assert time.perf_counter() - start < 30
         assert len(RecordingPool.started) == 1
         assert RecordingPool.shut_down == RecordingPool.started
         assert not self.threads_started_since(before)
-        # the two blocks in flight of the first point, and nothing after them
-        assert RecordingPool.blocks == [(0, 0), (0, 1)]
+        # the two blocks in flight of the five, and nothing after them
+        assert RecordingPool.blocks == [0, 1]
 
 
 class TestValidateMode:

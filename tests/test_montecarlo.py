@@ -52,6 +52,10 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="finite"):
             sim_config(snr_db_grid=(-25.0, snr_db))
 
+    def test_repeated_snr(self):
+        with pytest.raises(ValueError, match="repeat"):
+            sim_config(snr_db_grid=(-25.0, -20.0, -25.0))
+
     def test_zero_trials(self):
         with pytest.raises(ValueError):
             sim_config(trials_per_point=0)
@@ -108,14 +112,15 @@ class TestDeterminism:
 
 class TestTrialMechanics:
     def test_run_block_range(self):
-        errors, _ = mc._run_block(sim_config(), 10 ** (-2.5), np.random.default_rng(0), 50,
-                                  mc.DETECTIONS)
-        assert errors.shape == (2, 50)
+        pairs = tuple((snr_db, detection) for snr_db in (-25.0, -30.0)
+                      for detection in mc.DETECTIONS)
+        errors, _ = mc._run_block(sim_config(), np.random.default_rng(0), 50, pairs)
+        assert errors.shape == (4, 50)
         assert np.all((errors >= 0) & (errors <= SF7.sf))
-        # each row is what that detector alone reads off the same draws
-        for row, detection in zip(errors, mc.DETECTIONS):
-            alone, _ = mc._run_block(sim_config(), 10 ** (-2.5), np.random.default_rng(0), 50,
-                                     (detection,))
+        # each row is what that (SNR, detector) pair alone reads off the
+        # same draws
+        for row, pair in zip(errors, pairs):
+            alone, _ = mc._run_block(sim_config(), np.random.default_rng(0), 50, (pair,))
             assert np.array_equal(alone[0], row)
 
     def test_forced_clean_channel_never_errs(self, monkeypatch):
@@ -187,16 +192,17 @@ class TestBlockKernel:
         K = params.K
         cfg = sim_config(params=params, scenario=scenario, full_offset_range=True)
         rng = np.random.default_rng(sf)
-        draws = mc.draw_block(cfg, 10 ** (-3.0), rng, size)
+        draws = mc.draw_block(cfg, rng, size)
         if draws.tau is not None:
             draws.tau[:3] = (0, K - 1, K // 2)
             draws.c[3:5] = draws.i2[3:5]  # target/interferer collisions
         # the oracle draws the whole noise at once from an identical generator
-        expected = reference.time_domain_bins(draws, params, copy.deepcopy(rng))
+        expected = reference.time_domain_bins(draws, params, copy.deepcopy(rng), 10 ** (-3.0))
         compensation = -np.angle(draws.h_eff)
         step = mc._TONE_CHUNK // K
         covered = 0
-        for rows, bins in mc.block_bins(draws, params, rng):
+        for rows, index, bins in mc.block_bins(draws, params, rng, (10 ** (-3.0),)):
+            assert index == 0
             assert rows.start == covered and bins.shape == (rows.stop - rows.start, K)
             covered = rows.stop
             assert np.abs(bins - expected[rows]).max() < 1e-12
@@ -206,14 +212,44 @@ class TestBlockKernel:
         assert covered == size and size % step
 
     def test_bins_are_built_in_the_noise_buffer(self):
-        # every chunk's noise is drawn into, and its bins built in, one buffer
-        draws = mc.draw_block(sim_config(), 10 ** (-2.5), np.random.default_rng(3), 300)
-        chunks = [bins for _, bins in mc.block_bins(draws, SF7, np.random.default_rng(4))]
-        assert len(chunks) == 3
-        address = chunks[0].__array_interface__["data"][0]
-        for bins in chunks:
-            assert not bins.flags.owndata
-            assert bins.__array_interface__["data"][0] == address
+        # every chunk's noise is drawn into, and its bins built in, one
+        # buffer; with several SNRs, every SNR but the last builds its bins
+        # in one second buffer
+        draws = mc.draw_block(sim_config(), np.random.default_rng(3), 300)
+        for snrs in ((10 ** (-2.5),), (10 ** (-3.5), 10 ** (-3.0), 10 ** (-2.5))):
+            last = len(snrs) - 1
+            buffers, indices = {True: set(), False: set()}, []
+            for _, index, bins in mc.block_bins(draws, SF7, np.random.default_rng(4), snrs):
+                assert not bins.flags.owndata
+                indices.append(index)
+                buffers[index == last].add(bins.__array_interface__["data"][0])
+            assert indices == list(range(len(snrs))) * 3
+            assert len(buffers[True]) == 1 and len(buffers[False]) == (1 if last else 0)
+            assert not buffers[True] & buffers[False]
+
+    @pytest.mark.parametrize("sf", [7, 12])
+    @pytest.mark.parametrize("scenario", mc.SCENARIOS)
+    def test_each_snr_matches_the_one_snr_kernel(self, sf, scenario):
+        # given the same draws and generator, each SNR's bins of a
+        # multi-SNR block are byte-equal to those of a block at that SNR
+        # alone, in every chunk (the last chunk is partial)
+        params = LoRaParams(sf)
+        size = {7: 300, 12: 11}[sf]
+        cfg = sim_config(params=params, scenario=scenario)
+        rng = np.random.default_rng(sf)
+        draws = mc.draw_block(cfg, rng, size)
+        snrs = (10 ** (-3.4), 10 ** (-2.2), 10 ** (-3.0), 10 ** (-2.6))
+        alone = []
+        for snr in snrs:
+            bins = np.empty((size, params.K), dtype=complex)
+            for rows, _, chunk in mc.block_bins(draws, params, copy.deepcopy(rng), (snr,)):
+                bins[rows] = chunk
+            alone.append(bins)
+        seen = 0
+        for rows, index, bins in mc.block_bins(draws, params, rng, snrs):
+            assert bins.tobytes() == alone[index][rows].tobytes()
+            seen += bins.shape[0]
+        assert seen == size * len(snrs)
 
     @staticmethod
     def peak_bytes(fn, *args):
@@ -230,14 +266,19 @@ class TestBlockKernel:
         # paired-surface gain draw holds two (trials, N) arrays of 0.4 MB,
         # the chunk buffer and its temporaries take about 0.5 MB.
         cfg = sim_config(params=LoRaParams(12), scenario="case_b")
-        rng = mc._substream(1, 0, 0)
-        assert self.peak_bytes(mc._run_block, cfg, 10 ** (-2.5), rng, 2048, mc.DETECTIONS) < 3e6
+        pairs = tuple((-25.0, detection) for detection in mc.DETECTIONS)
+        assert self.peak_bytes(mc._run_block, cfg, mc._substream(1, 0), 2048, pairs) < 3e6
+        # The same block at four SNRs adds the second 256 KB chunk buffer
+        # and six rows of decisions, and stays under the same bound.
+        pairs = tuple((snr_db, detection) for snr_db in (-40.0, -35.0, -30.0, -25.0)
+                      for detection in mc.DETECTIONS)
+        assert self.peak_bytes(mc._run_block, cfg, mc._substream(1, 0), 2048, pairs) < 3e6
         # An SF 7 shared-surface block of 4,096 trials at N = 25: its gain
         # draw holds four (trials, N) arrays of 0.8 MB at once and peaks at
         # about 3.8 MB, where drawing every link vector before reducing
         # any peaked at 8.5 MB.
         cfg = sim_config(scenario="case_a")
-        assert self.peak_bytes(mc._draw_gains, cfg, mc._substream(1, 0, 0), 4096) < 5e6
+        assert self.peak_bytes(mc._draw_gains, cfg, mc._substream(1, 0), 4096) < 5e6
 
 
 class InlinePool(Executor):
@@ -278,7 +319,7 @@ class TestWorkerPool:
 
         class RecordingPool(ThreadPoolExecutor):
             def submit(self, fn, /, *args, **kwargs):
-                blocks.append(args[0][2:4])  # (point index, block index)
+                blocks.append(args[0][1])  # block index
                 return super().submit(fn, *args, **kwargs)
 
             def shutdown(self, *args, **kwargs):
@@ -307,8 +348,8 @@ class TestWorkerPool:
         assert time.perf_counter() - start < 30
         assert len(shut_down) == 1
         assert [thread for thread in threading.enumerate() if thread not in before] == []
-        # the two blocks in flight of the first point, and nothing after them
-        assert blocks == [(0, 0), (0, 1)]
+        # the two blocks in flight, and nothing after them
+        assert blocks == [0, 1]
 
 
 class TestSharedDetectorPass:
@@ -333,13 +374,13 @@ class TestSharedDetectorPass:
         built, keys = [], []
         block_bins, substream = mc.block_bins, mc._substream
 
-        def counting_block_bins(draws, params, rng):
+        def counting_block_bins(draws, params, rng, snrs_linear):
             built.append(draws.c.size)
-            return block_bins(draws, params, rng)
+            return block_bins(draws, params, rng, snrs_linear)
 
-        def recording_substream(seed, point_index, block_index):
-            keys.append((point_index, block_index))
-            return substream(seed, point_index, block_index)
+        def recording_substream(seed, block_index):
+            keys.append(block_index)
+            return substream(seed, block_index)
 
         monkeypatch.setattr(mc, "block_bins", counting_block_bins)
         monkeypatch.setattr(mc, "_substream", recording_substream)
@@ -349,8 +390,23 @@ class TestSharedDetectorPass:
         for point in points:
             blocks.setdefault(point.snr_db, []).append(-(-point.estimate.trials // mc._BLOCK))
         assert list(blocks.values()) == [[1, 2], [1, 3]]
+        # each block index is built once for the whole sweep
         assert len(built) == len(keys) == len(set(keys))
-        assert len(built) == sum(max(counts) for counts in blocks.values())
+        assert len(built) == max(max(counts) for counts in blocks.values())
+
+    def test_each_row_equals_its_point_alone(self):
+        # the paired surface with a low early-stop threshold: both detectors
+        # at -40 dB and the non-coherent one at -36 dB stop after the first
+        # block, the non-coherent one at -20 dB after the second, and the
+        # coherent one at -36 and -20 dB never
+        cfg = sim_config(scenario="case_b", snr_db_grid=(-40.0, -36.0, -20.0),
+                         trials_per_point=16_384, seed=3, max_bit_errors=2000)
+        swept = mc.run_sweep(cfg, detections=mc.DETECTIONS)
+        assert [p.estimate.trials // mc._BLOCK for p in swept] == [1, 1, 1, 4, 2, 4]
+        for point in swept:
+            alone = mc.run_point(dataclasses.replace(cfg, detection=point.detection),
+                                 point.snr_db)
+            assert point.estimate == alone  # every field
 
     def test_rejects_bad_detections(self):
         for detections in ((), ("noncoherent", "noncoherent"), ("semi",)):
@@ -478,10 +534,10 @@ class TestNoiseCalibration:
         snr_linear = 10 ** (-1.2)
         cfg = sim_config(scenario="no_interference", snr_db_grid=(-12.0,))
         rng = np.random.default_rng(43)
-        draws = mc.draw_block(cfg, snr_linear, rng, 2_000)
+        draws = mc.draw_block(cfg, rng, 2_000)
         silent = dataclasses.replace(draws, h_eff=np.zeros_like(draws.h_eff))
         power = sum(float(np.vdot(bins, bins).real)
-                    for _, bins in mc.block_bins(silent, SF7, rng))
+                    for _, _, bins in mc.block_bins(silent, SF7, rng, (snr_linear,)))
         expected = 1.0 / (snr_linear * SF7.K)
         measured = power / (2_000 * SF7.K)
         assert abs(measured - expected) / expected < 0.03
