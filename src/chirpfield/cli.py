@@ -169,7 +169,8 @@ _BOUNDS = {
     "elements": _at_least(0),
     "m": ((lambda value: 0 < value < math.inf), "positive and finite"),
     "trials": _at_least(1),
-    "workers": _at_least(1),
+    "workers": ((lambda value: 1 <= value <= montecarlo.MAX_WORKERS),
+                f"in [1, {montecarlo.MAX_WORKERS}]"),
     "v1": _at_least(1),
     "v2": _at_least(1),
     "staircase_m": _at_least(1),

@@ -30,7 +30,12 @@ exp(2*pi*i*c*n/K): the quadratic phase cancels, so a symbol dechirps to a
 pure tone that the DFT puts, with weight 1, in bin c alone.  `_tones` reads
 these from a cached table of the K roots of unity scaled by 1/K, at the
 intp index c*n & (K - 1); it is the dechirped counterpart of `_chirps`.
-`reference` runs `dechirp_dft(_chirps(...))` as its time-domain oracle.
+Since per-sample noise of variance N0 gives per-bin noise of variance N0
+(see above), and white circular Gaussian noise keeps its law under the
+dechirp and the DFT, the Monte Carlo draws its receiver noise directly in
+the bins and transforms only the interferer's tones.  `reference` runs
+`dechirp_dft(_chirps(...))`, with the same bin noise taken to the time
+domain by `np.fft.ifft`, as its time-domain oracle.
 """
 
 from __future__ import annotations

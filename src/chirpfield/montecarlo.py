@@ -1,35 +1,42 @@
 """Exact-signal-model Monte Carlo bit-error-rate estimation.
 
 Each trial draws fresh symbols, offset, and channel gains (block fading,
-one independent draw per symbol) and receiver noise, builds the dechirped
-received samples, and runs them through the real DFT and detectors.  The
-block is built after the dechirp because there the signal model is exact
-and cheap: sample n of symbol c times the conjugate base chirp is
+one independent draw per symbol) and receiver noise, builds the DFT bins
+of the dechirped received samples, and runs them through the detectors.
+The block is built after the dechirp because there the signal model is
+exact and cheap: sample n of symbol c times the conjugate base chirp is
 (1/K) * exp(2*pi*i*c*n/K), so the target adds exactly its gain to bin c
-and nothing to any other bin, the interferer is a gather of the tones of
-i1 (before tau) and i2 (after), and white circular Gaussian noise keeps its
-law under the unit-modulus dechirp, so it is drawn at the dechirped scale.
-`reference.time_domain_bins` synthesises the same draws as chirps and
-dechirps them; it is the tested oracle of `block_bins`.  Only `channel`
-and `lora_phy` are imported, never the bounds, Gamma fits, quadrature or
-SciPy of the analytic engine, so the two sides cross-validate each other.
+and nothing to any other bin, and the interferer is a gather of the tones
+of i1 (before tau) and i2 (after), which one FFT takes to its bins.  White
+circular Gaussian noise keeps its law under the unit-modulus dechirp and
+under the DFT (F * F^H = K * I), so the receiver noise is drawn directly
+as bin noise of variance 1/(snr * K) and never transformed; this extends
+the dechirp-then-DFT view of Vangelista (IEEE SPL 24(12), 2017) from the
+target to the noise.  `reference.time_domain_bins` takes the same bin
+noise to the time domain by an inverse FFT, synthesises the same draws as
+chirps, and dechirps and transforms them; it is the tested oracle of
+`block_bins`.  Only `channel` and `lora_phy` are imported, never the
+bounds, Gamma fits, quadrature or SciPy of the analytic engine, so the two
+sides cross-validate each other.
 
 Every row is independent from its noise draw to its detector decision, so
 a block streams through chunks of `_TONE_CHUNK` samples of whole rows (4
 rows at SF 12, 128 at SF 7).  Only the noise scale depends on the SNR: the
 symbols, offset, gains and unit-variance noise do not.  So each chunk draws
-its unit noise into one reused buffer and gathers the interferer's tones
-once, and then, for each SNR the block serves, scales the noise, adds the
-tones, transforms in place and adds the target, and the detectors at that
-SNR write their decisions for its rows.  Every SNR but the last scales the
-noise into a second reused buffer, and the last scales it in place, so a
-one-SNR block does its arithmetic in the one buffer.  Both buffers hold
-256 KB; the tones of a chunk take another 256 KB and their symbols 128 KB.
-No (block, K) array exists: an SF 12 block of 2,048 trials peaks at about
-1.5 MB of allocations, against 134 MB for its received block alone.  The
-gain draw (`channel.effective_gains`) holds at most four (block, N) arrays
-on the shared surface, 3.3 MB for 4,096 trials at N = 25 (3.8 MB of peak
-with its direct links), two on the paired one and six under blind phasing.
+its unit bin noise into one reused buffer and gathers and transforms the
+interferer's tones once, and then, for each SNR the block serves, scales
+the noise, adds the transformed tones and the target, and the detectors at
+that SNR write their decisions for its rows.  A chunk therefore costs one
+FFT whatever the number of SNRs, and a block without an interferer none.
+Every SNR but the last scales the noise into a second reused buffer, and
+the last scales it in place, so a one-SNR block does its arithmetic in the
+one buffer.  Both buffers hold 256 KB; the tones of a chunk take another
+256 KB, transformed in place, and their symbols 128 KB.  No (block, K)
+array exists: an SF 12 block of 2,048 trials peaks at about 1.5 MB of
+allocations, against 134 MB for its received block alone.  The gain draw
+(`channel.effective_gains`) holds at most four (block, N) arrays on the
+shared surface, 3.3 MB for 4,096 trials at N = 25 (3.8 MB of peak with its
+direct links), two on the paired one and six under blind phasing.
 
 Reproducibility contract: trials are processed in fixed-size blocks, and
 every block gets its own `SFC64` random stream, seeded by
@@ -38,8 +45,8 @@ on the SNR, so block b of every point of a sweep holds the same draws and
 is drawn once for all of them.  Results are identical for a given seed no
 matter how many workers run the blocks, and the block size is a module
 constant because changing it changes the stream mapping.  A block draws c,
-i1, i2, tau, the gains and then the noise; the noise is drawn chunk by
-chunk from the block's stream, and since a generator fills normals in
+i1, i2, tau, the gains and then the bin noise; the noise is drawn chunk
+by chunk from the block's stream, and since a generator fills normals in
 sequence, the chunks hold exactly the variates of one (block, 2K) draw,
 whatever the chunk size.  Changing the bit generator, or the order in
 which a block draws its variates, changes every result for a fixed seed.
@@ -56,15 +63,15 @@ of one sweep share every draw, so their errors are correlated across SNR
 and detector.
 
 Pool policy: `run_sweep` starts a pool of `workers` threads (none at one
-worker) and shuts it down before it returns; `run_point` is a one-point
-sweep.  A sweep sends its blocks through one queue, in index order, with
-at most `workers` blocks in flight, and submits no further block once
-every pair has stopped.  Threads suffice because a block spends its time
-in numpy calls that release the interpreter lock (the normal fills, the
-FFT, the gathers, `argmax` and the ufuncs), and they share one copy of the
-lookup tables where worker processes would each hold their own.  A block
-shares no mutable state with another: it owns its generator and its chunk
-buffers.
+worker, and never more than `MAX_WORKERS`) and shuts it down before it
+returns; `run_point` is a one-point sweep.  A sweep sends its blocks
+through one queue, in index order, with at most `workers` blocks in
+flight, and submits no further block once every pair has stopped.  Threads
+suffice because a block spends its time in numpy calls that release the
+interpreter lock (the normal fills, the FFT, the gathers, `argmax` and the
+ufuncs), and they share one copy of the lookup tables where worker
+processes would each hold their own.  A block shares no mutable state with
+another: it owns its generator and its chunk buffers.
 """
 
 from __future__ import annotations
@@ -103,11 +110,16 @@ from .lora_phy import (
 
 _BLOCK = 4096
 
-# Samples per row chunk of a block: a block is drawn, built, transformed
-# and detected this many samples (whole rows) at a time, in one reused
-# 256 KB buffer (two when the block serves several SNRs), so no (block, K)
-# array is ever held.
+# Samples per row chunk of a block: a block is drawn, built and detected
+# this many samples (whole rows) at a time, in one reused 256 KB noise
+# buffer (two when the block serves several SNRs) and one 256 KB array of
+# interferer tones, so no (block, K) array is ever held.
 _TONE_CHUNK = 1 << 14
+
+# Most threads a pool may start.  A sweep keeps one block in flight per
+# thread, each with its own gain arrays and chunk buffers (up to about 5 MB
+# at SF 7), so the ceiling bounds a run's threads and memory.
+MAX_WORKERS = 64
 
 SCENARIOS = ("case_a", "case_b", "ris_free", "blind", "no_interference")
 DETECTIONS = ("noncoherent", "coherent")
@@ -217,9 +229,10 @@ class BlockDraws:
 
 def noise_std(snr_linear: float, K: int) -> float:
     """Standard deviation of each real and imaginary part of the receiver
-    noise at the dechirped scale: per-sample variance 1/(snr * K**2), so
-    1/(snr * K) per DFT bin."""
-    return math.sqrt(0.5 / (snr_linear * K * K))
+    noise in one DFT bin: per-bin variance 1/(snr * K), the received
+    per-sample variance, which the dechirp (1/K) and the unnormalised DFT
+    (K) leave unchanged."""
+    return math.sqrt(0.5 / (snr_linear * K))
 
 
 def draw_block(cfg: SimConfig, rng: np.random.Generator, size: int) -> BlockDraws:
@@ -250,15 +263,18 @@ def block_bins(
 
     `rng` must stand where `draw_block` left it.  Each chunk draws its unit
     noise from it into one reused buffer ((rows, 2K) normals viewed as
-    (rows, K) complex samples, the rows of the one-shot draw in order) and
-    gathers the interferer once: the tone of i1 for its first tau samples
-    and of i2 after, times h_int.  For each SNR it then scales the noise,
-    adds the interferer, transforms in place, and adds h_eff to bin c,
-    where the dechirped target symbol puts exactly its gain.  Every SNR but
-    the last scales the noise into a second reused buffer and the last
-    scales it in place, so each SNR's bins are bitwise those of a call
-    with that SNR alone.  Every `bins` is a view of one of the two buffers,
-    which the next SNR or chunk overwrites.
+    (rows, K) complex bins, the rows of the one-shot draw in order), which
+    is the receiver noise after the DFT: white circular Gaussian noise
+    keeps its law under it.  The interferer is gathered (the tone of i1
+    for its first tau samples and of i2 after), scaled by h_int and
+    transformed once, in place in its own buffer; a block without one does
+    no FFT.  For each SNR the chunk then scales the noise, adds the
+    transformed interferer, and adds h_eff to bin c, where the dechirped
+    target symbol puts exactly its gain.  Every SNR but the last scales the
+    noise into a second reused buffer and the last scales it in place, so
+    each SNR's bins are bitwise those of a call with that SNR alone.  Every
+    `bins` is a view of one of the two buffers, which the next SNR or chunk
+    overwrites.
     """
     K = params.K
     size = draws.c.size
@@ -272,13 +288,14 @@ def block_bins(
         rows = slice(start, min(start + step, size))
         normals = buffer[: rows.stop - start]
         rng.standard_normal(out=normals)
-        tones = None
+        interferer = None
         if draws.h_int is not None:
             symbols = np.where(
                 n < draws.tau[rows, None], draws.i1[rows, None], draws.i2[rows, None]
             )
-            tones = _tones(symbols, params.sf)
-            tones *= draws.h_int[rows, None]
+            interferer = _tones(symbols, params.sf)
+            interferer *= draws.h_int[rows, None]
+            np.fft.fft(interferer, axis=-1, out=interferer)
         target = (np.arange(len(normals)), draws.c[rows])
         for index, std in enumerate(stds):
             if index == last:
@@ -286,9 +303,8 @@ def block_bins(
                 y = normals.view(np.complex128)
             else:
                 y = np.multiply(normals, std, out=scaled[: len(normals)]).view(np.complex128)
-            if tones is not None:
-                y += tones
-            np.fft.fft(y, axis=-1, out=y)
+            if interferer is not None:
+                y += interferer
             y[target] += draws.h_eff[rows]
             yield rows, index, y
 
@@ -367,7 +383,10 @@ def _block_results(pool: Executor | None, tasks, depth: int):
 def worker_pool(workers: int):
     """A pool of `workers` threads, or None for a serial run in the calling
     thread.  On exit, tasks that have not started are cancelled and the
-    pool is shut down."""
+    pool is shut down.  More than `MAX_WORKERS` is refused before any
+    thread starts."""
+    if workers > MAX_WORKERS:
+        raise ValueError(f"workers must be at most {MAX_WORKERS}, got {workers}")
     if workers <= 1:
         yield None
         return

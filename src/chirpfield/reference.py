@@ -22,7 +22,8 @@ independent route:
 - `dechirp_dft_direct`: a direct-sum DFT, the twin of
   `lora_phy.dechirp_dft`.
 - `time_domain_bins`: the time-domain chain (chirps, interferer frames,
-  dechirp and FFT) that `montecarlo.block_bins` replaces.
+  noise taken to the time domain by an inverse FFT, dechirp and FFT) that
+  `montecarlo.block_bins` replaces.
 
 The analytic oracles share analytic_ber's private model helpers (the
 noise slope and offset, the interferer fit, the staircase and the
@@ -270,15 +271,18 @@ def time_domain_bins(
     the time-domain chain; the slow oracle for it.
 
     `rng` must stand where block_bins starts, e.g. a copy of the block's
-    generator taken after `draw_block`: the whole (size, K) noise is drawn
-    from it in one call.  Synthesises h_eff * chirp(c) + h_int *
+    generator taken after `draw_block`: the whole (size, K) bin noise B is
+    drawn from it in one call.  Synthesises h_eff * chirp(c) + h_int *
     interferer frame + w, with the receiver noise w = K * base chirp *
-    dechirped-scale noise, then dechirps and transforms.
+    ifft(B) (per-sample variance 1/(snr * K)), then dechirps and
+    transforms.  It holds up to five (size, K) complex arrays at once: 42 MB
+    of peak for 4,096 trials at SF 7, so it is for small blocks only.
     """
     K = params.K
-    noise = rng.standard_normal((draws.c.size, 2 * K))
-    noise *= noise_std(snr_linear, K)
-    received = K * modulate_many(0, params) * noise.view(np.complex128)  # base chirp
+    bin_noise = rng.standard_normal((draws.c.size, 2 * K))
+    bin_noise *= noise_std(snr_linear, K)
+    received = np.fft.ifft(bin_noise.view(np.complex128), axis=-1)
+    received *= K * modulate_many(0, params)  # base chirp
     received += draws.h_eff[:, None] * modulate_many(draws.c, params)
     if draws.h_int is not None:
         frames = build_interferer_frames(draws.i1, draws.i2, draws.tau, params)

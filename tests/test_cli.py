@@ -232,9 +232,9 @@ class TestErrorOrigins:
 
     @pytest.mark.parametrize("source", ["flag", "key"])
     @pytest.mark.parametrize("key, value", [
-        ("trials", "0"), ("workers", "0"), ("sf", "13"), ("elements", "-1"),
-        ("m", "0"), ("m", "nan"), ("scenario", "tunnel"), ("detection", "x"),
-        ("preset", "fig9"),
+        ("trials", "0"), ("workers", "0"), ("workers", str(mc.MAX_WORKERS + 1)),
+        ("sf", "13"), ("elements", "-1"), ("m", "0"), ("m", "nan"),
+        ("scenario", "tunnel"), ("detection", "x"), ("preset", "fig9"),
     ])
     def test_error_starts_with_its_origin(self, key, value, source, tmp_path, capsys):
         out = tmp_path / "out.csv"
@@ -611,6 +611,17 @@ class TestWorkerPool:
         assert len(RecordingPool.started) == 2
         assert RecordingPool.shut_down == RecordingPool.started
         assert not self.threads_started_since(before)
+
+    @pytest.mark.parametrize("mode", ["simulate", "analytic", "both"])
+    def test_too_many_workers_start_no_pool(self, mode, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        workers = mc.MAX_WORKERS + 1
+        code = cli.main([mode, "--snr-db=-30", "--trials", "100", "--workers", str(workers),
+                         "--out", str(out)])
+        assert code == 1 and not out.exists()
+        assert (f"error: flag --workers: must be in [1, {mc.MAX_WORKERS}], got {workers}"
+                in capsys.readouterr().err)
+        assert RecordingPool.started == []
 
     def test_failed_block_fails_the_run(self, tmp_path, monkeypatch):
         def fail(*args):

@@ -94,8 +94,8 @@ class TestDeterminism:
         assert serial.bits_sent == parallel.bits_sent
 
     def test_sweep_parallel_matches_serial(self):
-        # early stop fires after the first block at -37 dB and the second at
-        # -36 dB, and never at -35 or -33 dB
+        # early stop fires after the first block at -37 dB, the second at
+        # -36 dB and the last at -35 dB, and never at -33 dB
         cfg = sim_config(snr_db_grid=(-37.0, -36.0, -35.0, -33.0),
                          trials_per_point=20_000, max_bit_errors=300)
         serial = mc.run_sweep(cfg, workers=1)
@@ -227,6 +227,29 @@ class TestBlockKernel:
             assert len(buffers[True]) == 1 and len(buffers[False]) == (1 if last else 0)
             assert not buffers[True] & buffers[False]
 
+    @pytest.mark.parametrize("scenario, ffts_per_chunk", [
+        ("case_a", 1), ("case_b", 1), ("no_interference", 0),
+    ])
+    @pytest.mark.parametrize("n_snrs", [1, 4])
+    def test_one_fft_per_chunk_for_every_snr(self, monkeypatch, scenario, ffts_per_chunk,
+                                             n_snrs):
+        # the noise is drawn as bin noise, so only the interferer is
+        # transformed, once per chunk whatever the number of SNRs
+        calls = []
+        fft = np.fft.fft
+
+        def counting_fft(*args, **kwargs):
+            calls.append(None)
+            return fft(*args, **kwargs)
+
+        draws = mc.draw_block(sim_config(scenario=scenario), np.random.default_rng(5), 300)
+        monkeypatch.setattr(np.fft, "fft", counting_fft)
+        snrs = tuple(10 ** (-3.5 + 0.25 * k) for k in range(n_snrs))
+        chunks = {rows.start for rows, _, _ in
+                  mc.block_bins(draws, SF7, np.random.default_rng(6), snrs)}
+        assert len(chunks) == 3
+        assert len(calls) == ffts_per_chunk * len(chunks)
+
     @pytest.mark.parametrize("sf", [7, 12])
     @pytest.mark.parametrize("scenario", mc.SCENARIOS)
     def test_each_snr_matches_the_one_snr_kernel(self, sf, scenario):
@@ -310,6 +333,26 @@ class TestWorkerPool:
             assert estimate == mc.run_point(cfg, snr_db)
             assert InlinePool.submitted == submitted
         assert estimate.trials == cfg.trials_per_point
+
+    def test_too_many_workers_start_no_pool(self, monkeypatch):
+        # checked with a pool that starts no thread: the ceiling itself
+        # runs, and one more is refused before any pool is made
+        cfg = sim_config(trials_per_point=2_000)
+        monkeypatch.setattr(mc, "ThreadPoolExecutor", InlinePool)
+        monkeypatch.setattr(InlinePool, "submitted", 0)
+        assert mc.run_sweep(cfg, workers=mc.MAX_WORKERS) == mc.run_sweep(cfg)
+        assert InlinePool.submitted == 1
+
+        def no_pool(max_workers):
+            raise AssertionError(f"a pool of {max_workers} threads was started")
+
+        monkeypatch.setattr(mc, "ThreadPoolExecutor", no_pool)
+        too_many = mc.MAX_WORKERS + 1
+        message = f"at most {mc.MAX_WORKERS}, got {too_many}"
+        with pytest.raises(ValueError, match=message):
+            mc.run_sweep(cfg, too_many)
+        with pytest.raises(ValueError, match=message), mc.worker_pool(too_many):
+            pass
 
     def test_failed_block_fails_the_sweep(self, monkeypatch):
         shut_down, blocks = [], []
@@ -397,12 +440,14 @@ class TestSharedDetectorPass:
     def test_each_row_equals_its_point_alone(self):
         # the paired surface with a low early-stop threshold: both detectors
         # at -40 dB and the non-coherent one at -36 dB stop after the first
-        # block, the non-coherent one at -20 dB after the second, and the
-        # coherent one at -36 and -20 dB never
+        # block, the non-coherent one at -20 dB after the second, the
+        # coherent one at -36 dB after the third, and the coherent one at
+        # -20 dB never
         cfg = sim_config(scenario="case_b", snr_db_grid=(-40.0, -36.0, -20.0),
                          trials_per_point=16_384, seed=3, max_bit_errors=2000)
         swept = mc.run_sweep(cfg, detections=mc.DETECTIONS)
-        assert [p.estimate.trials // mc._BLOCK for p in swept] == [1, 1, 1, 4, 2, 4]
+        assert [p.estimate.trials // mc._BLOCK for p in swept] == [1, 1, 1, 3, 2, 4]
+        assert swept[-1].estimate.bit_errors < cfg.max_bit_errors
         for point in swept:
             alone = mc.run_point(dataclasses.replace(cfg, detection=point.detection),
                                  point.snr_db)
