@@ -23,7 +23,7 @@ import argparse
 import itertools
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from . import analytic_ber, montecarlo, validation
 from .channel import FadingConfig
@@ -31,13 +31,6 @@ from .lora_phy import LoRaParams
 from .specfun import NumericError
 
 _ANALYTIC_SCENARIOS = ("case_a", "case_b", "no_interference")
-
-_CSV_COLUMNS = (
-    "scenario", "detection", "sf", "n_elements", "m", "snr_db",
-    "ber_analytic", "p_noise", "p_interf",
-    "ber_sim", "ci_low", "ci_high", "bits_sent", "seed",
-)
-
 
 class ConfigError(Exception):
     """Invalid command line, config file, or preset combination."""
@@ -330,6 +323,9 @@ class _Row:
         return ",".join(_format(getattr(self, col)) for col in _CSV_COLUMNS)
 
 
+_CSV_COLUMNS = tuple(field.name for field in fields(_Row))
+
+
 def _analytic_task(spec: ExperimentSpec, row: _Row):
     """Evaluate the closed forms for one CSV row; runs in a pool thread, or
     in the calling thread of a serial run.
@@ -398,8 +394,9 @@ def _simulate(spec: ExperimentSpec) -> dict[tuple, montecarlo.BerEstimate]:
                 seed=spec.seed,
                 full_offset_range=spec.full_offset_range,
             )
-            for point in montecarlo.run_sweep(cfg, spec.workers, detections=tuple(wanted)):
-                estimates[scenario, point.detection, sf, n, m, point.snr_db] = point.estimate
+            sweep = montecarlo.run_sweep(cfg, spec.workers, detections=tuple(wanted))
+            for (snr_db, detection), est in sweep.items():
+                estimates[scenario, detection, sf, n, m, snr_db] = est
     return estimates
 
 

@@ -28,12 +28,12 @@ interferer's tones once, and then, for each SNR the block serves, scales
 the noise, adds the transformed tones and the target, and the detectors at
 that SNR write their decisions for its rows.  A chunk therefore costs one
 FFT whatever the number of SNRs, and a block without an interferer none.
-Every SNR but the last scales the noise into a second reused buffer, and
-the last scales it in place, so a one-SNR block does its arithmetic in the
-one buffer.  Both buffers hold 256 KB; the tones of a chunk take another
-256 KB, transformed in place, and their symbols 128 KB.  No (block, K)
-array exists: an SF 12 block of 2,048 trials peaks at about 1.5 MB of
-allocations, against 134 MB for its received block alone.  The gain draw
+A block that serves one SNR scales the noise in place, and one that serves
+several scales it into a second reused buffer for each SNR.  Both buffers
+hold 256 KB; the tones of a chunk take another 256 KB, transformed in
+place, and their symbols 128 KB.  No (block, K) array exists: an SF 12
+block of 2,048 trials peaks at about 1.5 MB of allocations, against
+134 MB for its received block alone.  The gain draw
 (`channel.effective_gains`) holds at most four (block, N) arrays on the
 shared surface, 3.3 MB for 4,096 trials at N = 25 (3.8 MB of peak with its
 direct links), two on the paired one and six under blind phasing.
@@ -64,14 +64,14 @@ and detector.
 
 Pool policy: `run_sweep` starts a pool of `workers` threads (none at one
 worker, and never more than `MAX_WORKERS`) and shuts it down before it
-returns; `run_point` is a one-point sweep.  A sweep sends its blocks
-through one queue, in index order, with at most `workers` blocks in
-flight, and submits no further block once every pair has stopped.  Threads
-suffice because a block spends its time in numpy calls that release the
-interpreter lock (the normal fills, the FFT, the gathers, `argmax` and the
-ufuncs), and they share one copy of the lookup tables where worker
-processes would each hold their own.  A block shares no mutable state with
-another: it owns its generator and its chunk buffers.
+returns; `run_point` is the one entry of a one-point sweep.  A sweep
+sends its blocks through one queue, in index order, with at most `workers`
+blocks in flight, and submits no further block once every pair has
+stopped.  Threads suffice because a block spends its time in numpy calls
+that release the interpreter lock (the normal fills, the FFT, the gathers,
+`argmax` and the ufuncs), and they share one copy of the lookup tables
+where worker processes would each hold their own.  A block shares no
+mutable state with another: it owns its generator and its chunk buffers.
 """
 
 from __future__ import annotations
@@ -170,20 +170,6 @@ class BerEstimate:
     collisions: int  # trials whose target symbol equals the interferer's i2
 
 
-@dataclass(frozen=True)
-class BerPoint:
-    """Simulated estimate plus the identifying metadata for one grid point."""
-
-    scenario: str
-    detection: str
-    sf: int
-    n_elements: int
-    m: float
-    snr_db: float
-    seed: int
-    estimate: BerEstimate
-
-
 def wilson_interval(successes: int, total: int, z: float = 1.96) -> tuple[float, float]:
     """Wilson score interval for a binomial proportion."""
     if total <= 0:
@@ -270,19 +256,19 @@ def block_bins(
     transformed once, in place in its own buffer; a block without one does
     no FFT.  For each SNR the chunk then scales the noise, adds the
     transformed interferer, and adds h_eff to bin c, where the dechirped
-    target symbol puts exactly its gain.  Every SNR but the last scales the
-    noise into a second reused buffer and the last scales it in place, so
-    each SNR's bins are bitwise those of a call with that SNR alone.  Every
-    `bins` is a view of one of the two buffers, which the next SNR or chunk
+    target symbol puts exactly its gain.  The noise is scaled in place when
+    the block serves one SNR, and into a second reused buffer for each SNR
+    otherwise; the product is the same either way, so each SNR's bins are
+    bitwise those of a call with that SNR alone.  Every `bins` is a view of
+    the buffer the noise is scaled into, which the next SNR or chunk
     overwrites.
     """
     K = params.K
     size = draws.c.size
     stds = [noise_std(snr_linear, K) for snr_linear in snrs_linear]
-    last = len(stds) - 1
     step = max(1, _TONE_CHUNK // K)
     buffer = np.empty((min(step, size), 2 * K))
-    scaled = np.empty_like(buffer) if last else None
+    scaled = buffer if len(stds) == 1 else np.empty_like(buffer)
     n = np.arange(K)
     for start in range(0, size, step):
         rows = slice(start, min(start + step, size))
@@ -298,11 +284,7 @@ def block_bins(
             np.fft.fft(interferer, axis=-1, out=interferer)
         target = (np.arange(len(normals)), draws.c[rows])
         for index, std in enumerate(stds):
-            if index == last:
-                normals *= std
-                y = normals.view(np.complex128)
-            else:
-                y = np.multiply(normals, std, out=scaled[: len(normals)]).view(np.complex128)
+            y = np.multiply(normals, std, out=scaled[: len(normals)]).view(np.complex128)
             if interferer is not None:
                 y += interferer
             y[target] += draws.h_eff[rows]
@@ -317,27 +299,29 @@ def _detect(detection: str, bins: np.ndarray, compensation: np.ndarray) -> np.nd
 
 def _run_block(
     cfg: SimConfig,
-    rng: np.random.Generator,
+    block_index: int,
     size: int,
     pairs: tuple[tuple[float, str], ...],
-) -> tuple[np.ndarray, int]:
-    """Simulate one block of trials and run every (SNR in dB, detector)
-    pair in `pairs` on each chunk of its bins at that SNR; returns
-    per-trial bit errors, one row per pair, and the number of
-    target/interferer peak-bin collisions (c == i2)."""
+) -> tuple[dict[tuple[float, str], np.ndarray], int]:
+    """Simulate block `block_index` of `size` trials from its own stream and
+    run every (SNR in dB, detector) pair in `pairs` on each chunk of its
+    bins at that SNR; returns each pair's per-trial bit errors, keyed by
+    the pair, and the number of target/interferer peak-bin collisions
+    (c == i2)."""
+    rng = _substream(cfg.seed, block_index)
     draws = draw_block(cfg, rng, size)
     snrs = tuple(dict.fromkeys(snr_db for snr_db, _ in pairs))
-    readers = [[(row, detection) for row, (snr_db, detection) in enumerate(pairs)
-                if snr_db == snr] for snr in snrs]
+    readers = [[pair for pair in pairs if pair[0] == snr] for snr in snrs]
     snrs_linear = [10.0 ** (snr_db / 10.0) for snr_db in snrs]
     compensation = -np.angle(draws.h_eff)  # perfect target-phase estimate
-    decisions = np.empty((len(pairs), size), dtype=np.intp)
+    decisions = {pair: np.empty(size, dtype=np.intp) for pair in pairs}
     for rows, index, bins in block_bins(draws, cfg.params, rng, snrs_linear):
-        for row, detection in readers[index]:
-            decisions[row, rows] = _detect(detection, bins, compensation[rows])
-    errors = np.stack([
-        count_bit_errors_many(draws.c, decided, cfg.params.sf) for decided in decisions
-    ])
+        for pair in readers[index]:
+            decisions[pair][rows] = _detect(pair[1], bins, compensation[rows])
+    errors = {
+        pair: count_bit_errors_many(draws.c, decided, cfg.params.sf)
+        for pair, decided in decisions.items()
+    }
     collisions = 0 if draws.i2 is None else int(np.count_nonzero(draws.c == draws.i2))
     return errors, collisions
 
@@ -347,16 +331,10 @@ def _block_sizes(cfg: SimConfig) -> list[int]:
     return [_BLOCK] * full + ([rest] if rest else [])
 
 
-def _block_task(args) -> tuple[dict[tuple[float, str], int], int, int]:
-    cfg, block_index, size, pairs = args
-    rng = _substream(cfg.seed, block_index)
-    errors, collisions = _run_block(cfg, rng, size, pairs)
-    return dict(zip(pairs, errors.sum(axis=1).tolist())), size, collisions
-
-
 def _block_results(pool: Executor | None, tasks, depth: int):
-    """Block results in task order: computed here when `pool` is None, else
-    on the pool with at most `depth` blocks in flight.
+    """Results of `_run_block` for each argument tuple of `tasks`, in task
+    order: computed here when `pool` is None, else on the pool with at most
+    `depth` blocks in flight.
 
     A block is submitted only after the caller has taken the oldest
     result, so nothing more is submitted once the caller stops; closing
@@ -364,12 +342,12 @@ def _block_results(pool: Executor | None, tasks, depth: int):
     """
     if pool is None:
         for task in tasks:
-            yield _block_task(task)
+            yield _run_block(*task)
         return
     pending: deque = deque()
     try:
         for task in tasks:
-            pending.append(pool.submit(_block_task, task))
+            pending.append(pool.submit(_run_block, *task))
             if len(pending) >= depth:
                 yield pending.popleft().result()
         while pending:
@@ -419,14 +397,15 @@ def run_point(cfg: SimConfig, snr_db: float, workers: int = 1) -> BerEstimate:
     """
     if snr_db not in cfg.snr_db_grid:
         raise ValueError(f"snr_db={snr_db} is not on the configured grid {cfg.snr_db_grid}")
-    return run_sweep(replace(cfg, snr_db_grid=(snr_db,)), workers)[0].estimate
+    return run_sweep(replace(cfg, snr_db_grid=(snr_db,)), workers)[snr_db, cfg.detection]
 
 
 def run_sweep(
     cfg: SimConfig, workers: int = 1, *, detections: tuple[str, ...] | None = None
-) -> list[BerPoint]:
-    """One BerPoint per grid SNR and detector, SNR-major, the detectors in
-    the order of `detections` (default: `cfg.detection` alone).
+) -> dict[tuple[float, str], BerEstimate]:
+    """One estimate per grid SNR and detector, keyed by (snr_db, detection)
+    in SNR-major order, the detectors in the order of `detections`
+    (default: `cfg.detection` alone).
 
     Block b is drawn once for every (SNR, detector) pair still counting,
     and each pair gets the estimate a sweep of it alone would give (see the
@@ -448,26 +427,14 @@ def run_sweep(
     )
     tallies = {pair: [0, 0, 0] for pair in pairs}  # errors, trials, collisions
     with worker_pool(workers) as pool, closing(_block_results(pool, tasks, workers)) as results:
-        for block_errors, size, block_collisions in results:
+        for block_errors, block_collisions in results:
             for pair in tuple(running):
                 tally = tallies[pair]
-                tally[0] += block_errors[pair]
-                tally[1] += size
+                tally[0] += int(block_errors[pair].sum())
+                tally[1] += block_errors[pair].size
                 tally[2] += block_collisions
                 if cfg.max_bit_errors is not None and tally[0] >= cfg.max_bit_errors:
                     running.remove(pair)
             if not running:
                 break
-    return [
-        BerPoint(
-            scenario=cfg.scenario,
-            detection=detection,
-            sf=cfg.params.sf,
-            n_elements=cfg.fading.n_elements,
-            m=cfg.fading.m1,
-            snr_db=snr_db,
-            seed=cfg.seed,
-            estimate=_estimate(*tallies[snr_db, detection], cfg.params.sf),
-        )
-        for snr_db, detection in pairs
-    ]
+    return {pair: _estimate(*tally, cfg.params.sf) for pair, tally in tallies.items()}

@@ -472,8 +472,10 @@ def _check_sim_vs_analytic(params: LoRaParams, fading: FadingConfig, trials, _rn
 def _check_shared_detector_pass(params: LoRaParams, fading: FadingConfig, trials, _rng):
     # a sweep that runs both detectors on the same blocks against one
     # run_point per detector; as many samples as the budget's SF 7 trials,
-    # up to 20,000, so that large SFs stay small
-    n = max(1, (min(trials, 20_000) << 7) // params.K)
+    # up to 20,000, so that large SFs stay small, but at least 625 trials,
+    # so that both detectors err at SF 12, where 62 trials can leave the
+    # coherent one without a bit error
+    n = max(625, (min(trials, 20_000) << 7) // params.K)
     cfg = montecarlo.SimConfig(
         params=params,
         fading=fading,
@@ -484,22 +486,20 @@ def _check_shared_detector_pass(params: LoRaParams, fading: FadingConfig, trials
         seed=20_240_902,
         # 2% of the budget's bits: on the paired surface at -25 dB this
         # usually stops the non-coherent detector early and not the coherent one
-        max_bit_errors=max(1, n * params.sf // 50),
+        max_bit_errors=n * params.sf // 50,
     )
     shared = montecarlo.run_sweep(cfg, detections=montecarlo.DETECTIONS)
-    alone = [
-        montecarlo.run_point(replace(cfg, detection=point.detection), -25.0)
-        for point in shared
-    ]
-    ok = all(point.estimate == est for point, est in zip(shared, alone))
-    ok &= all(est.bit_errors > 0 for est in alone)
+    alone = {
+        pair: montecarlo.run_point(replace(cfg, detection=pair[1]), pair[0]) for pair in shared
+    }
+    ok = shared == alone and all(est.bit_errors > 0 for est in alone.values())
     return CheckResult(
         "shared detector pass vs one detector at a time",
         ok,
         ", ".join(
-            f"{point.detection} {point.estimate.bit_errors}/{est.bit_errors} bit errors "
-            f"in {point.estimate.trials}/{est.trials} trials"
-            for point, est in zip(shared, alone)
+            f"{pair[1]} {shared[pair].bit_errors}/{est.bit_errors} bit errors "
+            f"in {shared[pair].trials}/{est.trials} trials"
+            for pair, est in alone.items()
         ),
     )
 

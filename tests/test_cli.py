@@ -573,8 +573,8 @@ class RecordingPool(ThreadPoolExecutor):
         self.started.append(self)
 
     def submit(self, fn, /, *args, **kwargs):
-        if fn is mc._block_task:
-            self.blocks.append(args[0][1])
+        if fn is mc._run_block:
+            self.blocks.append(args[1])
         return super().submit(fn, *args, **kwargs)
 
     def shutdown(self, *args, **kwargs):

@@ -13,7 +13,7 @@ import pytest
 
 from chirpfield import analytic_ber as ab
 from chirpfield import montecarlo as mc
-from chirpfield import reference
+from chirpfield import reference, validation
 from chirpfield.channel import FadingConfig
 from chirpfield.lora_phy import LoRaParams
 
@@ -100,7 +100,7 @@ class TestDeterminism:
                          trials_per_point=20_000, max_bit_errors=300)
         serial = mc.run_sweep(cfg, workers=1)
         parallel = mc.run_sweep(cfg, workers=2)
-        stopped = [p.estimate.trials < cfg.trials_per_point for p in serial]
+        stopped = [est.trials < cfg.trials_per_point for est in serial.values()]
         assert any(stopped) and not all(stopped)
         assert serial == parallel
 
@@ -114,14 +114,15 @@ class TestTrialMechanics:
     def test_run_block_range(self):
         pairs = tuple((snr_db, detection) for snr_db in (-25.0, -30.0)
                       for detection in mc.DETECTIONS)
-        errors, _ = mc._run_block(sim_config(), np.random.default_rng(0), 50, pairs)
-        assert errors.shape == (4, 50)
-        assert np.all((errors >= 0) & (errors <= SF7.sf))
-        # each row is what that (SNR, detector) pair alone reads off the
-        # same draws
-        for row, pair in zip(errors, pairs):
-            alone, _ = mc._run_block(sim_config(), np.random.default_rng(0), 50, (pair,))
-            assert np.array_equal(alone[0], row)
+        errors, _ = mc._run_block(sim_config(), 0, 50, pairs)
+        assert list(errors) == list(pairs)
+        for pair, row in errors.items():
+            assert row.shape == (50,)
+            assert np.all((row >= 0) & (row <= SF7.sf))
+            # each row is what that (SNR, detector) pair alone reads off
+            # the same draws
+            alone, _ = mc._run_block(sim_config(), 0, 50, (pair,))
+            assert np.array_equal(alone[pair], row)
 
     def test_forced_clean_channel_never_errs(self, monkeypatch):
         # unit target gain, no interferer, essentially no noise
@@ -212,20 +213,28 @@ class TestBlockKernel:
         assert covered == size and size % step
 
     def test_bins_are_built_in_the_noise_buffer(self):
-        # every chunk's noise is drawn into, and its bins built in, one
-        # buffer; with several SNRs, every SNR but the last builds its bins
-        # in one second buffer
+        # every chunk's noise is drawn into one buffer; a block of one SNR
+        # builds its bins in that buffer, and a block of several SNRs builds
+        # every SNR's bins in one second buffer
+        class RecordingGenerator:
+            def __init__(self, rng):
+                self.rng, self.filled = rng, set()
+
+            def standard_normal(self, *, out):
+                self.filled.add(out.__array_interface__["data"][0])
+                return self.rng.standard_normal(out=out)
+
         draws = mc.draw_block(sim_config(), np.random.default_rng(3), 300)
         for snrs in ((10 ** (-2.5),), (10 ** (-3.5), 10 ** (-3.0), 10 ** (-2.5))):
-            last = len(snrs) - 1
-            buffers, indices = {True: set(), False: set()}, []
-            for _, index, bins in mc.block_bins(draws, SF7, np.random.default_rng(4), snrs):
+            rng = RecordingGenerator(np.random.default_rng(4))
+            built, indices = set(), []
+            for _, index, bins in mc.block_bins(draws, SF7, rng, snrs):
                 assert not bins.flags.owndata
                 indices.append(index)
-                buffers[index == last].add(bins.__array_interface__["data"][0])
+                built.add(bins.__array_interface__["data"][0])
             assert indices == list(range(len(snrs))) * 3
-            assert len(buffers[True]) == 1 and len(buffers[False]) == (1 if last else 0)
-            assert not buffers[True] & buffers[False]
+            assert len(rng.filled) == len(built) == 1
+            assert (built == rng.filled) == (len(snrs) == 1)
 
     @pytest.mark.parametrize("scenario, ffts_per_chunk", [
         ("case_a", 1), ("case_b", 1), ("no_interference", 0),
@@ -288,14 +297,14 @@ class TestBlockKernel:
         # 1.5 MB.  One (trials, K) complex array would take 134 MB; the
         # paired-surface gain draw holds two (trials, N) arrays of 0.4 MB,
         # the chunk buffer and its temporaries take about 0.5 MB.
-        cfg = sim_config(params=LoRaParams(12), scenario="case_b")
+        cfg = sim_config(params=LoRaParams(12), scenario="case_b", seed=1)
         pairs = tuple((-25.0, detection) for detection in mc.DETECTIONS)
-        assert self.peak_bytes(mc._run_block, cfg, mc._substream(1, 0), 2048, pairs) < 3e6
+        assert self.peak_bytes(mc._run_block, cfg, 0, 2048, pairs) < 3e6
         # The same block at four SNRs adds the second 256 KB chunk buffer
         # and six rows of decisions, and stays under the same bound.
         pairs = tuple((snr_db, detection) for snr_db in (-40.0, -35.0, -30.0, -25.0)
                       for detection in mc.DETECTIONS)
-        assert self.peak_bytes(mc._run_block, cfg, mc._substream(1, 0), 2048, pairs) < 3e6
+        assert self.peak_bytes(mc._run_block, cfg, 0, 2048, pairs) < 3e6
         # An SF 7 shared-surface block of 4,096 trials at N = 25: its gain
         # draw holds four (trials, N) arrays of 0.8 MB at once and peaks at
         # about 3.8 MB, where drawing every link vector before reducing
@@ -362,7 +371,7 @@ class TestWorkerPool:
 
         class RecordingPool(ThreadPoolExecutor):
             def submit(self, fn, /, *args, **kwargs):
-                blocks.append(args[0][1])  # block index
+                blocks.append(args[1])  # block index
                 return super().submit(fn, *args, **kwargs)
 
             def shutdown(self, *args, **kwargs):
@@ -406,12 +415,10 @@ class TestSharedDetectorPass:
     def test_matches_one_detector_at_a_time(self):
         cfg = sim_config(**self.CFG)
         shared = mc.run_sweep(cfg, detections=mc.DETECTIONS)
-        assert [(p.snr_db, p.detection) for p in shared] == [
-            (snr, d) for snr in cfg.snr_db_grid for d in mc.DETECTIONS
-        ]
+        assert list(shared) == [(snr, d) for snr in cfg.snr_db_grid for d in mc.DETECTIONS]
         for detection in mc.DETECTIONS:
             alone = mc.run_sweep(dataclasses.replace(cfg, detection=detection))
-            assert [p for p in shared if p.detection == detection] == alone
+            assert {pair: est for pair, est in shared.items() if pair[1] == detection} == alone
 
     def test_each_block_is_built_once(self, monkeypatch):
         built, keys = [], []
@@ -430,8 +437,8 @@ class TestSharedDetectorPass:
         points = mc.run_sweep(sim_config(**self.CFG), detections=mc.DETECTIONS)
 
         blocks = {}
-        for point in points:
-            blocks.setdefault(point.snr_db, []).append(-(-point.estimate.trials // mc._BLOCK))
+        for (snr_db, _), est in points.items():
+            blocks.setdefault(snr_db, []).append(-(-est.trials // mc._BLOCK))
         assert list(blocks.values()) == [[1, 2], [1, 3]]
         # each block index is built once for the whole sweep
         assert len(built) == len(keys) == len(set(keys))
@@ -446,12 +453,31 @@ class TestSharedDetectorPass:
         cfg = sim_config(scenario="case_b", snr_db_grid=(-40.0, -36.0, -20.0),
                          trials_per_point=16_384, seed=3, max_bit_errors=2000)
         swept = mc.run_sweep(cfg, detections=mc.DETECTIONS)
-        assert [p.estimate.trials // mc._BLOCK for p in swept] == [1, 1, 1, 3, 2, 4]
-        assert swept[-1].estimate.bit_errors < cfg.max_bit_errors
-        for point in swept:
-            alone = mc.run_point(dataclasses.replace(cfg, detection=point.detection),
-                                 point.snr_db)
-            assert point.estimate == alone  # every field
+        assert [est.trials // mc._BLOCK for est in swept.values()] == [1, 1, 1, 3, 2, 4]
+        assert swept[-20.0, "coherent"].bit_errors < cfg.max_bit_errors
+        # the seeded (bit errors, trials, collisions) of each pair, so that
+        # any change to what a seed draws shows here
+        assert {pair: (est.bit_errors, est.trials, est.collisions)
+                for pair, est in swept.items()} == {
+            (-40.0, "noncoherent"): (6491, 4096, 41),
+            (-40.0, "coherent"): (3206, 4096, 41),
+            (-36.0, "noncoherent"): (3475, 4096, 41),
+            (-36.0, "coherent"): (2156, 12288, 112),
+            (-20.0, "noncoherent"): (3618, 8192, 80),
+            (-20.0, "coherent"): (949, 16384, 146),
+        }
+        for (snr_db, detection), est in swept.items():
+            alone = mc.run_point(dataclasses.replace(cfg, detection=detection), snr_db)
+            assert est == alone  # every field
+
+    def test_validation_check_has_teeth_at_sf_12(self):
+        # the check scales its budget of SF 7 trials by 128/K; at SF 12,
+        # 2,000 trials came to 62, in which the coherent detector made no
+        # bit error, and the check failed although both routes agreed
+        result = validation._check_shared_detector_pass(
+            LoRaParams(12), FadingConfig.uniform(2.0, 25), 2_000, None
+        )
+        assert result.passed, result.detail
 
     def test_rejects_bad_detections(self):
         for detections in ((), ("noncoherent", "noncoherent"), ("semi",)):
@@ -509,12 +535,8 @@ class TestSweep:
     def test_single_point_grid(self):
         cfg = sim_config(trials_per_point=2_000)
         points = mc.run_sweep(cfg)
-        assert len(points) == 1
-        point = points[0]
-        assert (point.scenario, point.detection) == ("case_a", "noncoherent")
-        assert (point.sf, point.n_elements, point.m) == (7, 25, 2.0)
-        assert point.snr_db == -25.0
-        assert point.estimate.bits_sent == 2_000 * 7
+        assert list(points) == [(-25.0, "noncoherent")]
+        assert points[-25.0, "noncoherent"].bits_sent == 2_000 * 7
 
     @pytest.mark.parametrize("scenario", mc.SCENARIOS)
     @pytest.mark.parametrize("detection", mc.DETECTIONS)
@@ -528,17 +550,14 @@ class TestSweep:
 class TestSurfaceFreeBaseline:
     def test_ris_free_is_the_zero_element_shared_surface(self):
         # the surface-free gain draw is the shared surface's at N = 0, so a
-        # seeded sweep of each gives equal points, apart from the labels
+        # seeded sweep of each gives equal estimates
         cfg = sim_config(scenario="ris_free", snr_db_grid=(-10.0, 0.0),
                          trials_per_point=6_000, seed=31)
         bare = dataclasses.replace(cfg, scenario="case_a",
                                    fading=FadingConfig.uniform(2.0, 0))
         free = mc.run_sweep(cfg, detections=mc.DETECTIONS)
-        assert [dataclasses.replace(p, scenario="case_a", n_elements=0) for p in free] == (
-            mc.run_sweep(bare, detections=mc.DETECTIONS)
-        )
-        assert {p.n_elements for p in free} == {25}
-        assert all(p.estimate.bit_errors > 0 for p in free)
+        assert free == mc.run_sweep(bare, detections=mc.DETECTIONS)
+        assert all(est.bit_errors > 0 for est in free.values())
 
 
 class TestSnrMonotonicity:
@@ -546,10 +565,10 @@ class TestSnrMonotonicity:
         grid = (-37.0, -35.0, -33.0, -31.0)
         cfg = sim_config(scenario="no_interference", snr_db_grid=grid,
                          trials_per_point=40_000, max_bit_errors=None)
-        points = mc.run_sweep(cfg)
+        points = list(mc.run_sweep(cfg).values())
         for worse, better in zip(points, points[1:]):
             # higher SNR may not be statistically worse than lower SNR
-            assert better.estimate.ci95_low <= worse.estimate.ci95_high
+            assert better.ci95_low <= worse.ci95_high
 
 
 class TestNoiseCalibration:
