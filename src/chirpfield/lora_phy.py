@@ -33,9 +33,11 @@ intp index c*n & (K - 1); it is the dechirped counterpart of `_chirps`.
 Since per-sample noise of variance N0 gives per-bin noise of variance N0
 (see above), and white circular Gaussian noise keeps its law under the
 dechirp and the DFT, the Monte Carlo draws its receiver noise directly in
-the bins and transforms only the interferer's tones.  `reference` runs
-`dechirp_dft(_chirps(...))`, with the same bin noise taken to the time
-domain by `np.fft.ifft`, as its time-domain oracle.
+the bins and transforms only the interferer's tones.  It builds them in
+the target's phase frame (rotated by exp(-i*angle(h_eff))), which is what
+`detect_coherent` expects.  `reference` runs `dechirp_dft(_chirps(...))`,
+with the same bin noise taken to the time domain by `np.fft.ifft`, as its
+time-domain oracle, and rotates its bins into the same frame.
 """
 
 from __future__ import annotations
@@ -160,18 +162,25 @@ def dechirp_dft(received: np.ndarray, params: LoRaParams) -> np.ndarray:
 
 
 def detect_noncoherent(bins: np.ndarray):
-    """Index of the largest bin magnitude (lowest index wins ties)."""
-    return np.argmax(np.abs(bins), axis=-1)
+    """Index of the largest bin magnitude (lowest index wins ties).
 
-
-def detect_coherent(bins: np.ndarray, compensation_phase):
-    """Index of the largest real part after rotating by the compensation phase.
-
-    The compensation phase is the negated target-channel phase (perfect
-    estimation).  `compensation_phase` broadcasts against the batch axes.
+    Compares squared magnitudes re**2 + im**2, which order the bins as
+    their magnitudes do, so no square root is taken.
     """
-    phase = np.exp(1j * np.asarray(compensation_phase, dtype=float))
-    return np.argmax(np.real(np.asarray(bins) * phase[..., None]), axis=-1)
+    bins = np.asarray(bins)
+    power = np.square(bins.real)
+    power += np.square(bins.imag)
+    return power.argmax(axis=-1)
+
+
+def detect_coherent(bins: np.ndarray):
+    """Index of the largest real part (lowest index wins ties).
+
+    The bins must be in the target's phase frame: rotated by the negated
+    target-channel phase, which is coherent detection with perfect phase
+    compensation.  `montecarlo.block_bins` builds them in that frame.
+    """
+    return np.asarray(bins).real.argmax(axis=-1)
 
 
 def count_bit_errors_many(sent: np.ndarray, detected: np.ndarray, sf: int) -> np.ndarray:

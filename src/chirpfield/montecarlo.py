@@ -12,9 +12,22 @@ circular Gaussian noise keeps its law under the unit-modulus dechirp and
 under the DFT (F * F^H = K * I), so the receiver noise is drawn directly
 as bin noise of variance 1/(snr * K) and never transformed; this extends
 the dechirp-then-DFT view of Vangelista (IEEE SPL 24(12), 2017) from the
-target to the noise.  `reference.time_domain_bins` takes the same bin
-noise to the time domain by an inverse FFT, synthesises the same draws as
-chirps, and dechirps and transforms them; it is the tested oracle of
+target to the noise.
+
+Every row's bins are built in the target's phase frame: rotated by
+exp(-i*angle(h_eff)).  The receiver noise is circularly symmetric and
+independent of the gains, so a rotation by a function of the gains leaves
+the joint law unchanged, and the unit normals are read as noise already in
+that frame.  The target then adds the real |h_eff| to bin c, and the
+rotation is folded into the per-row scale h_int * exp(-i*angle(h_eff))
+that the interferer's tones get anyway, so it costs no pass over the bins.
+In that frame coherent detection with perfect phase compensation is the
+argmax of the real parts, and non-coherent detection, which no rotation of
+a row changes, the argmax of the squared magnitudes.
+`reference.time_domain_bins` maps the same bin noise B to the physical
+noise B * exp(i*angle(h_eff)), takes it to the time domain by an inverse
+FFT, synthesises the same draws as chirps, dechirps and transforms them,
+and rotates the result into the target's frame; it is the tested oracle of
 `block_bins`.  Only `channel` and `lora_phy` are imported, never the
 bounds, Gamma fits, quadrature or SciPy of the analytic engine, so the two
 sides cross-validate each other.
@@ -31,8 +44,11 @@ FFT whatever the number of SNRs, and a block without an interferer none.
 A block that serves one SNR scales the noise in place, and one that serves
 several scales it into a second reused buffer for each SNR.  Both buffers
 hold 256 KB; the tones of a chunk take another 256 KB, transformed in
-place, and their symbols 128 KB.  No (block, K) array exists: an SF 12
-block of 2,048 trials peaks at about 1.5 MB of allocations, against
+place, and their symbol indices 128 KB while the tones are built.  The
+detectors' temporaries are real (rows, K) arrays of 128 KB: one for the
+real parts, two for the squared parts.  No (block, K) array exists: an
+SF 12 `case_b` block of 2,048 trials with both detectors peaks at 1.13 MB
+of allocations at one SNR and 1.40 MB at four (`tracemalloc`), against
 134 MB for its received block alone.  The gain draw
 (`channel.effective_gains`) holds at most four (block, N) arrays on the
 shared surface, 3.3 MB for 4,096 trials at N = 25 (3.8 MB of peak with its
@@ -63,15 +79,16 @@ of one sweep share every draw, so their errors are correlated across SNR
 and detector.
 
 Pool policy: `run_sweep` starts a pool of `workers` threads (none at one
-worker, and never more than `MAX_WORKERS`) and shuts it down before it
-returns; `run_point` is the one entry of a one-point sweep.  A sweep
-sends its blocks through one queue, in index order, with at most `workers`
-blocks in flight, and submits no further block once every pair has
-stopped.  Threads suffice because a block spends its time in numpy calls
-that release the interpreter lock (the normal fills, the FFT, the gathers,
-`argmax` and the ufuncs), and they share one copy of the lookup tables
-where worker processes would each hold their own.  A block shares no
-mutable state with another: it owns its generator and its chunk buffers.
+worker; fewer than one or more than `MAX_WORKERS` is refused) and shuts it
+down before it returns; `run_point` is the one entry of a one-point sweep.
+A sweep sends its blocks through one queue, in index order, with at most
+`workers` blocks in flight, and submits no further block once every pair
+has stopped.  Threads suffice because a block spends its time in numpy
+calls that release the interpreter lock (the normal fills, the FFT, the
+gathers, `argmax` and the ufuncs), and they share one copy of the lookup
+tables where worker processes would each hold their own.  A block shares
+no mutable state with another: it owns its generator and its chunk
+buffers.
 """
 
 from __future__ import annotations
@@ -236,6 +253,13 @@ def draw_block(cfg: SimConfig, rng: np.random.Generator, size: int) -> BlockDraw
     return BlockDraws(c, i1, i2, tau, h_eff, h_int)
 
 
+def target_frame(h_eff: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """|h_eff| and exp(-i*angle(h_eff)): the target's gain in its own phase
+    frame, and the rotation that takes the received bins into that frame
+    (1 where h_eff is 0)."""
+    return np.abs(h_eff), np.exp(-1j * np.angle(h_eff))
+
+
 def block_bins(
     draws: BlockDraws,
     params: LoRaParams,
@@ -243,25 +267,26 @@ def block_bins(
     snrs_linear: Sequence[float],
 ) -> Iterator[tuple[slice, int, np.ndarray]]:
     """DFT bins of the dechirped received block at each SNR of
-    `snrs_linear`, `_TONE_CHUNK` samples of whole rows at a time; yields
-    (rows, SNR index, bins) with one row per trial, every SNR of a chunk
-    in order before the next chunk.
+    `snrs_linear`, in the target's phase frame (each row rotated by
+    exp(-i*angle(h_eff))), `_TONE_CHUNK` samples of whole rows at a time;
+    yields (rows, SNR index, bins) with one row per trial, every SNR of a
+    chunk in order before the next chunk.
 
     `rng` must stand where `draw_block` left it.  Each chunk draws its unit
     noise from it into one reused buffer ((rows, 2K) normals viewed as
     (rows, K) complex bins, the rows of the one-shot draw in order), which
-    is the receiver noise after the DFT: white circular Gaussian noise
-    keeps its law under it.  The interferer is gathered (the tone of i1
-    for its first tau samples and of i2 after), scaled by h_int and
-    transformed once, in place in its own buffer; a block without one does
-    no FFT.  For each SNR the chunk then scales the noise, adds the
-    transformed interferer, and adds h_eff to bin c, where the dechirped
-    target symbol puts exactly its gain.  The noise is scaled in place when
-    the block serves one SNR, and into a second reused buffer for each SNR
-    otherwise; the product is the same either way, so each SNR's bins are
-    bitwise those of a call with that SNR alone.  Every `bins` is a view of
-    the buffer the noise is scaled into, which the next SNR or chunk
-    overwrites.
+    is the receiver noise after the DFT and the rotation: white circular
+    Gaussian noise keeps its law under both.  The interferer is gathered
+    (the tone of i1 for its first tau samples and of i2 after), scaled by
+    h_int * exp(-i*angle(h_eff)) and transformed once, in place in its own
+    buffer; a block without one does no FFT.  For each SNR the chunk then
+    scales the noise, adds the transformed interferer, and adds |h_eff| to
+    bin c, where the dechirped target symbol puts exactly its gain.  The
+    noise is scaled in place when the block serves one SNR, and into a
+    second reused buffer for each SNR otherwise; the product is the same
+    either way, so each SNR's bins are bitwise those of a call with that
+    SNR alone.  Every `bins` is a view of the buffer the noise is scaled
+    into, which the next SNR or chunk overwrites.
     """
     K = params.K
     size = draws.c.size
@@ -269,6 +294,7 @@ def block_bins(
     step = max(1, _TONE_CHUNK // K)
     buffer = np.empty((min(step, size), 2 * K))
     scaled = buffer if len(stds) == 1 else np.empty_like(buffer)
+    amplitude, derotation = target_frame(draws.h_eff)
     n = np.arange(K)
     for start in range(0, size, step):
         rows = slice(start, min(start + step, size))
@@ -276,25 +302,27 @@ def block_bins(
         rng.standard_normal(out=normals)
         interferer = None
         if draws.h_int is not None:
-            symbols = np.where(
-                n < draws.tau[rows, None], draws.i1[rows, None], draws.i2[rows, None]
+            interferer = _tones(
+                np.where(n < draws.tau[rows, None], draws.i1[rows, None], draws.i2[rows, None]),
+                params.sf,
             )
-            interferer = _tones(symbols, params.sf)
-            interferer *= draws.h_int[rows, None]
+            interferer *= (draws.h_int[rows] * derotation[rows])[:, None]
             np.fft.fft(interferer, axis=-1, out=interferer)
         target = (np.arange(len(normals)), draws.c[rows])
         for index, std in enumerate(stds):
             y = np.multiply(normals, std, out=scaled[: len(normals)]).view(np.complex128)
             if interferer is not None:
                 y += interferer
-            y[target] += draws.h_eff[rows]
+            y[target] += amplitude[rows]
             yield rows, index, y
 
 
-def _detect(detection: str, bins: np.ndarray, compensation: np.ndarray) -> np.ndarray:
+def _detect(detection: str, bins: np.ndarray) -> np.ndarray:
+    # looked up by name at each call, so that wrappers installed on this
+    # module's attributes see every detection
     if detection == "noncoherent":
         return detect_noncoherent(bins)
-    return detect_coherent(bins, compensation)
+    return detect_coherent(bins)
 
 
 def _run_block(
@@ -313,11 +341,10 @@ def _run_block(
     snrs = tuple(dict.fromkeys(snr_db for snr_db, _ in pairs))
     readers = [[pair for pair in pairs if pair[0] == snr] for snr in snrs]
     snrs_linear = [10.0 ** (snr_db / 10.0) for snr_db in snrs]
-    compensation = -np.angle(draws.h_eff)  # perfect target-phase estimate
     decisions = {pair: np.empty(size, dtype=np.intp) for pair in pairs}
     for rows, index, bins in block_bins(draws, cfg.params, rng, snrs_linear):
         for pair in readers[index]:
-            decisions[pair][rows] = _detect(pair[1], bins, compensation[rows])
+            decisions[pair][rows] = _detect(pair[1], bins)
     errors = {
         pair: count_bit_errors_many(draws.c, decided, cfg.params.sf)
         for pair, decided in decisions.items()
@@ -360,12 +387,12 @@ def _block_results(pool: Executor | None, tasks, depth: int):
 @contextmanager
 def worker_pool(workers: int):
     """A pool of `workers` threads, or None for a serial run in the calling
-    thread.  On exit, tasks that have not started are cancelled and the
-    pool is shut down.  More than `MAX_WORKERS` is refused before any
-    thread starts."""
-    if workers > MAX_WORKERS:
-        raise ValueError(f"workers must be at most {MAX_WORKERS}, got {workers}")
-    if workers <= 1:
+    thread at one worker.  On exit, tasks that have not started are
+    cancelled and the pool is shut down.  Fewer than one worker, or more
+    than `MAX_WORKERS`, is refused before any thread starts."""
+    if not 1 <= workers <= MAX_WORKERS:
+        raise ValueError(f"workers must be at least 1 and at most {MAX_WORKERS}, got {workers}")
+    if workers == 1:
         yield None
         return
     pool = ThreadPoolExecutor(max_workers=workers)

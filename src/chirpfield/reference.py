@@ -55,7 +55,7 @@ from .lora_phy import (
     dechirp_dft,
     modulate_many,
 )
-from .montecarlo import BlockDraws, noise_std
+from .montecarlo import BlockDraws, noise_std, target_frame
 from .specfun import log_pcf_d, q_approx, q_exact
 
 # ---------------------------------------------------------------------------
@@ -272,19 +272,25 @@ def time_domain_bins(
 
     `rng` must stand where block_bins starts, e.g. a copy of the block's
     generator taken after `draw_block`: the whole (size, K) bin noise B is
-    drawn from it in one call.  Synthesises h_eff * chirp(c) + h_int *
-    interferer frame + w, with the receiver noise w = K * base chirp *
-    ifft(B) (per-sample variance 1/(snr * K)), then dechirps and
-    transforms.  It holds up to five (size, K) complex arrays at once: 42 MB
-    of peak for 4,096 trials at SF 7, so it is for small blocks only.
+    drawn from it in one call.  block_bins reads B as noise already in the
+    target's phase frame, so the physical bin noise is B * exp(i*angle(h_eff)).
+    Synthesises h_eff * chirp(c) + h_int * interferer frame + w, with the
+    receiver noise w = K * base chirp * ifft(B * exp(i*angle(h_eff)))
+    (per-sample variance 1/(snr * K)), then dechirps, transforms and
+    rotates each row by exp(-i*angle(h_eff)) into the target's frame.  It
+    holds up to five (size, K) complex arrays at once: 42 MB of peak for
+    4,096 trials at SF 7, so it is for small blocks only.
     """
     K = params.K
+    _, derotation = target_frame(draws.h_eff)
     bin_noise = rng.standard_normal((draws.c.size, 2 * K))
     bin_noise *= noise_std(snr_linear, K)
-    received = np.fft.ifft(bin_noise.view(np.complex128), axis=-1)
+    received = np.fft.ifft(bin_noise.view(np.complex128) * derotation.conj()[:, None], axis=-1)
     received *= K * modulate_many(0, params)  # base chirp
     received += draws.h_eff[:, None] * modulate_many(draws.c, params)
     if draws.h_int is not None:
         frames = build_interferer_frames(draws.i1, draws.i2, draws.tau, params)
         received += draws.h_int[:, None] * frames
-    return dechirp_dft(received, params)
+    bins = dechirp_dft(received, params)
+    bins *= derotation[:, None]
+    return bins

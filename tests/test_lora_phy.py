@@ -135,7 +135,15 @@ class TestDetectors:
         bins = np.zeros(128, dtype=complex)
         bins[[10, 90]] = 1.0
         assert lora_phy.detect_noncoherent(bins) == 10
-        assert lora_phy.detect_coherent(bins, 0.0) == 10
+        assert lora_phy.detect_coherent(bins) == 10
+        # equal squared magnitudes at other phases, and equal real parts
+        # with different imaginary parts, in a batch
+        batch = np.zeros((3, 128), dtype=complex)
+        batch[0, [5, 60, 100]] = (3 + 4j, -4 - 3j, 5j)
+        batch[1, [7, 8]] = (0.5 - 2.0j, 0.5 + 1.0j)
+        batch[2] = 0.25
+        assert lora_phy.detect_noncoherent(batch).tolist() == [5, 7, 0]
+        assert lora_phy.detect_coherent(batch).tolist() == [5, 7, 0]
 
     @pytest.mark.parametrize("sf", range(2, 10))
     def test_round_trip_all_symbols(self, sf):
@@ -164,20 +172,21 @@ class TestDetectors:
     def test_coherent_with_compensation(self, sf7):
         h = np.exp(1j * np.pi / 4)
         bins = lora_phy.dechirp_dft(h * lora_phy.modulate_many(77, sf7), sf7)
-        assert lora_phy.detect_coherent(bins, -np.pi / 4) == 77
+        assert lora_phy.detect_coherent(bins * np.exp(1j * -np.pi / 4)) == 77
 
     def test_coherent_without_compensation_still_correct_when_clean(self, sf7):
         # real part of the peak is cos(pi/4) > 0 while every other bin is ~0
         h = np.exp(1j * np.pi / 4)
         bins = lora_phy.dechirp_dft(h * lora_phy.modulate_many(77, sf7), sf7)
-        assert lora_phy.detect_coherent(bins, 0.0) == 77
+        assert lora_phy.detect_coherent(bins * np.exp(1j * 0.0)) == 77
 
     def test_coherent_follows_dominant_aligned_interferer(self, sf7):
         # interferer in phase with the compensated axis and stronger than
         # the target: the real-part metric peaks at the interferer bin
         c, i2 = 10, 40
         y = 0.3 * lora_phy.modulate_many(c, sf7) + 1.0 * lora_phy.modulate_many(i2, sf7)
-        assert lora_phy.detect_coherent(lora_phy.dechirp_dft(y, sf7), 0.0) == i2
+        bins = lora_phy.dechirp_dft(y, sf7)
+        assert lora_phy.detect_coherent(bins * np.exp(1j * 0.0)) == i2
 
     def test_coherent_equals_noncoherent_when_clean(self, sf7):
         rng = np.random.default_rng(5)
@@ -187,9 +196,34 @@ class TestDetectors:
             bins = lora_phy.dechirp_dft(
                 np.exp(1j * phase) * lora_phy.modulate_many(c, sf7), sf7
             )
-            assert lora_phy.detect_coherent(bins, -phase) == lora_phy.detect_noncoherent(
-                bins
-            )
+            assert lora_phy.detect_coherent(
+                bins * np.exp(1j * -phase)
+            ) == lora_phy.detect_noncoherent(bins)
+
+    def test_noncoherent_ignores_a_rotation_of_each_row(self):
+        # well-separated bin magnitudes: rotating every row by its own phase
+        # leaves the squared-magnitude decision alone
+        rng = np.random.default_rng(17)
+        rows, K = 64, 128
+        magnitudes = np.stack([rng.permutation(K) for _ in range(rows)]) + 1.0
+        bins = magnitudes * np.exp(2j * np.pi * rng.random((rows, K)))
+        expected = np.argmax(magnitudes, axis=-1)
+        assert np.array_equal(lora_phy.detect_noncoherent(bins), expected)
+        rotated = bins * np.exp(2j * np.pi * rng.random(rows))[:, None]
+        assert np.array_equal(lora_phy.detect_noncoherent(rotated), expected)
+
+    def test_coherent_reads_rotated_bins_as_the_compensated_decision(self):
+        # detect_coherent(y * exp(-i*phi)) is the decision of the former
+        # compensated detector, argmax of Re(y * exp(i * compensation)) with
+        # compensation = -phi, written out here
+        rng = np.random.default_rng(19)
+        rows, K = 256, 128
+        y = rng.standard_normal((rows, K)) + 1j * rng.standard_normal((rows, K))
+        phi = rng.uniform(-np.pi, np.pi, rows)
+        compensated = np.argmax(np.real(y * np.exp(1j * -phi)[:, None]), axis=-1)
+        decided = lora_phy.detect_coherent(y * np.exp(-1j * phi)[:, None])
+        assert np.array_equal(decided, compensated)
+        assert not np.array_equal(lora_phy.detect_coherent(y), compensated)
 
 
 def bit_errors(sent, detected, sf=7):

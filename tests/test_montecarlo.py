@@ -182,7 +182,8 @@ class TestTrialMechanics:
 
 class TestBlockKernel:
     """block_bins, built in the dechirped domain a chunk of rows at a time,
-    against the time-domain chain on the same draws."""
+    against the time-domain chain on the same draws, both in the target's
+    phase frame."""
 
     @pytest.mark.parametrize("sf", [7, 9, 12])
     @pytest.mark.parametrize("scenario", mc.SCENARIOS)
@@ -199,7 +200,6 @@ class TestBlockKernel:
             draws.c[3:5] = draws.i2[3:5]  # target/interferer collisions
         # the oracle draws the whole noise at once from an identical generator
         expected = reference.time_domain_bins(draws, params, copy.deepcopy(rng), 10 ** (-3.0))
-        compensation = -np.angle(draws.h_eff)
         step = mc._TONE_CHUNK // K
         covered = 0
         for rows, index, bins in mc.block_bins(draws, params, rng, (10 ** (-3.0),)):
@@ -207,9 +207,8 @@ class TestBlockKernel:
             assert rows.start == covered and bins.shape == (rows.stop - rows.start, K)
             covered = rows.stop
             assert np.abs(bins - expected[rows]).max() < 1e-12
-            for detect, args in ((mc.detect_noncoherent, ()),
-                                 (mc.detect_coherent, (compensation[rows],))):
-                assert np.array_equal(detect(bins, *args), detect(expected[rows], *args))
+            for detect in (mc.detect_noncoherent, mc.detect_coherent):
+                assert np.array_equal(detect(bins), detect(expected[rows]))
         assert covered == size and size % step
 
     def test_bins_are_built_in_the_noise_buffer(self):
@@ -293,15 +292,17 @@ class TestBlockKernel:
             tracemalloc.stop()
 
     def test_block_memory_is_bounded(self):
-        # One SF 12 block of 2,048 trials, both detectors, peaks at about
-        # 1.5 MB.  One (trials, K) complex array would take 134 MB; the
-        # paired-surface gain draw holds two (trials, N) arrays of 0.4 MB,
-        # the chunk buffer and its temporaries take about 0.5 MB.
+        # One SF 12 block of 2,048 trials, both detectors, peaks at 1.13 MB.
+        # One (trials, K) complex array would take 134 MB; the paired-surface
+        # gain draw holds two (trials, N) arrays of 0.4 MB, and the chunk
+        # takes its 256 KB noise buffer, 256 KB of interferer tones and real
+        # (rows, K) temporaries of 128 KB (the symbol indices while the tones
+        # are built, then the detectors' real or squared parts).
         cfg = sim_config(params=LoRaParams(12), scenario="case_b", seed=1)
         pairs = tuple((-25.0, detection) for detection in mc.DETECTIONS)
         assert self.peak_bytes(mc._run_block, cfg, 0, 2048, pairs) < 3e6
         # The same block at four SNRs adds the second 256 KB chunk buffer
-        # and six rows of decisions, and stays under the same bound.
+        # and six rows of decisions, 1.40 MB, under the same bound.
         pairs = tuple((snr_db, detection) for snr_db in (-40.0, -35.0, -30.0, -25.0)
                       for detection in mc.DETECTIONS)
         assert self.peak_bytes(mc._run_block, cfg, 0, 2048, pairs) < 3e6
@@ -361,6 +362,18 @@ class TestWorkerPool:
         with pytest.raises(ValueError, match=message):
             mc.run_sweep(cfg, too_many)
         with pytest.raises(ValueError, match=message), mc.worker_pool(too_many):
+            pass
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_fewer_than_one_worker_is_refused(self, workers):
+        # a serial run would return the estimate of one worker without a word
+        cfg = sim_config(trials_per_point=2_000)
+        message = f"at least 1 and at most {mc.MAX_WORKERS}, got {workers}"
+        with pytest.raises(ValueError, match=message):
+            mc.run_sweep(cfg, workers)
+        with pytest.raises(ValueError, match=message):
+            mc.run_point(cfg, -25.0, workers=workers)
+        with pytest.raises(ValueError, match=message), mc.worker_pool(workers):
             pass
 
     def test_failed_block_fails_the_sweep(self, monkeypatch):
@@ -459,12 +472,12 @@ class TestSharedDetectorPass:
         # any change to what a seed draws shows here
         assert {pair: (est.bit_errors, est.trials, est.collisions)
                 for pair, est in swept.items()} == {
-            (-40.0, "noncoherent"): (6491, 4096, 41),
-            (-40.0, "coherent"): (3206, 4096, 41),
-            (-36.0, "noncoherent"): (3475, 4096, 41),
-            (-36.0, "coherent"): (2156, 12288, 112),
-            (-20.0, "noncoherent"): (3618, 8192, 80),
-            (-20.0, "coherent"): (949, 16384, 146),
+            (-40.0, "noncoherent"): (6318, 4096, 41),
+            (-40.0, "coherent"): (3199, 4096, 41),
+            (-36.0, "noncoherent"): (3542, 4096, 41),
+            (-36.0, "coherent"): (2125, 12288, 112),
+            (-20.0, "noncoherent"): (3644, 8192, 80),
+            (-20.0, "coherent"): (945, 16384, 146),
         }
         for (snr_db, detection), est in swept.items():
             alone = mc.run_point(dataclasses.replace(cfg, detection=detection), snr_db)
