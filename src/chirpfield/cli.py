@@ -162,6 +162,7 @@ _BOUNDS = {
     "elements": _at_least(0),
     "m": ((lambda value: 0 < value < math.inf), "positive and finite"),
     "trials": _at_least(1),
+    "seed": _at_least(0),
     "workers": ((lambda value: 1 <= value <= montecarlo.MAX_WORKERS),
                 f"in [1, {montecarlo.MAX_WORKERS}]"),
     "v1": _at_least(1),

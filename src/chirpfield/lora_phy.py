@@ -13,15 +13,14 @@ Conventions used throughout the package:
   detectors and `modulate_many` work on any batch shape, a single
   symbol included, with symbols or bins on the last axis.
 
-Synthesis is exact integer arithmetic plus one table lookup.  Sample n of
-symbol c is sqrt(1/K) * exp(2*pi*i*(n**2/(2K) - n/2 + c*n/K)), and that
-phase is pi/K times the integer j = n**2 - K*n + 2*c*n.  Since the phase is
-a multiple of pi/K, j only matters mod 2K, so every sample is one of the
-2K scaled roots of unity sqrt(1/K) * exp(i*pi*j/K), read from a cached
-table at index j & (2K - 1).  The int32 index never overflows for
-K <= 4096 (2*c*n < 2**25), no phase is rounded before the lookup, and
-every symbol, interferer frame and the base chirp itself come out of the
-same `_chirps` kernel.
+Synthesis rounds no phase before reducing it.  Sample n of symbol c is
+sqrt(1/K) * exp(2*pi*i*(n**2/(2K) - n/2 + c*n/K)), and that phase is pi/K
+times the integer j = n**2 - K*n + 2*c*n.  Since the phase is a multiple
+of pi/K, j only matters mod 2K, so `_chirps` reduces j mod 2K in exact
+integer arithmetic and evaluates sqrt(1/K) * exp(i*pi*j/K) from it.  Every
+symbol, interferer frame and the base chirp itself come out of this one
+kernel.  Only the time-domain oracle synthesises chirps, so nothing of it
+is cached.
 
 The Monte Carlo builds its bins in the dechirped domain instead (the
 dechirp-then-DFT view of Vangelista, IEEE SPL 24(12), 2017).  Sample n of
@@ -66,29 +65,15 @@ class LoRaParams:
         return 1 << self.sf
 
 
-@lru_cache(maxsize=16)
-def _phase_tables(sf: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Base-chirp phase indices n**2 - K*n mod 2K, the sample ramp 2n (both
-    int32), and the 2K scaled roots of unity they index."""
-    K = 1 << sf
-    n = np.arange(K, dtype=np.int64)
-    quad = ((n * n - K * n) % (2 * K)).astype(np.int32)
-    ramp = (2 * n).astype(np.int32)
-    roots = np.sqrt(1.0 / K) * np.exp(1j * np.pi * np.arange(2 * K) / K)
-    for table in (quad, ramp, roots):
-        table.flags.writeable = False
-    return quad, ramp, roots
-
-
 def _chirps(symbols: np.ndarray, sf: int) -> np.ndarray:
     """Modulated samples for symbol indices that broadcast against the
     sample axis: shape (..., 1) gives whole symbols, (..., K) gives a
     symbol per sample.  Indices must already lie in [0, K)."""
-    quad, ramp, roots = _phase_tables(sf)
-    index = np.asarray(symbols, dtype=np.int32) * ramp
-    index += quad
-    index &= 2 * len(quad) - 1
-    return roots.take(index)
+    K = 1 << sf
+    n = np.arange(K)
+    # 2n is int64 before it meets the symbols, so a narrow dtype cannot wrap
+    j = (n * n - K * n + 2 * n * np.asarray(symbols)) % (2 * K)
+    return np.sqrt(1.0 / K) * np.exp(1j * np.pi * j / K)
 
 
 @lru_cache(maxsize=16)
@@ -116,11 +101,8 @@ def _check_symbols(symbols, K: int) -> None:
         raise ValueError(f"symbol values must be in [0, {K})")
 
 
-@lru_cache(maxsize=16)
 def _base_chirp(sf: int) -> np.ndarray:
-    chirp = _chirps(np.zeros(1, dtype=np.int32), sf)
-    chirp.flags.writeable = False
-    return chirp
+    return _chirps(0, sf)
 
 
 def modulate_many(symbols: np.ndarray, params: LoRaParams) -> np.ndarray:
@@ -141,8 +123,8 @@ def build_interferer_frames(
     tau = np.asarray(tau)
     if tau.size and (tau.min() < 0 or tau.max() >= params.K):
         raise ValueError("offsets out of range")
-    i1 = np.asarray(i1, dtype=np.int32)[:, None]
-    i2 = np.asarray(i2, dtype=np.int32)[:, None]
+    i1 = np.asarray(i1)[:, None]
+    i2 = np.asarray(i2)[:, None]
     n = np.arange(params.K)
     return _chirps(np.where(n < tau[:, None], i1, i2), params.sf)
 

@@ -81,14 +81,17 @@ and detector.
 Pool policy: `run_sweep` starts a pool of `workers` threads (none at one
 worker; fewer than one or more than `MAX_WORKERS` is refused) and shuts it
 down before it returns; `run_point` is the one entry of a one-point sweep.
-A sweep sends its blocks through one queue, in index order, with at most
-`workers` blocks in flight, and submits no further block once every pair
-has stopped.  Threads suffice because a block spends its time in numpy
-calls that release the interpreter lock (the normal fills, the FFT, the
-gathers, `argmax` and the ufuncs), and they share one copy of the lookup
-tables where worker processes would each hold their own.  A block shares
-no mutable state with another: it owns its generator and its chunk
-buffers.
+It runs its blocks in one loop, in index order: it keeps at most `workers`
+blocks submitted but not yet taken, hands each block the pairs still
+counting when it is submitted, takes and tallies the results in index
+order, and submits no further block once every pair has stopped.  The
+pool's shutdown cancels the blocks that have not started, and at one
+worker each block runs in the calling thread.  Threads suffice because a
+block spends its time in numpy calls that release the interpreter lock
+(the normal fills, the FFT, the gathers, `argmax` and the ufuncs), and
+they share one copy of the tone table where worker processes would each
+hold their own.  A block shares no mutable state with another: it owns its
+generator and its chunk buffers.
 """
 
 from __future__ import annotations
@@ -96,9 +99,10 @@ from __future__ import annotations
 import math
 from collections import deque
 from collections.abc import Iterator, Sequence
-from concurrent.futures import Executor, ThreadPoolExecutor
-from contextlib import closing, contextmanager
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
+from itertools import islice
 
 import numpy as np
 
@@ -172,6 +176,9 @@ class SimConfig:
             raise ValueError("need at least one trial per point")
         if self.max_bit_errors is not None and self.max_bit_errors < 1:
             raise ValueError("early-stop threshold must be >= 1 (or None)")
+        if self.seed < 0:
+            # SeedSequence refuses it, but only once the first block runs
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -358,32 +365,6 @@ def _block_sizes(cfg: SimConfig) -> list[int]:
     return [_BLOCK] * full + ([rest] if rest else [])
 
 
-def _block_results(pool: Executor | None, tasks, depth: int):
-    """Results of `_run_block` for each argument tuple of `tasks`, in task
-    order: computed here when `pool` is None, else on the pool with at most
-    `depth` blocks in flight.
-
-    A block is submitted only after the caller has taken the oldest
-    result, so nothing more is submitted once the caller stops; closing
-    the generator cancels the blocks that have not started.
-    """
-    if pool is None:
-        for task in tasks:
-            yield _run_block(*task)
-        return
-    pending: deque = deque()
-    try:
-        for task in tasks:
-            pending.append(pool.submit(_run_block, *task))
-            if len(pending) >= depth:
-                yield pending.popleft().result()
-        while pending:
-            yield pending.popleft().result()
-    finally:
-        for future in pending:
-            future.cancel()
-
-
 @contextmanager
 def worker_pool(workers: int):
     """A pool of `workers` threads, or None for a serial run in the calling
@@ -434,11 +415,13 @@ def run_sweep(
     in SNR-major order, the detectors in the order of `detections`
     (default: `cfg.detection` alone).
 
-    Block b is drawn once for every (SNR, detector) pair still counting,
-    and each pair gets the estimate a sweep of it alone would give (see the
-    module's pair and pool policies).  Blocks are tallied in index order
-    and the early-stop rule is evaluated at block boundaries, so the
-    counted set of trials is independent of the worker count.
+    Block b is drawn once for every (SNR, detector) pair still counting
+    when it is submitted, and each pair gets the estimate a sweep of it
+    alone would give (see the module's pair and pool policies).  One loop
+    keeps up to `workers` blocks submitted but not yet taken, and tallies
+    them in index order; the early-stop rule is evaluated at block
+    boundaries, so the counted set of trials is independent of the worker
+    count.
     """
     detections = (cfg.detection,) if detections is None else tuple(detections)
     unknown = set(detections) - set(DETECTIONS)
@@ -446,15 +429,20 @@ def run_sweep(
         raise ValueError(f"detections must be distinct entries of {DETECTIONS}")
     pairs = [(snr_db, detection) for snr_db in cfg.snr_db_grid for detection in detections]
     running = list(pairs)
-    # A generator expression reads `running` as each block is submitted, so
-    # a block runs only the pairs still counting at that moment.
-    tasks = (
-        (cfg, block_index, size, tuple(running))
-        for block_index, size in enumerate(_block_sizes(cfg))
-    )
     tallies = {pair: [0, 0, 0] for pair in pairs}  # errors, trials, collisions
-    with worker_pool(workers) as pool, closing(_block_results(pool, tasks, workers)) as results:
-        for block_errors, block_collisions in results:
+    blocks = enumerate(_block_sizes(cfg))
+    pending: deque = deque()  # futures, or at one worker the arguments
+    with worker_pool(workers) as pool:
+        while running:
+            for block_index, size in islice(blocks, workers - len(pending)):
+                task = (cfg, block_index, size, tuple(running))
+                pending.append(task if pool is None else pool.submit(_run_block, *task))
+            if not pending:
+                break
+            oldest = pending.popleft()
+            block_errors, block_collisions = (
+                _run_block(*oldest) if pool is None else oldest.result()
+            )
             for pair in tuple(running):
                 tally = tallies[pair]
                 tally[0] += int(block_errors[pair].sum())
@@ -462,6 +450,4 @@ def run_sweep(
                 tally[2] += block_collisions
                 if cfg.max_bit_errors is not None and tally[0] >= cfg.max_bit_errors:
                     running.remove(pair)
-            if not running:
-                break
     return {pair: _estimate(*tally, cfg.params.sf) for pair, tally in tallies.items()}

@@ -232,7 +232,8 @@ class TestErrorOrigins:
 
     @pytest.mark.parametrize("source", ["flag", "key"])
     @pytest.mark.parametrize("key, value", [
-        ("trials", "0"), ("workers", "0"), ("workers", str(mc.MAX_WORKERS + 1)),
+        ("trials", "0"), ("seed", "-1"), ("workers", "0"),
+        ("workers", str(mc.MAX_WORKERS + 1)),
         ("sf", "13"), ("elements", "-1"), ("m", "0"), ("m", "nan"),
         ("scenario", "tunnel"), ("detection", "x"), ("preset", "fig9"),
     ])

@@ -60,6 +60,11 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             sim_config(trials_per_point=0)
 
+    def test_negative_seed(self):
+        # SeedSequence refused it only when the first block ran
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            sim_config(seed=-1)
+
     def test_snr_off_grid(self):
         with pytest.raises(ValueError):
             mc.run_point(sim_config(), -26.0)
@@ -343,6 +348,35 @@ class TestWorkerPool:
             assert estimate == mc.run_point(cfg, snr_db)
             assert InlinePool.submitted == submitted
         assert estimate.trials == cfg.trials_per_point
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_at_most_workers_blocks_outstanding(self, workers, monkeypatch):
+        # a block is outstanding from its submission until the sweep takes
+        # its result
+        blocks, count = [], {"outstanding": 0, "most": 0}
+
+        class CountingPool(ThreadPoolExecutor):
+            def submit(self, fn, /, *args, **kwargs):
+                blocks.append(args[1])  # block index
+                count["outstanding"] += 1
+                count["most"] = max(count["most"], count["outstanding"])
+                future = super().submit(fn, *args, **kwargs)
+                result = future.result
+
+                def take(*args, **kwargs):
+                    count["outstanding"] -= 1
+                    return result(*args, **kwargs)
+
+                future.result = take
+                return future
+
+        monkeypatch.setattr(mc, "ThreadPoolExecutor", CountingPool)
+        # five blocks, no early stop
+        cfg = sim_config(snr_db_grid=(-30.0, -25.0), trials_per_point=20_000,
+                         max_bit_errors=None)
+        assert mc.run_sweep(cfg, workers) == mc.run_sweep(cfg)
+        assert blocks == [0, 1, 2, 3, 4]
+        assert count == {"outstanding": 0, "most": workers}
 
     def test_too_many_workers_start_no_pool(self, monkeypatch):
         # checked with a pool that starts no thread: the ceiling itself
