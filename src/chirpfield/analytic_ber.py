@@ -54,12 +54,22 @@ scales the nodes, so one rule serves every angle, and the mean is one
 pass per piece over the merged nodes of all angles.
 
 The double sum's terms are built once per point, sorted by weight, and
-the lightest of them, up to a total weight of _PRUNE_FRACTION *
-_CHEB_TOL = 1e-16 of f(max x), are left out of every interpolant sample
-(Jaeckel, "A note on multivariate Gauss-Hermite quadrature", 2005, prunes
-product-rule nodes of negligible weight the same way).  Every weight is
->= 0 and Q lies in [0, 1], so a sample falls short of the full sum by at
-most that mass, 1000 times below the tolerance the interpolant accepts.
+the lightest of them, up to a total weight of budget = _PRUNE_FRACTION *
+_CHEB_TOL * f(max x) = 1e-16 of f(max x), are left out of every
+interpolant sample (Jaeckel, "A note on multivariate Gauss-Hermite
+quadrature", 2005, prunes product-rule nodes of negligible weight the
+same way).  Every weight is >= 0 and Q lies in [0, 1], so a sample falls
+short of the full sum by at most that mass.  Each piece then bounds every
+kept term over its samples: Q(target - interf * x) grows with x, so two Q
+passes, at the piece's largest and smallest multiplier, give the term's
+largest value and its largest shortfall from its weight.  With n kept
+terms, a term whose value bound is at most budget / n is left out of the
+piece, a term whose shortfall bound is at most that is counted as its
+weight, and only the rest are summed at the piece's 33 points.  Each
+sample is thus within 2 * budget = 2e-16 of f(max x) of the full sum, 500
+times below the tolerance the interpolant accepts.  At SF 7 (case_a,
+coherent, N 25, m 2) the median piece sums 1,728 of the 1,970 kept terms
+at -36 dB, 97 of 2,198 at -12 dB and 2 of 2,194 at +30 dB.
 
 Every closed form has an adaptive-quadrature twin in `reference`, the
 oracle of `validate` and the tests.  The interference sums always take
@@ -113,8 +123,9 @@ _CHEB_TOL = 1e-13
 _CHEB_TAIL = 3
 _CHEB_MAX_DEPTH = 24
 # Share of that acceptance level that the double sum may give up by
-# leaving out its lightest terms (see _double_sum_terms): 1e-16 of the
-# largest value, below even the sum's own rounding (about 1e-15 of it).
+# leaving out its lightest terms (_prune), and again by leaving out or
+# saturating the terms a piece cannot feel (_piece_sums): 1e-16 of the
+# largest value each, below even the sum's own rounding (about 1e-15 of it).
 _PRUNE_FRACTION = 1e-3
 # Compressed quadrature of the peak-bound table: Gauss nodes per
 # equal-width bin, and the bin width's largest share of the narrowest
@@ -274,13 +285,26 @@ def fit_gamma_interferer_caseB(
     return _fit_from_moments(mu1, mu2, paper_literal_estimator)
 
 
+def default_quadrature_order(params: LoRaParams) -> int:
+    """Gauss-Hermite order of each gain axis of the interference double sum
+    when none is given: 70 up to SF 10, 140 at SF 11 and 12.
+
+    The double sum's Q argument scales with sqrt(snr*K).  At -25 dB and
+    chi 0.8 (N 25, m 2) 70 nodes miss the adaptive oracle by up to 7.5e-3
+    at SF 10, 1.4e-2 at SF 11 and 2.3e-2 at SF 12; 140 nodes miss it by
+    at most 2.3e-4 at SF 11 and 6.9e-4 at SF 12.
+    """
+    return 70 if params.sf <= 10 else 140
+
+
 @dataclass(frozen=True)
 class AnalyticConfig:
     """Inputs of one closed-form evaluation at a single average SNR.
 
     `snr_linear` is the average SNR  E_c / (N0 * K)  in linear units.  The
     interferer fit for the shared topology lives in the power domain, the
-    paired-topology fit in the amplitude domain.
+    paired-topology fit in the amplitude domain.  A quadrature order left
+    as None is default_quadrature_order(params).
     """
 
     params: LoRaParams
@@ -288,11 +312,14 @@ class AnalyticConfig:
     target_fit: GammaFit
     interferer_power_fit: GammaFit | None = None
     interferer_amp_fit: GammaFit | None = None
-    quadrature_order_v1: int = 70
-    quadrature_order_v2: int = 70
+    quadrature_order_v1: int | None = None
+    quadrature_order_v2: int | None = None
     staircase_m: int = 20
 
     def __post_init__(self):
+        for order in ("quadrature_order_v1", "quadrature_order_v2"):
+            if getattr(self, order) is None:
+                object.__setattr__(self, order, default_quadrature_order(self.params))
         if self.snr_linear <= 0:
             raise ValueError("average SNR must be positive")
         if self.quadrature_order_v1 < 1 or self.quadrature_order_v2 < 1:
@@ -671,6 +698,27 @@ def _prune(terms, drop_mass: float):
     return tuple(column[first:] for column in terms)
 
 
+def _piece_sums(terms, multipliers: np.ndarray, budget: float) -> np.ndarray:
+    """_conditional_sums over terms, within budget, at multipliers that lie
+    on one interpolant piece.
+
+    Every interferer amplitude is >= 0, so each term's Q grows with the
+    multiplier: over the multipliers given, weight * Q(target - interf *
+    max x) bounds its value and weight * Q(interf * min x - target) its
+    shortfall from its weight.  With n terms, a term whose value bound is
+    at most budget / n is left out, a term whose shortfall bound is at most
+    that is counted as its weight, and only the rest are summed at every
+    multiplier, so each sum is off by at most budget.
+    """
+    target, interf, weight = terms
+    floor = budget / max(weight.size, 1)
+    felt = weight * q_exact(target - interf * multipliers.max()) > floor
+    saturated = felt & (weight * q_exact(interf * multipliers.min() - target) <= floor)
+    felt &= ~saturated
+    live = tuple(column[felt] for column in terms)
+    return float(weight[saturated].sum()) + _conditional_sums(live, multipliers)
+
+
 def _conditional_sums(terms, multipliers: np.ndarray) -> np.ndarray:
     """Gauss-Hermite double sum of P(interferer bin beats signal bin).
 
@@ -735,6 +783,21 @@ def _piecewise_chebyshev(fn, lo: float, hi: float, tol: float, where: str):
     return pieces, np.concatenate(samples)
 
 
+def _sampler(cfg: AnalyticConfig, case: str, hi: float):
+    """The interpolant's sampler of the conditional sum on multipliers up to
+    hi, and the sum's largest value there, f(hi).
+
+    f does not decrease in x, so f(hi) is one full sum.  The lightest terms
+    are pruned once, and every piece then sums only the terms it can feel
+    (_piece_sums), each step within _PRUNE_FRACTION * _CHEB_TOL * f(hi).
+    """
+    full = _double_sum_terms(cfg, case)
+    scale = float(_conditional_sums(full, np.array([hi]))[0])
+    budget = _PRUNE_FRACTION * _CHEB_TOL * scale
+    terms = _prune(full, budget)
+    return (lambda x: _piece_sums(terms, x, budget)), scale
+
+
 def _interpolant(cfg: AnalyticConfig, case: str, detection: str):
     """Pieces of the conditional sum's interpolant over every multiplier of
     one point, and the number of sampled double sums that left [0, 1]."""
@@ -746,13 +809,8 @@ def _interpolant(cfg: AnalyticConfig, case: str, detection: str):
         f"SNR={10.0 * math.log10(cfg.snr_linear):.10g} dB"
     )
     lo, hi = float(ends.min()), float(ends.max())
-    # f does not decrease in x, so f(hi) is its largest value on [lo, hi]
-    full = _double_sum_terms(cfg, case)
-    scale = float(_conditional_sums(full, np.array([hi]))[0])
-    terms = _prune(full, _PRUNE_FRACTION * _CHEB_TOL * scale)
-    pieces, samples = _piecewise_chebyshev(
-        lambda x: _conditional_sums(terms, x), lo, hi, _CHEB_TOL * scale, where
-    )
+    sampler, scale = _sampler(cfg, case, hi)
+    pieces, samples = _piecewise_chebyshev(sampler, lo, hi, _CHEB_TOL * scale, where)
     clamped = int(np.count_nonzero(samples > 1.0) + np.count_nonzero(samples < 0.0))
     return pieces, clamped
 

@@ -71,8 +71,8 @@ class ExperimentSpec:
     seed: int
     out: str
     workers: int
-    quadrature_order_v1: int
-    quadrature_order_v2: int
+    quadrature_order_v1: int | None  # None: the closed forms' default for the SF
+    quadrature_order_v2: int | None
     staircase_m: int
     paper_literal_estimator: bool
     full_offset_range: bool
@@ -125,8 +125,9 @@ _SETTINGS: dict[str, tuple[type, object, str]] = {
     "seed": (int, 1, "base seed of the run"),
     "out": (str, "chirpfield.csv", "output CSV path"),
     "workers": (int, 1, "worker threads for sweeps and closed forms"),
-    "v1": (int, 70, "quadrature order, target axis"),
-    "v2": (int, 70, "quadrature order, interferer axis"),
+    "v1": (int, None,
+           "quadrature order, target axis (default 70 up to SF 10, 140 at SF 11-12)"),
+    "v2": (int, None, "quadrature order, interferer axis (default as --v1)"),
     "staircase_m": (int, 20, "cosine staircase resolution for coherent detection"),
     "paper_literal_estimator": (
         bool, False, "use the first-moment denominator in the Gamma fits"),
@@ -176,7 +177,7 @@ def _check(key: str, value, origin: str) -> None:
         raise ConfigError(
             f"{origin}: must be one of {', '.join(_CHOICES[key])}, got {value!r}"
         )
-    if key in _BOUNDS and not _BOUNDS[key][0](value):
+    if key in _BOUNDS and value is not None and not _BOUNDS[key][0](value):
         raise ConfigError(f"{origin}: must be {_BOUNDS[key][1]}, got {value}")
 
 

@@ -333,6 +333,38 @@ def _check_pruned_double_sum(params: LoRaParams, fading: FadingConfig, _trials, 
     )
 
 
+def _check_piece_bounded_sum(params: LoRaParams, fading: FadingConfig, _trials, _rng):
+    # the interpolant's sampler on the Chebyshev points of every piece of
+    # its interpolant, against the full sum: the prune and each piece's
+    # bounds give up at most _PRUNE_FRACTION * _CHEB_TOL of the largest sum
+    # each; the deviation may exceed that only by rounding
+    bound = 2.0 * analytic_ber._PRUNE_FRACTION * analytic_ber._CHEB_TOL
+    nodes, _ = analytic_ber._chebyshev_transform()
+    worst, ok, count = 0.0, True, 0
+    for snr_db in (-35.0, -25.0, -12.0):
+        cfg = analytic_ber.AnalyticConfig.from_fading(params, fading, 10 ** (snr_db / 10.0))
+        for case in (analytic_ber.CASE_SHARED, analytic_ber.CASE_PAIRED):
+            terms = analytic_ber._double_sum_terms(cfg, case)
+            for detection in ("noncoherent", "coherent"):
+                pieces, _ = analytic_ber._interpolant(cfg, case, detection)
+                sampler, scale = analytic_ber._sampler(cfg, case, pieces[-1][1])
+                scale = max(scale, np.finfo(float).tiny)
+                for left, right, _ in pieces:
+                    x = 0.5 * (left + right) + 0.5 * (right - left) * nodes
+                    full = analytic_ber._conditional_sums(terms, x)
+                    deviation = np.abs(sampler(x) - full)
+                    rounding = math.sqrt(terms[2].size) * np.finfo(float).eps * full
+                    ok &= bool(np.all(deviation <= bound * scale + rounding))
+                    worst = max(worst, float(deviation.max()) / scale)
+                count += len(pieces)
+    return CheckResult(
+        "piece-bounded vs full interference double sum",
+        ok,
+        f"max deviation {worst:.1e} of the largest sum (bound {bound:.0e} plus rounding; "
+        f"{count} pieces x {nodes.size} points, 3 SNRs x 2 cases x 2 detections)",
+    )
+
+
 def _check_compressed_rule(params: LoRaParams, fading: FadingConfig, _trials, _rng):
     # the interpolant's mean over the chi rule its narrowest piece calls
     # for, against its mean over every distinct value of the table weighted
@@ -520,6 +552,7 @@ _CHECKS = (
     _check_determinism,
     _check_sim_vs_analytic,
     _check_pruned_double_sum,
+    _check_piece_bounded_sum,
     _check_compressed_rule,
     _check_shared_detector_pass,
 )

@@ -7,7 +7,7 @@ import tracemalloc
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial.chebyshev import chebfit, chebval
 
@@ -171,6 +171,26 @@ class TestInterferenceBranch:
             oracle = reference.interf_ser_conditional_numeric(cfg, "case_a", "noncoherent", chi)
             if oracle > 1e-12:
                 assert gh == pytest.approx(oracle, rel=1e-2)
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_sf12_default_order_matches_adaptive_integration(self, case):
+        # with 70 nodes in each rule SF 12 is off by 2.3e-2 (case_a) and 1.5e-2
+        # (case_b) here, past validate's 1e-2 bound; the default order
+        # from K must be within 2e-3
+        cfg = ab.AnalyticConfig.from_fading(LoRaParams(12), FADING_25, 10 ** -2.5)
+        gh = reference.interf_ser_conditional(cfg, case, "noncoherent", 0.8)
+        oracle = reference.interf_ser_conditional_numeric(cfg, case, "noncoherent", 0.8)
+        assert gh == pytest.approx(oracle, rel=2e-3)
+
+    def test_default_order_from_sf(self):
+        # 70 up to SF 10, where CSVs keep their bytes; an explicit order wins
+        for sf, order in ((7, 70), (10, 70), (11, 140), (12, 140)):
+            cfg = ab.AnalyticConfig.from_fading(LoRaParams(sf), FADING_25, 0.01)
+            assert (cfg.quadrature_order_v1, cfg.quadrature_order_v2) == (order, order)
+        cfg = ab.AnalyticConfig.from_fading(
+            LoRaParams(12), FADING_25, 0.01, quadrature_order_v1=70, quadrature_order_v2=90
+        )
+        assert (cfg.quadrature_order_v1, cfg.quadrature_order_v2) == (70, 90)
 
     def test_coherent_conditional_matches_adaptive_integration(self):
         cfg = config(-27.0)
@@ -345,24 +365,60 @@ class TestInterpolatedSum:
         roundoff = math.sqrt(terms[2].size) * np.finfo(float).eps * f[1:]
         assert np.all(np.diff(f) >= -roundoff)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        sf=st.sampled_from((7, 12)),
+        elements=ELEMENTS,
+        m=NAKAGAMI_M,
+        snr_db=st.floats(-40.0, 30.0),
+        case=st.sampled_from(CASES),
+        fractions=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=64),
+    )
+    @example(sf=12, elements=25, m=2.0, snr_db=-25.0, case="case_a", fractions=[-0.5, 0.8])
+    def test_piece_sampler_within_twice_the_dropped_mass(
+        self, sf, elements, m, snr_db, case, fractions
+    ):
+        # the interpolant's sampler on multipliers up to the largest: the
+        # prune and the piece's bounds each give up at most the drop mass of
+        # f there; the sums also differ by rounding, sqrt(terms) * eps * f
+        cfg = ab.AnalyticConfig.from_fading(
+            LoRaParams(sf), FadingConfig.uniform(m, elements), 10 ** (snr_db / 10.0)
+        )
+        terms = ab._double_sum_terms(cfg, case)
+        x = float(ab._distinct_chi(SF7)[0][-1]) * np.array(fractions)
+        full = ab._conditional_sums(terms, x)
+        sampler, scale = ab._sampler(cfg, case, float(x.max()))
+        drop = ab._PRUNE_FRACTION * ab._CHEB_TOL * scale
+        roundoff = math.sqrt(terms[2].size) * np.finfo(float).eps * full
+        assert np.all(np.abs(sampler(x) - full) <= 2.0 * drop + roundoff)
+
     @pytest.mark.parametrize("detection", DETECTIONS)
     @pytest.mark.parametrize("case", CASES)
     def test_terms_are_pruned_once_per_point(self, case, detection, monkeypatch):
-        # one full sum at the top multiplier, then every interpolant sample
-        # over the same pruned terms; the first piece once kept all 4,900
-        calls = []
-        original = ab._conditional_sums
+        # one full sum at the top multiplier and one prune, then every
+        # interpolant sample over a subset of the pruned terms: the terms
+        # its piece can feel
+        sums, pruned = [], []
+        original_sums, original_prune = ab._conditional_sums, ab._prune
 
-        def counted(terms, multipliers):
-            calls.append((terms[2].size, len(multipliers)))
-            return original(terms, multipliers)
+        def counted_sums(terms, multipliers):
+            sums.append((terms, len(multipliers)))
+            return original_sums(terms, multipliers)
 
-        monkeypatch.setattr(ab, "_conditional_sums", counted)
+        def counted_prune(terms, drop_mass):
+            pruned.append(original_prune(terms, drop_mass))
+            return pruned[-1]
+
+        monkeypatch.setattr(ab, "_conditional_sums", counted_sums)
+        monkeypatch.setattr(ab, "_prune", counted_prune)
         ab.ber(config(-36.0), case, detection)
-        (top_terms, top_multipliers), *samples = calls
-        assert top_multipliers == 1 and samples
-        kept = {terms for terms, _ in samples}
-        assert len(kept) == 1 and kept.pop() < min(top_terms, 70 * 70)
+        (full, top_multipliers), *samples = sums
+        assert top_multipliers == 1 and full[2].size == 70 * 70 and samples
+        (kept,) = pruned
+        assert kept[2].size < full[2].size
+        rows = set(zip(*kept))
+        assert all(set(zip(*terms)) <= rows for terms, _ in samples)
+        assert min(terms[2].size for terms, _ in samples) < kept[2].size
 
 
 def test_distinct_chi_keeps_only_values_and_counts():
