@@ -53,23 +53,26 @@ is raw, the rule is the distinct table itself.  A staircase cosine only
 scales the nodes, so one rule serves every angle, and the mean is one
 pass per piece over the merged nodes of all angles.
 
-The double sum's terms are built once per point, sorted by weight, and
-the lightest of them, up to a total weight of budget = _PRUNE_FRACTION *
-_CHEB_TOL * f(max x) = 1e-16 of f(max x), are left out of every
-interpolant sample (Jaeckel, "A note on multivariate Gauss-Hermite
-quadrature", 2005, prunes product-rule nodes of negligible weight the
-same way).  Every weight is >= 0 and Q lies in [0, 1], so a sample falls
-short of the full sum by at most that mass.  Each piece then bounds every
-kept term over its samples: Q(target - interf * x) grows with x, so two Q
-passes, at the piece's largest and smallest multiplier, give the term's
-largest value and its largest shortfall from its weight.  With n kept
-terms, a term whose value bound is at most budget / n is left out of the
-piece, a term whose shortfall bound is at most that is counted as its
-weight, and only the rest are summed at the piece's 33 points.  Each
-sample is thus within 2 * budget = 2e-16 of f(max x) of the full sum, 500
-times below the tolerance the interpolant accepts.  At SF 7 (case_a,
-coherent, N 25, m 2) the median piece sums 1,728 of the 1,970 kept terms
-at -36 dB, 97 of 2,198 at -12 dB and 2 of 2,194 at +30 dB.
+The double sum's terms are built once per point, and each interpolant
+piece sums only the terms it can feel (Jaeckel, "A note on multivariate
+Gauss-Hermite quadrature", 2005, prunes product-rule nodes of negligible
+weight the same way).  Q(target - interf * x) grows with x, so two Q
+passes at a piece's ends bound every term on the piece: weight *
+Q(target - interf * right) bounds its value and weight *
+Q(interf * left - target) its shortfall from its weight.  With n terms in
+all and budget = _PRUNE_FRACTION * _CHEB_TOL * f(max x) = 2e-16 of
+f(max x), a term whose value bound is at most budget / n is left out of
+the piece, a term whose shortfall bound is at most that is counted as its
+weight, and only the rest are summed at the piece's 33 points.  The first
+piece starts from every term.  A piece's halves lie inside it, so they
+start from what it kept: they bound only the terms it still summed, and
+keep the weight it counted.  The bounds are taken at the piece's ends,
+not at its Chebyshev points, which lie strictly inside it and so miss
+the outer points of its halves.  Each term is thus given up at most once
+on any path down the bisection, and every sample is within budget of the
+full sum, 500 times below the tolerance the interpolant accepts.  At SF 7
+(case_a, coherent, N 25, m 2) the median piece sums 1,770 of the 4,900
+terms at -36 dB, 100 at -12 dB and 2 at +30 dB.
 
 Every closed form has an adaptive-quadrature twin in `reference`, the
 oracle of `validate` and the tests.  The interference sums always take
@@ -87,7 +90,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
-from functools import lru_cache, wraps
+from functools import lru_cache, partial, wraps
 
 import numpy as np
 from numpy.polynomial.chebyshev import chebpts1, chebval, chebvander
@@ -122,11 +125,11 @@ _CHEB_DEGREE = 32
 _CHEB_TOL = 1e-13
 _CHEB_TAIL = 3
 _CHEB_MAX_DEPTH = 24
-# Share of that acceptance level that the double sum may give up by
-# leaving out its lightest terms (_prune), and again by leaving out or
-# saturating the terms a piece cannot feel (_piece_sums): 1e-16 of the
-# largest value each, below even the sum's own rounding (about 1e-15 of it).
-_PRUNE_FRACTION = 1e-3
+# Share of that acceptance level that an interpolant sample may give up by
+# leaving out or saturating the terms its piece cannot feel (_piece_sums):
+# 2e-16 of the largest value, below even the sum's own rounding (about
+# 1e-15 of it).
+_PRUNE_FRACTION = 2e-3
 # Compressed quadrature of the peak-bound table: Gauss nodes per
 # equal-width bin, and the bin width's largest share of the narrowest
 # interpolant piece (see _chi_rule).  Bin edges sit on a fixed-point grid
@@ -629,7 +632,7 @@ def _rule_level(pieces, chi_lo: float, chi_hi: float) -> int:
     covers [chi_lo, chi_hi]; with _RULE_BIN_SHARE = 1/4 the level is at
     most 26, well inside the _POSITION_BITS of the bin positions.
     """
-    narrowest = min(right - left for left, right, _ in pieces)
+    narrowest = min(right - left for left, right, *_ in pieces)
     level = math.ceil(math.log2((chi_hi - chi_lo) / (_RULE_BIN_SHARE * narrowest)))
     return max(level, 0)
 
@@ -642,10 +645,10 @@ def _rule_mean(pieces, nodes, weights, cosines, shares) -> float:
     w = np.multiply.outer(shares, weights).ravel()
     order = np.argsort(x, kind="stable")
     x, w = x[order], w[order]
-    rights = [right for _, right, _ in pieces[:-1]]
+    rights = [right for _, right, *_ in pieces[:-1]]
     bounds = [0, *np.searchsorted(x, rights, side="right"), x.size]
     total = 0.0
-    for (left, right, coeffs), start, stop in zip(pieces, bounds, bounds[1:]):
+    for (left, right, coeffs, _), start, stop in zip(pieces, bounds, bounds[1:]):
         t = (2.0 * x[start:stop] - left - right) / (right - left)
         total += float(w[start:stop] @ np.clip(chebval(t, coeffs), 0.0, 1.0))
     return total
@@ -673,7 +676,7 @@ def _double_sum_terms(cfg: AnalyticConfig, case: str) -> tuple[np.ndarray, np.nd
     At multiplier x the double sum is
     sum_t weight[t] * Q(target[t] - interf[t]*x), with target and
     interferer amplitudes already scaled by sqrt(snr*K).  Returns
-    (target, interf, weight), lightest weight first.
+    (target, interf, weight), one entry per (target, interferer) node pair.
     """
     scale = math.sqrt(cfg.snr_linear * cfg.params.K)
     target_amp, target_logw = _log_grid(
@@ -684,39 +687,33 @@ def _double_sum_terms(cfg: AnalyticConfig, case: str) -> tuple[np.ndarray, np.nd
         interf_fit, cfg.quadrature_order_v2, power_domain=power_domain
     )
     weight = np.exp(target_logw[:, None] + interf_logw[None, :]).ravel()
-    order = np.argsort(weight, kind="stable")
-    row, col = np.divmod(order, interf_amp.size)
-    return scale * target_amp[row], scale * interf_amp[col], weight[order]
+    target = scale * np.repeat(target_amp, interf_amp.size)
+    return target, scale * np.tile(interf_amp, target_amp.size), weight
 
 
-def _prune(terms, drop_mass: float):
-    """The terms of _double_sum_terms without the longest prefix of lightest
-    terms whose total weight is at most drop_mass: every weight is >= 0 and
-    Q lies in [0, 1], so the pruned sum falls short of the full one by at
-    most drop_mass."""
-    first = int(np.searchsorted(np.cumsum(terms[2]), drop_mass, side="right"))
-    return tuple(column[first:] for column in terms)
+def _piece_sums(terms, floor: float, kept, left: float, right: float, x: np.ndarray):
+    """The double sum at the points x of the piece [left, right], and the
+    terms the piece kept: (live, saturated), indices into terms.
 
-
-def _piece_sums(terms, multipliers: np.ndarray, budget: float) -> np.ndarray:
-    """_conditional_sums over terms, within budget, at multipliers that lie
-    on one interpolant piece.
-
+    kept is what the parent piece kept (every term at the first piece).
     Every interferer amplitude is >= 0, so each term's Q grows with the
-    multiplier: over the multipliers given, weight * Q(target - interf *
-    max x) bounds its value and weight * Q(interf * min x - target) its
-    shortfall from its weight.  With n terms, a term whose value bound is
-    at most budget / n is left out, a term whose shortfall bound is at most
-    that is counted as its weight, and only the rest are summed at every
-    multiplier, so each sum is off by at most budget.
+    multiplier: on the piece, weight * Q(target - interf * right) bounds
+    its value and weight * Q(interf * left - target) its shortfall from its
+    weight.  Of the parent's live terms, one whose value bound is at most
+    floor is left out, one whose shortfall bound is at most floor is
+    saturated, and only the rest are summed at x; every saturated term
+    counts as its weight.
     """
-    target, interf, weight = terms
-    floor = budget / max(weight.size, 1)
-    felt = weight * q_exact(target - interf * multipliers.max()) > floor
-    saturated = felt & (weight * q_exact(interf * multipliers.min() - target) <= floor)
-    felt &= ~saturated
-    live = tuple(column[felt] for column in terms)
-    return float(weight[saturated].sum()) + _conditional_sums(live, multipliers)
+    live, saturated = kept
+    target, interf, weight = (column[live] for column in terms)
+    felt = weight * q_exact(target - interf * right) > floor
+    live, target, interf, weight = live[felt], target[felt], interf[felt], weight[felt]
+    felt = weight * q_exact(interf * left - target) > floor
+    saturated = np.concatenate([saturated, live[~felt]])
+    values = float(terms[2][saturated].sum()) + _conditional_sums(
+        (target[felt], interf[felt], weight[felt]), x
+    )
+    return values, (live[felt], saturated)
 
 
 def _conditional_sums(terms, multipliers: np.ndarray) -> np.ndarray:
@@ -752,24 +749,28 @@ def _chebyshev_transform() -> tuple[np.ndarray, np.ndarray]:
     return nodes, transform
 
 
-def _piecewise_chebyshev(fn, lo: float, hi: float, tol: float, where: str):
+def _piecewise_chebyshev(fn, state, lo: float, hi: float, tol: float, where: str):
     """Adaptive piecewise Chebyshev interpolant of fn on [lo, hi].
 
-    A piece is bisected until its trailing coefficients fall below tol.
-    Returns the pieces as (left, right, coefficients) in ascending order,
-    and every sampled value of fn.
+    fn(state, left, right, x) returns its values at the points x of the
+    piece [left, right] and the piece's state, which both halves of the
+    piece are handed; the first piece is handed state.  A piece is bisected
+    until its trailing coefficients fall below tol.  Returns the pieces as
+    (left, right, coefficients, state) in ascending order, and every
+    sampled value of fn.
     """
     nodes, transform = _chebyshev_transform()
     pieces, samples = [], []
-    stack = [(lo, hi, 0)]
+    stack = [(lo, hi, 0, state)]
     while stack:
-        left, right, depth = stack.pop()
-        values = fn(0.5 * (left + right) + 0.5 * (right - left) * nodes)
+        left, right, depth, state = stack.pop()
+        x = 0.5 * (left + right) + 0.5 * (right - left) * nodes
+        values, state = fn(state, left, right, x)
         samples.append(values)
         coeffs = transform @ values
         tail = float(np.max(np.abs(coeffs[-_CHEB_TAIL:])))
         if tail <= tol:
-            pieces.append((left, right, coeffs))
+            pieces.append((left, right, coeffs, state))
         elif depth == _CHEB_MAX_DEPTH:
             raise NumericError(
                 f"conditional-sum interpolant did not converge ({where}): "
@@ -778,29 +779,19 @@ def _piecewise_chebyshev(fn, lo: float, hi: float, tol: float, where: str):
             )
         else:
             mid = 0.5 * (left + right)
-            stack.append((mid, right, depth + 1))
-            stack.append((left, mid, depth + 1))
+            stack.append((mid, right, depth + 1, state))
+            stack.append((left, mid, depth + 1, state))
     return pieces, np.concatenate(samples)
-
-
-def _sampler(cfg: AnalyticConfig, case: str, hi: float):
-    """The interpolant's sampler of the conditional sum on multipliers up to
-    hi, and the sum's largest value there, f(hi).
-
-    f does not decrease in x, so f(hi) is one full sum.  The lightest terms
-    are pruned once, and every piece then sums only the terms it can feel
-    (_piece_sums), each step within _PRUNE_FRACTION * _CHEB_TOL * f(hi).
-    """
-    full = _double_sum_terms(cfg, case)
-    scale = float(_conditional_sums(full, np.array([hi]))[0])
-    budget = _PRUNE_FRACTION * _CHEB_TOL * scale
-    terms = _prune(full, budget)
-    return (lambda x: _piece_sums(terms, x, budget)), scale
 
 
 def _interpolant(cfg: AnalyticConfig, case: str, detection: str):
     """Pieces of the conditional sum's interpolant over every multiplier of
-    one point, and the number of sampled double sums that left [0, 1]."""
+    one point, each with the terms it kept (see _piece_sums), and the
+    number of sampled double sums that left [0, 1].
+
+    f does not decrease in x, so its largest value, which sets the
+    tolerance and the budget, is one full sum at the top multiplier.
+    """
     cosines, _ = _staircase(detection, cfg.staircase_m)
     values, _ = _distinct_chi(cfg.params)
     ends = np.outer(cosines, values[[0, -1]])
@@ -809,8 +800,13 @@ def _interpolant(cfg: AnalyticConfig, case: str, detection: str):
         f"SNR={10.0 * math.log10(cfg.snr_linear):.10g} dB"
     )
     lo, hi = float(ends.min()), float(ends.max())
-    sampler, scale = _sampler(cfg, case, hi)
-    pieces, samples = _piecewise_chebyshev(sampler, lo, hi, _CHEB_TOL * scale, where)
+    terms = _double_sum_terms(cfg, case)
+    scale = float(_conditional_sums(terms, np.array([hi]))[0])
+    floor = _PRUNE_FRACTION * _CHEB_TOL * scale / terms[2].size
+    every = (np.arange(terms[2].size), np.empty(0, dtype=np.intp))
+    pieces, samples = _piecewise_chebyshev(
+        partial(_piece_sums, terms, floor), every, lo, hi, _CHEB_TOL * scale, where
+    )
     clamped = int(np.count_nonzero(samples > 1.0) + np.count_nonzero(samples < 0.0))
     return pieces, clamped
 
