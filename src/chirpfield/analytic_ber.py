@@ -56,23 +56,27 @@ pass per piece over the merged nodes of all angles.
 The double sum's terms are built once per point, and each interpolant
 piece sums only the terms it can feel (Jaeckel, "A note on multivariate
 Gauss-Hermite quadrature", 2005, prunes product-rule nodes of negligible
-weight the same way).  Q(target - interf * x) grows with x, so two Q
-passes at a piece's ends bound every term on the piece: weight *
+weight the same way).  Q(target - interf * x) grows with x, so bounds at
+a piece's ends cover every term on the piece: weight *
 Q(target - interf * right) bounds its value and weight *
 Q(interf * left - target) its shortfall from its weight.  With n terms in
 all and budget = _PRUNE_FRACTION * _CHEB_TOL * f(max x) = 2e-16 of
 f(max x), a term whose value bound is at most budget / n is left out of
 the piece, a term whose shortfall bound is at most that is counted as its
-weight, and only the rest are summed at the piece's 33 points.  The first
-piece starts from every term.  A piece's halves lie inside it, so they
-start from what it kept: they bound only the terms it still summed, and
-keep the weight it counted.  The bounds are taken at the piece's ends,
-not at its Chebyshev points, which lie strictly inside it and so miss
+weight, and only the rest are summed at the piece's 33 points.  Each end
+of the bisection is bounded once.  The Q pass that gives f(max x) bounds
+every term's value on the first piece, and one shortfall pass at min x
+those it keeps.  A cut at mid takes gap = target - interf * mid once over
+the piece's live terms: the left half leaves out those whose
+weight * Q(gap) is at most budget / n, the right half saturates those
+whose weight * Q(-gap) is, and each half takes its other bound from the
+piece, whose other end it shares.  The bounds are taken at the ends, not
+at the Chebyshev points, which lie strictly inside a piece and so miss
 the outer points of its halves.  Each term is thus given up at most once
 on any path down the bisection, and every sample is within budget of the
 full sum, 500 times below the tolerance the interpolant accepts.  At SF 7
-(case_a, coherent, N 25, m 2) the median piece sums 1,770 of the 4,900
-terms at -36 dB, 100 at -12 dB and 2 at +30 dB.
+(case_a, coherent, N 25, m 2) the median sampled piece sums 1,770 of the
+4,900 terms at -36 dB, 100 at -12 dB and 2 at +30 dB.
 
 Every closed form has an adaptive-quadrature twin in `reference`, the
 oracle of `validate` and the tests.  The interference sums always take
@@ -90,7 +94,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
-from functools import lru_cache, partial, wraps
+from functools import lru_cache, wraps
 
 import numpy as np
 from numpy.polynomial.chebyshev import chebpts1, chebval, chebvander
@@ -126,9 +130,9 @@ _CHEB_TOL = 1e-13
 _CHEB_TAIL = 3
 _CHEB_MAX_DEPTH = 24
 # Share of that acceptance level that an interpolant sample may give up by
-# leaving out or saturating the terms its piece cannot feel (_piece_sums):
-# 2e-16 of the largest value, below even the sum's own rounding (about
-# 1e-15 of it).
+# leaving out or saturating the terms its piece cannot feel, bounded once
+# per cut (_interpolant): 2e-16 of the largest value, below even the sum's
+# own rounding (about 1e-15 of it).
 _PRUNE_FRACTION = 2e-3
 # Compressed quadrature of the peak-bound table: Gauss nodes per
 # equal-width bin, and the bin width's largest share of the narrowest
@@ -691,31 +695,6 @@ def _double_sum_terms(cfg: AnalyticConfig, case: str) -> tuple[np.ndarray, np.nd
     return target, scale * np.tile(interf_amp, target_amp.size), weight
 
 
-def _piece_sums(terms, floor: float, kept, left: float, right: float, x: np.ndarray):
-    """The double sum at the points x of the piece [left, right], and the
-    terms the piece kept: (live, saturated), indices into terms.
-
-    kept is what the parent piece kept (every term at the first piece).
-    Every interferer amplitude is >= 0, so each term's Q grows with the
-    multiplier: on the piece, weight * Q(target - interf * right) bounds
-    its value and weight * Q(interf * left - target) its shortfall from its
-    weight.  Of the parent's live terms, one whose value bound is at most
-    floor is left out, one whose shortfall bound is at most floor is
-    saturated, and only the rest are summed at x; every saturated term
-    counts as its weight.
-    """
-    live, saturated = kept
-    target, interf, weight = (column[live] for column in terms)
-    felt = weight * q_exact(target - interf * right) > floor
-    live, target, interf, weight = live[felt], target[felt], interf[felt], weight[felt]
-    felt = weight * q_exact(interf * left - target) > floor
-    saturated = np.concatenate([saturated, live[~felt]])
-    values = float(terms[2][saturated].sum()) + _conditional_sums(
-        (target[felt], interf[felt], weight[felt]), x
-    )
-    return values, (live[felt], saturated)
-
-
 def _conditional_sums(terms, multipliers: np.ndarray) -> np.ndarray:
     """Gauss-Hermite double sum of P(interferer bin beats signal bin).
 
@@ -749,65 +728,57 @@ def _chebyshev_transform() -> tuple[np.ndarray, np.ndarray]:
     return nodes, transform
 
 
-def _piecewise_chebyshev(fn, state, lo: float, hi: float, tol: float, where: str):
-    """Adaptive piecewise Chebyshev interpolant of fn on [lo, hi].
-
-    fn(state, left, right, x) returns its values at the points x of the
-    piece [left, right] and the piece's state, which both halves of the
-    piece are handed; the first piece is handed state.  A piece is bisected
-    until its trailing coefficients fall below tol.  Returns the pieces as
-    (left, right, coefficients, state) in ascending order, and every
-    sampled value of fn.
-    """
-    nodes, transform = _chebyshev_transform()
-    pieces, samples = [], []
-    stack = [(lo, hi, 0, state)]
-    while stack:
-        left, right, depth, state = stack.pop()
-        x = 0.5 * (left + right) + 0.5 * (right - left) * nodes
-        values, state = fn(state, left, right, x)
-        samples.append(values)
-        coeffs = transform @ values
-        tail = float(np.max(np.abs(coeffs[-_CHEB_TAIL:])))
-        if tail <= tol:
-            pieces.append((left, right, coeffs, state))
-        elif depth == _CHEB_MAX_DEPTH:
-            raise NumericError(
-                f"conditional-sum interpolant did not converge ({where}): "
-                f"piece [{left!r}, {right!r}] still has trailing coefficients "
-                f"{tail:.3g} against a tolerance of {tol:.3g}"
-            )
-        else:
-            mid = 0.5 * (left + right)
-            stack.append((mid, right, depth + 1, state))
-            stack.append((left, mid, depth + 1, state))
-    return pieces, np.concatenate(samples)
-
-
 def _interpolant(cfg: AnalyticConfig, case: str, detection: str):
-    """Pieces of the conditional sum's interpolant over every multiplier of
-    one point, each with the terms it kept (see _piece_sums), and the
-    number of sampled double sums that left [0, 1].
+    """Adaptive piecewise Chebyshev interpolant of the conditional sum over
+    every multiplier of one point, and the number of sampled double sums
+    that left [0, 1].
 
-    f does not decrease in x, so its largest value, which sets the
-    tolerance and the budget, is one full sum at the top multiplier.
+    Returns the pieces in ascending order as (left, right, coefficients,
+    (live, saturated)): the indices of the terms the piece summed and of
+    those it counted as their weight; it left out every other term.  Each
+    end of the bisection is bounded once (see the module docstring): the
+    root at max x and min x, and a cut at mid for both halves, which take
+    every other bound from the piece they were cut from.
     """
     cosines, _ = _staircase(detection, cfg.staircase_m)
     values, _ = _distinct_chi(cfg.params)
     ends = np.outer(cosines, values[[0, -1]])
-    where = (
-        f"case={case}, detection={detection}, "
-        f"SNR={10.0 * math.log10(cfg.snr_linear):.10g} dB"
-    )
     lo, hi = float(ends.min()), float(ends.max())
-    terms = _double_sum_terms(cfg, case)
-    scale = float(_conditional_sums(terms, np.array([hi]))[0])
-    floor = _PRUNE_FRACTION * _CHEB_TOL * scale / terms[2].size
-    every = (np.arange(terms[2].size), np.empty(0, dtype=np.intp))
-    pieces, samples = _piecewise_chebyshev(
-        partial(_piece_sums, terms, floor), every, lo, hi, _CHEB_TOL * scale, where
-    )
-    clamped = int(np.count_nonzero(samples > 1.0) + np.count_nonzero(samples < 0.0))
+    target, interf, weight = terms = _double_sum_terms(cfg, case)
+    q_top = q_exact(target - interf * hi)
+    scale = float(weight @ q_top)
+    tol, floor = _CHEB_TOL * scale, _PRUNE_FRACTION * _CHEB_TOL * scale / weight.size
+    live = np.flatnonzero(weight * q_top > floor)
+    felt = weight[live] * q_exact(interf[live] * lo - target[live]) > floor
+    nodes, transform = _chebyshev_transform()
+    pieces, clamped = [], 0
+    stack = [(lo, hi, 0, live[felt], live[~felt])]
+    while stack:
+        left, right, depth, live, saturated = stack.pop()
+        x = 0.5 * (left + right) + 0.5 * (right - left) * nodes
+        sums = float(weight[saturated].sum()) + _conditional_sums(
+            tuple(column[live] for column in terms), x
+        )
+        clamped += int(np.count_nonzero(sums > 1.0) + np.count_nonzero(sums < 0.0))
+        coeffs = transform @ sums
+        tail = float(np.max(np.abs(coeffs[-_CHEB_TAIL:])))
+        if tail <= tol:
+            pieces.append((left, right, coeffs, (live, saturated)))
+            continue
+        if depth == _CHEB_MAX_DEPTH:
+            raise NumericError(
+                f"conditional-sum interpolant did not converge (case={case}, "
+                f"detection={detection}, "
+                f"SNR={10.0 * math.log10(cfg.snr_linear):.10g} dB): "
+                f"piece [{left!r}, {right!r}] still has trailing coefficients "
+                f"{tail:.3g} against a tolerance of {tol:.3g}"
+            )
+        mid = 0.5 * (left + right)
+        gap = target[live] - interf[live] * mid
+        kept = weight[live] * q_exact(gap) > floor
+        felt = weight[live] * q_exact(-gap) > floor
+        stack.append((mid, right, depth + 1, live[felt], np.concatenate([saturated, live[~felt]])))
+        stack.append((left, mid, depth + 1, live[kept], saturated))
     return pieces, clamped
 
 

@@ -13,6 +13,9 @@ independent route:
   bound, with no interpolant, pruning or compressed chi rule, and
   `interf_ser_conditional_numeric`, its adaptive double integral over both
   gain amplitudes.  The interference sums always take the exact tail.
+- `pieces_given_up`: the mass each piece of the interference interpolant
+  gives up by leaving out or saturating terms, bounded afresh at the
+  piece's ends over every term instead of inherited down the bisection.
 - `psi_partial_sums`: the interferer's two partial sums by explicit
   summation, against `chi_bound_all_bins`, the closed-form sine-ratio
   bound at every bin, whose peak bin the production table
@@ -188,6 +191,28 @@ def interf_ser_conditional_numeric(
         vals = np.array([conditional(chi * math.cos(t)) for t in theta])
         return float((weights * vals).sum() * 0.5)  # mean over the half period
     raise ValueError(f"unknown detection {detection!r}")
+
+
+def pieces_given_up(terms, pieces) -> tuple[np.ndarray, float]:
+    """The mass each piece of `analytic_ber._interpolant` gives up, and the
+    full double sum at its top multiplier, which the budget is a share of.
+
+    terms are the point's _double_sum_terms.  A piece [left, right] that
+    kept (live, saturated) gives up, for each term it left out, its value
+    at right and, for each term it saturated, its shortfall from its
+    weight at left: Q grows with the multiplier, so these bound what the
+    piece drops anywhere on it.  Nothing cancels in the sum.
+    """
+    target, interf, weight = terms
+    given_up = np.empty(len(pieces))
+    for k, (left, right, _, (live, saturated)) in enumerate(pieces):
+        left_out = np.ones(weight.size, dtype=bool)
+        left_out[live] = left_out[saturated] = False
+        given_up[k] = weight[left_out] @ q_exact(
+            target[left_out] - interf[left_out] * right
+        ) + weight[saturated] @ q_exact(interf[saturated] * left - target[saturated])
+    top = float(_conditional_sums(terms, np.array([pieces[-1][1]]))[0])
+    return given_up, top
 
 
 # ---------------------------------------------------------------------------

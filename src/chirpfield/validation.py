@@ -304,30 +304,20 @@ def _check_interference_closed_form(params: LoRaParams, fading: FadingConfig, _t
 
 
 def _check_piece_bounded_sum(params: LoRaParams, fading: FadingConfig, _trials, _rng):
-    # every piece the interpolant kept, against the terms it gave up: the
-    # value of each left-out term at the piece's right end and the
-    # shortfall of each saturated term at its left end, summed, may not
-    # pass _PRUNE_FRACTION * _CHEB_TOL of the largest sum
+    # every piece the interpolant kept, against the terms it gave up
+    # (reference.pieces_given_up), which may not pass _PRUNE_FRACTION *
+    # _CHEB_TOL of the largest sum
     budget = analytic_ber._PRUNE_FRACTION * analytic_ber._CHEB_TOL
     worst, ok, count = 0.0, True, 0
     for snr_db in (-35.0, -25.0, -12.0):
         cfg = analytic_ber.AnalyticConfig.from_fading(params, fading, 10 ** (snr_db / 10.0))
         for case in (analytic_ber.CASE_SHARED, analytic_ber.CASE_PAIRED):
-            target, interf, weight = terms = analytic_ber._double_sum_terms(cfg, case)
+            terms = analytic_ber._double_sum_terms(cfg, case)
             for detection in ("noncoherent", "coherent"):
                 pieces, _ = analytic_ber._interpolant(cfg, case, detection)
-                top = np.array([pieces[-1][1]])
-                scale = float(analytic_ber._conditional_sums(terms, top)[0])
-                for left, right, _, (live, saturated) in pieces:
-                    left_out = np.ones(weight.size, dtype=bool)
-                    left_out[live] = left_out[saturated] = False
-                    given_up = weight[left_out] @ specfun.q_exact(
-                        target[left_out] - interf[left_out] * right
-                    ) + weight[saturated] @ specfun.q_exact(
-                        interf[saturated] * left - target[saturated]
-                    )
-                    ok &= bool(given_up <= budget * scale)
-                    worst = max(worst, float(given_up) / max(scale, np.finfo(float).tiny))
+                given_up, scale = reference.pieces_given_up(terms, pieces)
+                ok &= bool(np.all(given_up <= budget * scale))
+                worst = max(worst, float(given_up.max()) / max(scale, np.finfo(float).tiny))
                 count += len(pieces)
     return CheckResult(
         "mass the interpolant's pieces give up",

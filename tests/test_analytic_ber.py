@@ -17,7 +17,7 @@ from chirpfield.analytic_ber import GammaFit
 from chirpfield.channel import FadingConfig
 from chirpfield.interference import chi_of_I_table
 from chirpfield.lora_phy import LoRaParams
-from chirpfield.specfun import NumericError, q_approx, q_exact
+from chirpfield.specfun import NumericError, q_approx
 
 SF7 = LoRaParams(7)
 FADING_25 = FadingConfig.uniform(2.0, 25)
@@ -326,10 +326,11 @@ class TestInterpolatedSum:
             NumericError, match=r"case=case_b, detection=coherent, SNR=-12 dB.*piece \["
         ):
             ab.ber(config(-12.0), "case_b", "coherent")
-        # one full sum at the top multiplier sets the tolerance; bisection
-        # then stops at the depth limit on the first unresolved piece
+        # the Q pass at the top multiplier sets the tolerance without a
+        # sampled sum; bisection then samples one piece per depth down to
+        # the limit and stops on the first unresolved piece
         assert calls
-        assert len(calls) <= ab._CHEB_MAX_DEPTH + 2
+        assert len(calls) <= ab._CHEB_MAX_DEPTH + 1
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -376,54 +377,54 @@ class TestInterpolatedSum:
         cfg = ab.AnalyticConfig.from_fading(
             LoRaParams(sf), FadingConfig.uniform(m, elements), 10 ** (snr_db / 10.0)
         )
-        target, interf, weight = terms = ab._double_sum_terms(cfg, case)
         pieces, _ = ab._interpolant(cfg, case, detection)
-        top = ab._conditional_sums(terms, np.array([pieces[-1][1]]))[0]
-        for left, right, _, (live, saturated) in pieces:
-            left_out = np.ones(weight.size, dtype=bool)
-            left_out[live] = left_out[saturated] = False
-            values = weight[left_out] * q_exact(target[left_out] - interf[left_out] * right)
-            shortfalls = weight[saturated] * q_exact(interf[saturated] * left - target[saturated])
-            assert values.sum() + shortfalls.sum() <= ab._PRUNE_FRACTION * ab._CHEB_TOL * top
+        given_up, top = reference.pieces_given_up(ab._double_sum_terms(cfg, case), pieces)
+        assert np.all(given_up <= ab._PRUNE_FRACTION * ab._CHEB_TOL * top)
 
     @pytest.mark.parametrize("detection", DETECTIONS)
     @pytest.mark.parametrize("case", CASES)
     def test_terms_are_pruned_once_per_point(self, case, detection, monkeypatch):
-        # one full sum at the top multiplier, no prune of its own, then
-        # every piece classifies only the terms its parent still summed:
-        # the first piece starts from every term, and each half from what
-        # the piece it was cut from kept
-        sums, pieces = [], {}
-        original_sums, original_pieces = ab._conditional_sums, ab._piece_sums
+        # one Q pass at the top multiplier covers every term, and each cut
+        # bounds its piece's live terms once, at mid: a half sums a subset
+        # of what its piece summed and saturates a superset of what it
+        # saturated.  The count of Q evaluations shows that no end of the
+        # bisection is bounded twice
+        evaluated, sampled = [], {}
+        original_q, original_sums = ab.q_exact, ab._conditional_sums
+
+        def counted_q(x, out=None):
+            evaluated.append(np.size(x))
+            return original_q(x, out=out)
 
         def counted_sums(terms, multipliers):
-            sums.append((terms, len(multipliers)))
+            # the piece being sampled, as the interpolant's loop holds it
+            piece = sys._getframe(1).f_locals
+            sampled[piece["left"], piece["right"]] = piece["live"], piece["saturated"]
             return original_sums(terms, multipliers)
 
-        def counted_pieces(terms, floor, kept, left, right, x):
-            values, out = original_pieces(terms, floor, kept, left, right, x)
-            pieces[left, right] = kept, out
-            return values, out
-
+        monkeypatch.setattr(ab, "q_exact", counted_q)
         monkeypatch.setattr(ab, "_conditional_sums", counted_sums)
-        monkeypatch.setattr(ab, "_piece_sums", counted_pieces)
-        ab.ber(config(-12.0), case, detection)
-        (full, top_multipliers), *samples = sums
-        assert top_multipliers == 1 and full[2].size == 70 * 70
-        assert len(samples) == len(pieces) > 1
-        parents = {}
-        for left, right in pieces:
+        pieces, _ = ab._interpolant(config(-12.0), case, detection)
+        n = 70 * 70
+        assert evaluated[0] == n and evaluated.count(n) == 1
+        root_live, root_saturated = sampled[pieces[0][0], pieces[-1][1]]
+        cut = set(sampled) - {(left, right) for left, right, *_ in pieces}
+        assert cut and len(sampled) == 2 * len(cut) + 1
+        for left, right in cut:
+            live, saturated = sampled[left, right]
             mid = 0.5 * (left + right)
-            parents[left, mid] = parents[mid, right] = (left, right)
-        (first,) = set(pieces) - set(parents)
-        first_live, first_saturated = pieces[first][0]
-        assert first_live.tolist() == list(range(70 * 70)) and first_saturated.size == 0
-        assert all(pieces[ends][0] is pieces[parents[ends]][1] for ends in pieces if ends != first)
-        for (live, saturated), (kept_live, kept_saturated) in pieces.values():
-            assert set(kept_live) <= set(live)
-            assert set(saturated) <= set(kept_saturated)
-            assert not set(kept_live) & set(kept_saturated)
-        assert min(out[0].size for _, out in pieces.values()) < full[2].size
+            for half_live, half_saturated in (sampled[left, mid], sampled[mid, right]):
+                assert set(half_live) <= set(live)
+                assert set(half_saturated) >= set(saturated)
+                assert not set(half_live) & set(half_saturated)
+        assert sum(evaluated) == (
+            n
+            + root_live.size
+            + root_saturated.size
+            + sum(2 * sampled[ends][0].size for ends in cut)
+            + (ab._CHEB_DEGREE + 1) * sum(live.size for live, _ in sampled.values())
+        )
+        assert min(live.size for live, _ in sampled.values()) < n
 
 
 def test_distinct_chi_keeps_only_values_and_counts():
