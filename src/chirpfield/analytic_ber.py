@@ -136,11 +136,11 @@ _CHEB_MAX_DEPTH = 24
 _PRUNE_FRACTION = 2e-3
 # Compressed quadrature of the peak-bound table: Gauss nodes per
 # equal-width bin, and the bin width's largest share of the narrowest
-# interpolant piece (see _chi_rule).  Bin edges sit on a fixed-point grid
-# of _POSITION_BITS bits over [min chi, max chi].
+# interpolant piece (see _chi_rule).  A value's bin at level L is
+# floor(2**L * (chi - min chi) / (max chi - min chi)), the top value joining
+# the last bin, so the bins of level L + 1 split those of level L in two.
 _RULE_NODES = 8
 _RULE_BIN_SHARE = 0.25
-_POSITION_BITS = 62
 _RULE_GROUP = 1 << 15
 
 # Largest share of the target gain's Gamma fit that may lie where the
@@ -317,8 +317,8 @@ class AnalyticConfig:
     params: LoRaParams
     snr_linear: float
     target_fit: GammaFit
-    interferer_power_fit: GammaFit | None = None
-    interferer_amp_fit: GammaFit | None = None
+    interferer_power_fit: GammaFit
+    interferer_amp_fit: GammaFit
     quadrature_order_v1: int | None = None
     quadrature_order_v2: int | None = None
     staircase_m: int = 20
@@ -482,12 +482,8 @@ def _log_grid(fit: GammaFit, order: int, power_domain: bool):
 def _interferer_fit(cfg: AnalyticConfig, case: str) -> tuple[GammaFit, bool]:
     """(fit, power_domain) of the interferer gain for the requested topology."""
     if case == CASE_SHARED:
-        if cfg.interferer_power_fit is None:
-            raise ValueError("shared-surface evaluation needs the power-domain fit")
         return cfg.interferer_power_fit, True
     if case == CASE_PAIRED:
-        if cfg.interferer_amp_fit is None:
-            raise ValueError("paired-surface evaluation needs the amplitude fit")
         return cfg.interferer_amp_fit, False
     raise ValueError(f"unknown case {case!r}")
 
@@ -521,20 +517,6 @@ def _built_once(maxsize: int):
 def _run_starts(ascending: np.ndarray) -> np.ndarray:
     """Index of the first element of each run of equal elements."""
     return np.flatnonzero(np.r_[True, ascending[1:] != ascending[:-1]])
-
-
-def _bin_positions(values: np.ndarray) -> np.ndarray:
-    """Fixed-point positions of ascending values on [values[0], values[-1]].
-
-    The bin of a value among 2**level equal-width bins is its position
-    shifted right by _POSITION_BITS - level; the top value joins the last
-    bin.  Bins of successive levels nest exactly.
-    """
-    unit = values - values[0]
-    unit /= values[-1] - values[0]
-    unit *= 2.0**_POSITION_BITS
-    positions = unit.astype(np.int64)
-    return np.minimum(positions, 2**_POSITION_BITS - 1, out=positions)
 
 
 @_built_once(maxsize=8)
@@ -609,8 +591,12 @@ def _chi_rule(params: LoRaParams, level: int) -> tuple[np.ndarray, np.ndarray]:
     recurrence's arrays in cache.
     """
     values, counts = _distinct_chi(params)
-    bins = _bin_positions(values)
-    bins >>= _POSITION_BITS - level
+    unit = values - values[0]
+    unit /= values[-1] - values[0]
+    unit *= 2.0**level
+    bins = unit.astype(np.int64)
+    np.minimum(bins, 2**level - 1, out=bins)
+    del unit
     starts = _run_starts(bins)
     cuts = [*starts[np.flatnonzero(np.diff(starts // _RULE_GROUP, prepend=-1))], values.size]
     width = (values[-1] - values[0]) / 2**level
@@ -634,7 +620,8 @@ def _rule_level(pieces, chi_lo: float, chi_hi: float) -> int:
     every angle.  Bisection stops at depth _CHEB_MAX_DEPTH, so every piece
     is at least 2**-24 of the interpolant's range wide, and that range
     covers [chi_lo, chi_hi]; with _RULE_BIN_SHARE = 1/4 the level is at
-    most 26, well inside the _POSITION_BITS of the bin positions.
+    most 26, far below the 62 up to which _chi_rule's int64 bin indices
+    hold.
     """
     narrowest = min(right - left for left, right, *_ in pieces)
     level = math.ceil(math.log2((chi_hi - chi_lo) / (_RULE_BIN_SHARE * narrowest)))
@@ -713,25 +700,21 @@ def _conditional_sums(terms, multipliers: np.ndarray) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=1)
-def _chebyshev_transform() -> tuple[np.ndarray, np.ndarray]:
-    """The interpolant's first-kind Chebyshev points on [-1, 1] and the
-    matrix that maps values there to Chebyshev coefficients.
-
-    Interpolation at these n points is a cosine transform: row k of the
-    matrix holds (2 / n) * T_k at the points, and row 0 is halved.
-    """
-    nodes = chebpts1(_CHEB_DEGREE + 1)
-    transform = chebvander(nodes, _CHEB_DEGREE).T * (2.0 / nodes.size)
-    transform[0] *= 0.5
-    nodes.flags.writeable = transform.flags.writeable = False
-    return nodes, transform
+# The interpolant's first-kind Chebyshev points on [-1, 1] and the matrix
+# that maps values there to Chebyshev coefficients.  Interpolation at these
+# n points is a cosine transform: row k of the matrix holds (2 / n) * T_k
+# at the points, and row 0 is halved.
+_CHEB_NODES = chebpts1(_CHEB_DEGREE + 1)
+_CHEB_TRANSFORM = chebvander(_CHEB_NODES, _CHEB_DEGREE).T * (2.0 / _CHEB_NODES.size)
+_CHEB_TRANSFORM[0] *= 0.5
+_CHEB_NODES.flags.writeable = _CHEB_TRANSFORM.flags.writeable = False
 
 
 def _interpolant(cfg: AnalyticConfig, case: str, detection: str):
     """Adaptive piecewise Chebyshev interpolant of the conditional sum over
     every multiplier of one point, and the number of sampled double sums
-    that left [0, 1].
+    above 1 (every weight is positive and Q lies in [0, 1], so no sum is
+    negative).
 
     Returns the pieces in ascending order as (left, right, coefficients,
     (live, saturated)): the indices of the terms the piece summed and of
@@ -750,17 +733,16 @@ def _interpolant(cfg: AnalyticConfig, case: str, detection: str):
     tol, floor = _CHEB_TOL * scale, _PRUNE_FRACTION * _CHEB_TOL * scale / weight.size
     live = np.flatnonzero(weight * q_top > floor)
     felt = weight[live] * q_exact(interf[live] * lo - target[live]) > floor
-    nodes, transform = _chebyshev_transform()
     pieces, clamped = [], 0
     stack = [(lo, hi, 0, live[felt], live[~felt])]
     while stack:
         left, right, depth, live, saturated = stack.pop()
-        x = 0.5 * (left + right) + 0.5 * (right - left) * nodes
+        x = 0.5 * (left + right) + 0.5 * (right - left) * _CHEB_NODES
         sums = float(weight[saturated].sum()) + _conditional_sums(
             tuple(column[live] for column in terms), x
         )
-        clamped += int(np.count_nonzero(sums > 1.0) + np.count_nonzero(sums < 0.0))
-        coeffs = transform @ sums
+        clamped += int(np.count_nonzero(sums > 1.0))
+        coeffs = _CHEB_TRANSFORM @ sums
         tail = float(np.max(np.abs(coeffs[-_CHEB_TAIL:])))
         if tail <= tol:
             pieces.append((left, right, coeffs, (live, saturated)))
@@ -786,8 +768,8 @@ def _interf_ser_diag(
     cfg: AnalyticConfig, case: str, detection: str
 ) -> tuple[float, int]:
     """Mean conditional interference error over the (offset, difference)
-    grid and the staircase, and the number of sampled double sums that
-    left [0, 1].
+    grid and the staircase, and the number of sampled double sums above 1
+    (none can be negative).
 
     The double sum is evaluated only at the Chebyshev points of the
     interpolant's pieces; the interpolant is averaged over the chi rule

@@ -116,16 +116,27 @@ class EffectiveGains:
     h_int: np.ndarray
 
 
-def sample_nakagami(shape: float, rng: np.random.Generator, size=None):
-    """Nakagami(shape, 1) magnitudes: sqrt of Gamma(shape, 1/shape) variates."""
-    if shape <= 0:
-        raise ValueError(f"shape must be positive, got {shape}")
-    return np.sqrt(rng.gamma(shape, 1.0 / shape, size))
+def _magnitudes(shape: float, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+    """Nakagami(shape, 1) magnitudes in `out`: square roots of
+    Gamma(shape, 1/shape) variates, each a standard Gamma variate times
+    1/shape."""
+    rng.standard_gamma(shape, out=out)
+    out *= 1.0 / shape
+    return np.sqrt(out, out=out)
+
+
+def _phases(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+    """Uniform phases in [0, 2*pi) in `out`."""
+    rng.random(out=out)
+    out *= 2.0 * np.pi
+    return out
 
 
 def _polar_gain(shape: float, rng: np.random.Generator, size=None) -> PolarGain:
-    mag = sample_nakagami(shape, rng, size)
-    return PolarGain(mag=mag, phase=np.multiply(2.0 * np.pi, rng.random(size)))
+    """Nakagami(shape, 1) magnitudes, then uniform phases, of shape `size`
+    (a 0-d array each when `size` is None)."""
+    size = () if size is None else size
+    return PolarGain(_magnitudes(shape, rng, np.empty(size)), _phases(rng, np.empty(size)))
 
 
 def draw_channels(
@@ -222,23 +233,8 @@ def aggregate(
     return EffectiveGains(h_eff=h_eff, h_int=h_int)
 
 
-# The batch route.  Each helper fills a (trials, N) buffer from `rng` with
-# the variates, and the bits, of the three-stage route's draw of that shape.
-
-
-def _magnitudes(shape: float, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
-    """sample_nakagami(shape, rng, out.shape), in `out`: rng.gamma scales
-    each standard Gamma variate by 1/shape, as this does."""
-    rng.standard_gamma(shape, out=out)
-    out *= 1.0 / shape
-    return np.sqrt(out, out=out)
-
-
-def _phases(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
-    """The phases of _polar_gain, in `out`."""
-    rng.random(out=out)
-    out *= 2.0 * np.pi
-    return out
+# The batch route.  Each case helper draws the variates, and the bits, of
+# the three-stage route's draw, in its order, into (trials, N) buffers.
 
 
 def _shared_gains(config, rng, h_td, h_id, shape):

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import analytic_ber, montecarlo, reference, specfun
-from .channel import FadingConfig, aggregate, configure_phases, draw_channels
+from .channel import FadingConfig, aggregate, configure_phases, draw_channels, effective_gains
 from .lora_phy import (
     LoRaParams,
     dechirp_dft,
@@ -171,9 +171,7 @@ def _check_gamma_fit(params: LoRaParams, fading: FadingConfig, trials, rng):
     from scipy import stats
 
     n = max(50_000, min(trials, 200_000))
-    draw = draw_channels(fading, "a", rng, n)
-    gains = aggregate(draw, configure_phases(draw, "optimal"), "a")
-    amp = np.abs(gains.h_eff)
+    amp = np.abs(effective_gains(fading, "a", rng, n).h_eff)
     fit = analytic_ber.fit_gamma_target(fading)
     rel_mean = abs(float(amp.mean()) - fit.mean) / fit.mean
     ks = stats.kstest(amp, "gamma", args=(fit.shape, 0.0, 1.0 / fit.rate)).statistic

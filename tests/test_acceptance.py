@@ -249,17 +249,17 @@ def test_criterion_6_structural_orderings():
     grid = (-35.0, -30.0, -25.0, -20.0, -15.0, -10.0)
     trials, stop = 150_000, 400
     runs: dict[tuple, list[mc.BerEstimate]] = {}
-    jobs = {
-        ("case_a", 25): "case_a", ("case_b", 25): "case_b",
-        ("blind", 25): "blind", ("ris_free", 25): "ris_free",
-        ("case_a", 15): "case_a", ("case_a", 35): "case_a",
-    }
-    for index, ((scenario, n), _) in enumerate(jobs.items()):
-        runs[(scenario, n)] = [
-            simulate(scenario, "noncoherent", n, 2.0, g,
-                     trials=trials, seed=500 + index, max_bit_errors=stop)
-            for g in grid
-        ]
+    jobs = (("case_a", 25), ("case_b", 25), ("blind", 25), ("ris_free", 25),
+            ("case_a", 15), ("case_a", 35))
+    for index, (scenario, n) in enumerate(jobs):
+        # one sweep per configuration; each row is its SNR's point run alone
+        cfg = mc.SimConfig(
+            params=SF7, fading=FadingConfig.uniform(2.0, n), scenario=scenario,
+            detection="noncoherent", snr_db_grid=grid, trials_per_point=trials,
+            seed=500 + index, max_bit_errors=stop,
+        )
+        sweep = mc.run_sweep(cfg, WORKERS)
+        runs[(scenario, n)] = [sweep[g, "noncoherent"] for g in grid]
     failures = []
     for i, g in enumerate(grid):
         a, b = runs[("case_a", 25)][i], runs[("case_b", 25)][i]

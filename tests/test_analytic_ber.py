@@ -245,15 +245,6 @@ class TestInterferenceBranch:
         fine = ab._interf_ser_diag(config(-28.0, staircase_m=40), "case_a", "coherent")[0]
         assert coarse == pytest.approx(fine, rel=1e-3)
 
-    def test_missing_fit_is_an_error(self):
-        cfg = ab.AnalyticConfig(
-            params=SF7, snr_linear=1e-3, target_fit=GammaFit(10.0, 2.0)
-        )
-        with pytest.raises(ValueError):
-            ab._interf_ser_diag(cfg, "case_a", "noncoherent")[0]
-        with pytest.raises(ValueError):
-            ab._interf_ser_diag(cfg, "case_b", "noncoherent")[0]
-
     def test_unknown_case_and_detection(self):
         cfg = config(-25.0)
         with pytest.raises(ValueError):
@@ -444,7 +435,7 @@ def test_distinct_chi_keeps_only_values_and_counts():
 def test_cosine_transform_matches_chebfit(fn):
     # interpolation at first-kind Chebyshev points is the fixed transform;
     # chebfit solves the same square system by least squares
-    nodes, transform = ab._chebyshev_transform()
+    nodes, transform = ab._CHEB_NODES, ab._CHEB_TRANSFORM
     rng = np.random.default_rng(7)
     for values in (fn(3.0 * nodes), rng.standard_normal(nodes.size)):
         expected = chebfit(nodes, values, ab._CHEB_DEGREE)
@@ -498,13 +489,13 @@ class TestChiRule:
             assert np.all(np.diff(nodes) >= 0.0)
             assert np.all(weights > 0.0)
             assert abs(math.fsum(weights) - 1.0) <= 1e-15
-            bins = ab._bin_positions(values) >> (ab._POSITION_BITS - level)
+            width = (hi - lo) / 2**level
+            bins = np.minimum(np.floor((values - lo) / width), 2**level - 1).astype(np.int64)
             first = np.flatnonzero(np.r_[True, bins[1:] != bins[:-1]])
             last = np.r_[first[1:], values.size]
             # every node lies inside the hull of one bin's values
             owner = np.searchsorted(values[last - 1], nodes, side="left")
             assert np.all(nodes >= values[first[owner]])
-            width = (hi - lo) / 2**level
             for b, (start, stop) in enumerate(zip(first, last)):
                 mine = owner == b
                 assert np.count_nonzero(mine) == min(stop - start, ab._RULE_NODES)
@@ -522,12 +513,36 @@ class TestChiRule:
                     rule = np.sum(weights[mine] * t_nodes**degree)
                     assert abs(rule - table) <= tol * mass, (level, b, degree)
 
+    @pytest.mark.parametrize("sf", [7, 9, 12])
+    def test_bins_nest_across_levels(self, sf, monkeypatch):
+        # each bin of level L is two bins of level L + 1; the bins are read
+        # where _chi_rule hands them to _binned_rule, and no rule is built
+        handed = []
+
+        def record(values, counts, bins, lo, width):
+            handed.append(bins.copy())
+            return values[:0], counts[:0]
+
+        monkeypatch.setattr(ab, "_binned_rule", record)
+        params = LoRaParams(sf)
+        values, _ = ab._distinct_chi(params)
+        finer = None
+        for level in range(26, -1, -1):
+            handed.clear()
+            ab._chi_rule.__wrapped__(params, level)
+            bins = np.concatenate(handed)
+            assert bins.size == values.size
+            assert bins[0] == 0 and bins[-1] == 2**level - 1
+            if finer is not None:
+                assert np.array_equal(bins, finer >> 1), level
+            finer = bins
+
     @pytest.mark.parametrize("sf", [7, 9])
     def test_top_level_rule_is_the_distinct_table(self, sf):
         # every bin of the finest level holds at most _RULE_NODES values
         params = LoRaParams(sf)
         values, counts = ab._distinct_chi(params)
-        nodes, weights = ab._chi_rule(params, ab._POSITION_BITS)
+        nodes, weights = ab._chi_rule(params, 62)
         assert nodes.tobytes() == values.tobytes()
         assert weights.tobytes() == (counts / counts.sum()).tobytes()
 
@@ -678,17 +693,15 @@ class TestCombinedBer:
             assert all(a >= b - 1e-12 for a, b in zip(values, values[1:])), (case, values)
 
     def test_invalid_configuration(self):
+        fits = dict.fromkeys(
+            ("target_fit", "interferer_power_fit", "interferer_amp_fit"), GammaFit(1.0, 1.0)
+        )
         with pytest.raises(ValueError):
-            ab.AnalyticConfig(params=SF7, snr_linear=0.0, target_fit=GammaFit(1.0, 1.0))
+            ab.AnalyticConfig(params=SF7, snr_linear=0.0, **fits)
         with pytest.raises(ValueError):
-            ab.AnalyticConfig(
-                params=SF7, snr_linear=1.0, target_fit=GammaFit(1.0, 1.0),
-                quadrature_order_v1=0,
-            )
+            ab.AnalyticConfig(params=SF7, snr_linear=1.0, quadrature_order_v1=0, **fits)
         with pytest.raises(ValueError):
-            ab.AnalyticConfig(
-                params=SF7, snr_linear=1.0, target_fit=GammaFit(1.0, 1.0), staircase_m=0
-            )
+            ab.AnalyticConfig(params=SF7, snr_linear=1.0, staircase_m=0, **fits)
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0])
     def test_gamma_fit_rejects_non_finite_and_non_positive(self, value):
