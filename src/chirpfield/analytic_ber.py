@@ -366,7 +366,6 @@ class BerBreakdown:
     p_noise: float
     p_interf: float
     ber: float
-    clamp_events: int = 0
     notes: tuple[str, ...] = ()
 
 
@@ -712,9 +711,7 @@ _CHEB_NODES.flags.writeable = _CHEB_TRANSFORM.flags.writeable = False
 
 def _interpolant(cfg: AnalyticConfig, case: str, detection: str):
     """Adaptive piecewise Chebyshev interpolant of the conditional sum over
-    every multiplier of one point, and the number of sampled double sums
-    above 1 (every weight is positive and Q lies in [0, 1], so no sum is
-    negative).
+    every multiplier of one point.
 
     Returns the pieces in ascending order as (left, right, coefficients,
     (live, saturated)): the indices of the terms the piece summed and of
@@ -733,7 +730,7 @@ def _interpolant(cfg: AnalyticConfig, case: str, detection: str):
     tol, floor = _CHEB_TOL * scale, _PRUNE_FRACTION * _CHEB_TOL * scale / weight.size
     live = np.flatnonzero(weight * q_top > floor)
     felt = weight[live] * q_exact(interf[live] * lo - target[live]) > floor
-    pieces, clamped = [], 0
+    pieces = []
     stack = [(lo, hi, 0, live[felt], live[~felt])]
     while stack:
         left, right, depth, live, saturated = stack.pop()
@@ -741,7 +738,6 @@ def _interpolant(cfg: AnalyticConfig, case: str, detection: str):
         sums = float(weight[saturated].sum()) + _conditional_sums(
             tuple(column[live] for column in terms), x
         )
-        clamped += int(np.count_nonzero(sums > 1.0))
         coeffs = _CHEB_TRANSFORM @ sums
         tail = float(np.max(np.abs(coeffs[-_CHEB_TAIL:])))
         if tail <= tol:
@@ -761,26 +757,22 @@ def _interpolant(cfg: AnalyticConfig, case: str, detection: str):
         felt = weight[live] * q_exact(-gap) > floor
         stack.append((mid, right, depth + 1, live[felt], np.concatenate([saturated, live[~felt]])))
         stack.append((left, mid, depth + 1, live[kept], saturated))
-    return pieces, clamped
+    return pieces
 
 
-def _interf_ser_diag(
-    cfg: AnalyticConfig, case: str, detection: str
-) -> tuple[float, int]:
+def _interf_ser(cfg: AnalyticConfig, case: str, detection: str) -> float:
     """Mean conditional interference error over the (offset, difference)
-    grid and the staircase, and the number of sampled double sums above 1
-    (none can be negative).
+    grid and the staircase.
 
     The double sum is evaluated only at the Chebyshev points of the
     interpolant's pieces; the interpolant is averaged over the chi rule
     its narrowest piece calls for.
     """
-    pieces, clamped = _interpolant(cfg, case, detection)
+    pieces = _interpolant(cfg, case, detection)
     values, _ = _distinct_chi(cfg.params)
     level = _rule_level(pieces, float(values[0]), float(values[-1]))
     nodes, weights = _chi_rule(cfg.params, level)
-    mean = _rule_mean(pieces, nodes, weights, *_staircase(detection, cfg.staircase_m))
-    return mean, clamped
+    return _rule_mean(pieces, nodes, weights, *_staircase(detection, cfg.staircase_m))
 
 
 # ---------------------------------------------------------------------------
@@ -823,19 +815,17 @@ def _noise_part(cfg: AnalyticConfig, detection: str) -> float:
     raise ValueError(f"unknown detection {detection!r}")
 
 
-def _combine(
-    cfg: AnalyticConfig, detection: str, p_noise: float, p_interf: float, clamps: int
-) -> BerBreakdown:
+def _combine(cfg: AnalyticConfig, detection: str, p_noise: float, p_interf: float) -> BerBreakdown:
     ber = _bit_scale(cfg.params) * (1.0 - (1.0 - p_interf) * (1.0 - p_noise))
-    return BerBreakdown(p_noise, p_interf, ber, clamps, _calibration_notes(cfg, detection))
+    return BerBreakdown(p_noise, p_interf, ber, _calibration_notes(cfg, detection))
 
 
 def ber(cfg: AnalyticConfig, case: str, detection: str) -> BerBreakdown:
     """Closed-form bit error rate for one topology and detector."""
     p_noise = _noise_part(cfg, detection)
-    return _combine(cfg, detection, p_noise, *_interf_ser_diag(cfg, case, detection))
+    return _combine(cfg, detection, p_noise, _interf_ser(cfg, case, detection))
 
 
 def ber_no_interference(cfg: AnalyticConfig, detection: str) -> BerBreakdown:
     """Closed-form bit error rate with the interferer absent."""
-    return _combine(cfg, detection, _noise_part(cfg, detection), 0.0, 0)
+    return _combine(cfg, detection, _noise_part(cfg, detection), 0.0)

@@ -234,7 +234,12 @@ def _parse_snr_spec(text: str, origin: str) -> tuple[float, ...]:
         raise ConfigError(f"{origin}: bad SNR specification {text!r}: {exc}") from exc
     if not all(map(math.isfinite, values)):
         raise ConfigError(f"{origin}: SNR values must be finite, got {text!r}")
-    return (values[0],) if len(values) == 1 else _snr_grid(*values, origin)
+    grid = (values[0],) if len(values) == 1 else _snr_grid(*values, origin)
+    limit = montecarlo.MAX_SNR_DB
+    if max(map(abs, grid)) > limit:
+        raise ConfigError(f"{origin}: SNR values must lie in [-{limit:g}, {limit:g}] dB, "
+                          f"got {text!r}")
+    return grid
 
 
 def build_spec(args: argparse.Namespace) -> ExperimentSpec:
@@ -328,15 +333,15 @@ class _Row:
 _CSV_COLUMNS = tuple(field.name for field in fields(_Row))
 
 
+def _label(row: _Row) -> str:
+    return (f"{row.scenario}/{row.detection} sf={row.sf} n={row.n_elements} "
+            f"m={row.m} snr={row.snr_db}")
+
+
 def _analytic_task(spec: ExperimentSpec, row: _Row):
     """Evaluate the closed forms for one CSV row; runs in a pool thread, or
-    in the calling thread of a serial run.
-
-    Returns the failure message of a NumericError, or the row's values and
-    the result's calibration notes, each prefixed with the row it names.
-    """
-    label = (f"{row.scenario}/{row.detection} sf={row.sf} n={row.n_elements} "
-             f"m={row.m} snr={row.snr_db}")
+    in the calling thread of a serial run.  Returns the BerBreakdown, or
+    the NumericError it raised."""
     try:
         cfg = analytic_ber.AnalyticConfig.from_fading(
             LoRaParams(row.sf),
@@ -348,74 +353,81 @@ def _analytic_task(spec: ExperimentSpec, row: _Row):
             staircase_m=spec.staircase_m,
         )
         if row.scenario == "no_interference":
-            result = analytic_ber.ber_no_interference(cfg, row.detection)
-        else:
-            result = analytic_ber.ber(cfg, row.scenario, row.detection)
+            return analytic_ber.ber_no_interference(cfg, row.detection)
+        return analytic_ber.ber(cfg, row.scenario, row.detection)
     except NumericError as exc:
-        return f"{label}: {exc}"
-    notes = [f"{label}: {note}" for note in result.notes]
-    return result.ber, result.p_noise, result.p_interf, notes
+        return exc
 
 
-def _fill_analytic(spec: ExperimentSpec, rows: list["_Row"], failures: list[str]) -> None:
+def _fill_analytic(spec: ExperimentSpec, rows: list[_Row]) -> list[str]:
     """Fill the closed-form columns of every row that has them, on a pool of
-    `spec.workers` threads, and print their notes in row order."""
+    `spec.workers` threads, and print their notes in row order; returns
+    the numeric failures, each prefixed with the row it names."""
     todo = [row for row in rows if row.scenario in _ANALYTIC_SCENARIOS]
+    failures = []
     with montecarlo.worker_pool(spec.workers) as pool:
         results = (map if pool is None else pool.map)(
             _analytic_task, itertools.repeat(spec), todo
         )
         for row, result in zip(todo, results):
-            if isinstance(result, str):
-                failures.append(result)
-            else:
-                row.ber_analytic, row.p_noise, row.p_interf, notes = result
-                for note in notes:
-                    print(f"warning: {note}", file=sys.stderr)
+            if isinstance(result, NumericError):
+                failures.append(f"{_label(row)}: {result}")
+                continue
+            row.ber_analytic, row.p_noise = result.ber, result.p_noise
+            row.p_interf = result.p_interf
+            for note in result.notes:
+                print(f"warning: {_label(row)}: {note}", file=sys.stderr)
+    return failures
 
 
-def _simulate(spec: ExperimentSpec) -> dict[tuple, montecarlo.BerEstimate]:
-    """Monte Carlo estimates keyed by (scenario, detection, sf, n, m, snr_db).
+def _fill_simulated(spec: ExperimentSpec, rows: list[_Row]) -> None:
+    """Fill the Monte Carlo columns of every row.
 
-    One sweep per (scenario, sf, n, m) runs every detector the spec asks
-    of that scenario on the same blocks.
+    One sweep per (scenario, sf, n, m), in order of first appearance, runs
+    every detector of that scenario's rows on the same blocks.
     """
-    detections: dict[str, list[str]] = {}
-    for scenario, detection in spec.branches:
-        detections.setdefault(scenario, []).append(detection)
-    estimates = {}
-    for scenario, wanted in detections.items():
-        for sf, n, m in itertools.product(spec.sf_values, spec.n_values, spec.m_values):
-            cfg = montecarlo.SimConfig(
-                params=LoRaParams(sf),
-                fading=FadingConfig.uniform(m, n),
-                scenario=scenario,
-                detection=wanted[0],
-                snr_db_grid=spec.snr_db_grid,
-                trials_per_point=spec.trials,
-                seed=spec.seed,
-                full_offset_range=spec.full_offset_range,
-            )
-            sweep = montecarlo.run_sweep(cfg, spec.workers, detections=tuple(wanted))
-            for (snr_db, detection), est in sweep.items():
-                estimates[scenario, detection, sf, n, m, snr_db] = est
-    return estimates
+    groups: dict[tuple, dict[str, list[_Row]]] = {}
+    for row in rows:
+        key = (row.scenario, row.sf, row.n_elements, row.m)
+        groups.setdefault(key, {}).setdefault(row.detection, []).append(row)
+    for (scenario, sf, n, m), by_detection in groups.items():
+        detections = tuple(by_detection)
+        cfg = montecarlo.SimConfig(
+            params=LoRaParams(sf),
+            fading=FadingConfig.uniform(m, n),
+            scenario=scenario,
+            detection=detections[0],
+            snr_db_grid=spec.snr_db_grid,
+            trials_per_point=spec.trials,
+            seed=spec.seed,
+            full_offset_range=spec.full_offset_range,
+        )
+        sweep = montecarlo.run_sweep(cfg, spec.workers, detections=detections)
+        for detection, group in by_detection.items():
+            for row in group:
+                est = sweep[row.snr_db, detection]
+                row.ber_sim, row.ci_low, row.ci_high = est.ber, est.ci95_low, est.ci95_high
+                row.bits_sent = est.bits_sent
 
 
 def run(spec: ExperimentSpec) -> int:
     """Execute a spec and write its CSV; returns the process exit code.
 
-    Each sweep, and the closed forms, run on a pool of `spec.workers`
-    threads of their own; at one worker everything runs in the calling
-    thread.
+    The rows are built first, in grid order (branches, then (sf, n, m),
+    then SNR), and each route fills its columns in place.  Each sweep, and
+    the closed forms, run on a pool of `spec.workers` threads of their
+    own; at one worker everything runs in the calling thread.
     """
     if spec.mode == "validate":
         return _run_validation(spec)
 
-    want_sim = spec.mode in ("simulate", "both")
-    want_analytic = spec.mode in ("analytic", "both")
-    failures: list[str] = []
-    rows: list[_Row] = []
+    rows = [
+        _Row(scenario=scenario, detection=detection, sf=sf, n_elements=n, m=m,
+             snr_db=snr_db, seed=spec.seed)
+        for scenario, detection in spec.branches
+        for sf, n, m in itertools.product(spec.sf_values, spec.n_values, spec.m_values)
+        for snr_db in spec.snr_db_grid
+    ]
 
     # opened before anything runs, so a path that cannot be written fails
     # at once rather than after the whole sweep
@@ -426,24 +438,9 @@ def run(spec: ExperimentSpec) -> int:
         return 1
 
     with handle:
-        estimates = _simulate(spec) if want_sim else {}
-        for scenario, detection in spec.branches:
-            for sf, n, m in itertools.product(spec.sf_values, spec.n_values, spec.m_values):
-                for snr_db in spec.snr_db_grid:
-                    row = _Row(
-                        scenario=scenario, detection=detection, sf=sf,
-                        n_elements=n, m=m, snr_db=snr_db, seed=spec.seed,
-                    )
-                    est = estimates.get((scenario, detection, sf, n, m, snr_db))
-                    if est is not None:
-                        row.ber_sim = est.ber
-                        row.ci_low = est.ci95_low
-                        row.ci_high = est.ci95_high
-                        row.bits_sent = est.bits_sent
-                    rows.append(row)
-
-        if want_analytic:
-            _fill_analytic(spec, rows, failures)
+        if spec.mode != "analytic":
+            _fill_simulated(spec, rows)
+        failures = _fill_analytic(spec, rows) if spec.mode != "simulate" else []
 
         handle.write(",".join(_CSV_COLUMNS) + "\n")
         for row in rows:

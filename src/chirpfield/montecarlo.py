@@ -142,6 +142,12 @@ _TONE_CHUNK = 1 << 14
 # at SF 7), so the ceiling bounds a run's threads and memory.
 MAX_WORKERS = 64
 
+# Largest SNR magnitude of a grid point, in dB.  Within it the linear SNR
+# (10**-300 to 10**300) and the noise std at every SF are finite normal
+# doubles.  Above about 3080 dB the linear SNR overflows, and below about
+# -3090 dB the noise std does at SF 2, before the SNR underflows to zero.
+MAX_SNR_DB = 3000.0
+
 SCENARIOS = ("case_a", "case_b", "ris_free", "blind", "no_interference")
 DETECTIONS = ("noncoherent", "coherent")
 
@@ -169,6 +175,10 @@ class SimConfig:
             raise ValueError("SNR grid must not be empty")
         if not all(map(math.isfinite, self.snr_db_grid)):
             raise ValueError(f"SNR grid must be finite, got {self.snr_db_grid}")
+        if max(map(abs, self.snr_db_grid)) > MAX_SNR_DB:
+            raise ValueError(
+                f"SNR grid must lie within +-{MAX_SNR_DB:g} dB, got {self.snr_db_grid}"
+            )
         if len(set(self.snr_db_grid)) < len(self.snr_db_grid):
             # a sweep keys each point's tally by its SNR
             raise ValueError(f"SNR grid must not repeat a point, got {self.snr_db_grid}")

@@ -312,7 +312,7 @@ def _check_piece_bounded_sum(params: LoRaParams, fading: FadingConfig, _trials, 
         for case in (analytic_ber.CASE_SHARED, analytic_ber.CASE_PAIRED):
             terms = analytic_ber._double_sum_terms(cfg, case)
             for detection in ("noncoherent", "coherent"):
-                pieces, _ = analytic_ber._interpolant(cfg, case, detection)
+                pieces = analytic_ber._interpolant(cfg, case, detection)
                 given_up, scale = reference.pieces_given_up(terms, pieces)
                 ok &= bool(np.all(given_up <= budget * scale))
                 worst = max(worst, float(given_up.max()) / max(scale, np.finfo(float).tiny))
@@ -336,7 +336,7 @@ def _check_compressed_rule(params: LoRaParams, fading: FadingConfig, _trials, _r
         cfg = analytic_ber.AnalyticConfig.from_fading(params, fading, 10 ** (snr_db / 10.0))
         for case in (analytic_ber.CASE_SHARED, analytic_ber.CASE_PAIRED):
             for detection in ("noncoherent", "coherent"):
-                pieces, _ = analytic_ber._interpolant(cfg, case, detection)
+                pieces = analytic_ber._interpolant(cfg, case, detection)
                 level = analytic_ber._rule_level(pieces, values[0], values[-1])
                 cosines, shares = analytic_ber._staircase(detection, cfg.staircase_m)
                 rule = analytic_ber._rule_mean(

@@ -220,15 +220,15 @@ class TestInterferenceBranch:
     def test_paired_worse_than_shared(self):
         for snr_db in (-30.0, -20.0, -10.0):
             cfg = config(snr_db)
-            shared = ab._interf_ser_diag(cfg, "case_a", "noncoherent")[0]
-            paired = ab._interf_ser_diag(cfg, "case_b", "noncoherent")[0]
+            shared = ab._interf_ser(cfg, "case_a", "noncoherent")
+            paired = ab._interf_ser(cfg, "case_b", "noncoherent")
             assert paired > shared
 
     def test_paired_interference_floor(self):
         # the paired-topology interferer scales with the signal, so its
         # error probability approaches a positive constant at high SNR
-        high = ab._interf_ser_diag(config(10.0), "case_b", "noncoherent")[0]
-        very_high = ab._interf_ser_diag(config(30.0), "case_b", "noncoherent")[0]
+        high = ab._interf_ser(config(10.0), "case_b", "noncoherent")
+        very_high = ab._interf_ser(config(30.0), "case_b", "noncoherent")
         assert high > 0.01
         assert very_high == pytest.approx(high, rel=0.05)
 
@@ -236,21 +236,21 @@ class TestInterferenceBranch:
         base = config(-25.0)
         finer = config(-25.0, quadrature_order_v1=90, quadrature_order_v2=90)
         for case in ("case_a", "case_b"):
-            coarse_val = ab._interf_ser_diag(base, case, "noncoherent")[0]
-            fine_val = ab._interf_ser_diag(finer, case, "noncoherent")[0]
+            coarse_val = ab._interf_ser(base, case, "noncoherent")
+            fine_val = ab._interf_ser(finer, case, "noncoherent")
             assert coarse_val == pytest.approx(fine_val, rel=1e-3)
 
     def test_staircase_convergence(self):
-        coarse = ab._interf_ser_diag(config(-28.0), "case_a", "coherent")[0]
-        fine = ab._interf_ser_diag(config(-28.0, staircase_m=40), "case_a", "coherent")[0]
+        coarse = ab._interf_ser(config(-28.0), "case_a", "coherent")
+        fine = ab._interf_ser(config(-28.0, staircase_m=40), "case_a", "coherent")
         assert coarse == pytest.approx(fine, rel=1e-3)
 
     def test_unknown_case_and_detection(self):
         cfg = config(-25.0)
         with pytest.raises(ValueError):
-            ab._interf_ser_diag(cfg, "case_c", "noncoherent")[0]
+            ab._interf_ser(cfg, "case_c", "noncoherent")
         with pytest.raises(ValueError):
-            ab._interf_ser_diag(cfg, "case_a", "semi")[0]
+            ab._interf_ser(cfg, "case_a", "semi")
 
 
 def brute_force_interf_ser(cfg: ab.AnalyticConfig, case: str, detection: str) -> float:
@@ -292,7 +292,7 @@ class TestInterpolatedSum:
         # against the full (unpruned) double sum
         cfg = config(snr_db, FadingConfig.uniform(2.0, elements))
         oracle = brute_force_interf_ser(cfg, case, detection)
-        got = ab._interf_ser_diag(cfg, case, detection)[0]
+        got = ab._interf_ser(cfg, case, detection)
         assert got == pytest.approx(oracle, rel=1e-8, abs=0.0)
 
     @pytest.mark.parametrize("case", ["case_a", "case_b"])
@@ -368,7 +368,7 @@ class TestInterpolatedSum:
         cfg = ab.AnalyticConfig.from_fading(
             LoRaParams(sf), FadingConfig.uniform(m, elements), 10 ** (snr_db / 10.0)
         )
-        pieces, _ = ab._interpolant(cfg, case, detection)
+        pieces = ab._interpolant(cfg, case, detection)
         given_up, top = reference.pieces_given_up(ab._double_sum_terms(cfg, case), pieces)
         assert np.all(given_up <= ab._PRUNE_FRACTION * ab._CHEB_TOL * top)
 
@@ -395,7 +395,7 @@ class TestInterpolatedSum:
 
         monkeypatch.setattr(ab, "q_exact", counted_q)
         monkeypatch.setattr(ab, "_conditional_sums", counted_sums)
-        pieces, _ = ab._interpolant(config(-12.0), case, detection)
+        pieces = ab._interpolant(config(-12.0), case, detection)
         n = 70 * 70
         assert evaluated[0] == n and evaluated.count(n) == 1
         root_live, root_saturated = sampled[pieces[0][0], pieces[-1][1]]
@@ -552,19 +552,19 @@ class TestChiRule:
         cfg = ab.AnalyticConfig.from_fading(LoRaParams(sf), FADING_25, 10 ** (snr_db / 10.0))
         values, _ = ab._distinct_chi(cfg.params)
         for case, detection in (("case_a", "coherent"), ("case_b", "noncoherent")):
-            pieces, _ = ab._interpolant(cfg, case, detection)
+            pieces = ab._interpolant(cfg, case, detection)
             level = ab._rule_level(pieces, values[0], values[-1])
             oracle = table_mean(pieces, cfg.params, detection)
             got = rule_mean(pieces, cfg.params, detection, level)
             assert got == pytest.approx(oracle, rel=1e-13, abs=0.0), (case, detection)
-            assert got == ab._interf_ser_diag(cfg, case, detection)[0]
+            assert got == ab._interf_ser(cfg, case, detection)
 
     def test_fixed_quarter_symbol_bins_are_not_enough(self):
         # K/4 bins whatever the pieces: at +30 dB the interpolant has pieces
         # far narrower than such a bin, and the mean drifts
         cfg = config(30.0)
         values, _ = ab._distinct_chi(SF7)
-        pieces, _ = ab._interpolant(cfg, "case_b", "noncoherent")
+        pieces = ab._interpolant(cfg, "case_b", "noncoherent")
         oracle = table_mean(pieces, SF7, "noncoherent")
         fixed = rule_mean(pieces, SF7, "noncoherent", int(math.log2(SF7.K // 4)))
         assert abs(fixed - oracle) > 1e-13 * oracle
@@ -572,16 +572,16 @@ class TestChiRule:
 
     def test_sf10_coherent_row(self):
         cfg = ab.AnalyticConfig.from_fading(LoRaParams(10), FADING_25, 10 ** (-1.2))
-        pieces, _ = ab._interpolant(cfg, "case_b", "coherent")
+        pieces = ab._interpolant(cfg, "case_b", "coherent")
         oracle = table_mean(pieces, cfg.params, "coherent")
-        got = ab._interf_ser_diag(cfg, "case_b", "coherent")[0]
+        got = ab._interf_ser(cfg, "case_b", "coherent")
         assert got == pytest.approx(oracle, rel=1e-13, abs=0.0)
 
     def test_sf12_noncoherent_row(self):
         cfg = ab.AnalyticConfig.from_fading(LoRaParams(12), FADING_25, 10 ** (-2.4))
-        pieces, _ = ab._interpolant(cfg, "case_a", "noncoherent")
+        pieces = ab._interpolant(cfg, "case_a", "noncoherent")
         oracle = table_mean(pieces, cfg.params, "noncoherent")
-        got = ab._interf_ser_diag(cfg, "case_a", "noncoherent")[0]
+        got = ab._interf_ser(cfg, "case_a", "noncoherent")
         assert got == pytest.approx(oracle, rel=1e-13, abs=0.0)
 
     def test_threads_build_each_rule_once(self, monkeypatch):

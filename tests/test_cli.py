@@ -52,6 +52,36 @@ class TestSnrParsing:
         assert code == 1 and not out.exists()
         assert "flag --snr-db: SNR values must be finite" in capsys.readouterr().err
 
+    # each once died with a traceback after truncating --out (-4000 and
+    # 4000 in the closed forms, 3100 in the noise std), or wrote rows
+    # simulated with an infinite noise std (-3150)
+    @pytest.mark.parametrize("snr", ["-4000", "-3150", "4000", "-30:3100:10"])
+    @pytest.mark.parametrize("mode", ["simulate", "analytic"])
+    def test_beyond_the_limit_is_rejected(self, mode, snr, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        code = cli.main([mode, f"--snr-db={snr}", "--trials", "100", "--out", str(out)])
+        assert code == 1 and not out.exists()
+        assert capsys.readouterr().err == (
+            f"error: flag --snr-db: SNR values must lie in [-3000, 3000] dB, got {snr!r}\n")
+
+    @pytest.mark.parametrize("snr", ["-4000", "-3150", "4000", "-30:3100:10"])
+    @pytest.mark.parametrize("mode", ["simulate", "analytic"])
+    def test_beyond_the_limit_in_config_file_names_the_key(self, mode, snr, tmp_path, capsys):
+        path, out = tmp_path / "run.cfg", tmp_path / "out.csv"
+        path.write_text(f"snr_db = {snr}\n")
+        code = cli.main([mode, "--config", str(path), "--trials", "100", "--out", str(out)])
+        assert code == 1 and not out.exists()
+        assert capsys.readouterr().err == (
+            f"error: {path}: key 'snr_db': SNR values must lie in [-3000, 3000] dB, "
+            f"got {snr!r}\n")
+
+    def test_limit_parses(self):
+        assert cli._parse_snr_spec("-3000", "test") == (-3000.0,)
+        assert cli._parse_snr_spec("3000", "test") == (3000.0,)
+        assert cli._parse_snr_spec("-3000:3000:2000", "test") == (-3000.0, -1000.0, 1000.0, 3000.0)
+        # the grid's points count, not its stop
+        assert cli._parse_snr_spec("2990:3005:10", "test") == (2990.0, 3000.0)
+
     def test_non_finite_in_config_file_names_the_key(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("snr_db = -30:-28:nan\n")
@@ -404,6 +434,45 @@ class TestRuns:
         assert bits[("noncoherent", "-36")] < bits[("coherent", "-36")] < budget
         assert bits[("noncoherent", "-32")] < bits[("coherent", "-32")] == budget
 
+    @pytest.mark.parametrize("preset, expected", [
+        # the baselines: blind has the non-coherent detector alone
+        ("fig5", [(("ris_free", 7, 25, 2.0), ("noncoherent", "coherent")),
+                  (("blind", 7, 25, 2.0), ("noncoherent",)),
+                  (("case_a", 7, 25, 2.0), ("noncoherent", "coherent")),
+                  (("case_b", 7, 25, 2.0), ("noncoherent", "coherent"))]),
+        # the element-count sweep, in grid order
+        ("fig4a", [(("case_a", 7, n, 2.0), ("noncoherent", "coherent"))
+                   for n in (15, 20, 25, 30, 35)]),
+    ])
+    def test_one_sweep_per_scenario_and_combination(self, preset, expected, tmp_path,
+                                                    monkeypatch):
+        sweeps = []
+        original = cli.montecarlo.run_sweep
+
+        def recorded(cfg, workers=1, *, detections=None):
+            result = original(cfg, workers, detections=detections)
+            key = (cfg.scenario, cfg.params.sf, cfg.fading.n_elements, cfg.fading.m1)
+            sweeps.append((key, detections, result))
+            return result
+
+        monkeypatch.setattr(cli.montecarlo, "run_sweep", recorded)
+        out = tmp_path / f"{preset}.csv"
+        code = cli.main(["simulate", "--preset", preset, "--trials", "300", "--seed", "1",
+                         "--out", str(out)])
+        assert code == 0
+        assert [(key, detections) for key, detections, _ in sweeps] == expected
+        estimates = {key: result for key, _, result in sweeps}
+        header, *lines = [line.split(",") for line in out.read_text().splitlines()]
+        assert len(lines) == sum(len(d) for _, d in expected) * 26
+        for line in lines:
+            row = dict(zip(header, line))
+            key = (row["scenario"], int(row["sf"]), int(row["n_elements"]), float(row["m"]))
+            est = estimates[key][float(row["snr_db"]), row["detection"]]
+            assert [row["ber_sim"], row["ci_low"], row["ci_high"], row["bits_sent"]] == [
+                cli._format(value)
+                for value in (est.ber, est.ci95_low, est.ci95_high, est.bits_sent)
+            ]
+
     def test_unwritable_output(self, tmp_path):
         code = cli.main(
             ["analytic", "--snr-db", "-30", "--detection", "noncoherent",
@@ -501,6 +570,37 @@ class TestRuns:
         # the run still writes the row, with empty analytic columns
         fields = dict(zip(*[line.split(",") for line in out.read_text().splitlines()]))
         assert fields["ber_analytic"] == ""
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_numeric_failure_on_one_row_of_several(self, workers, tmp_path, monkeypatch,
+                                                   capsys):
+        from chirpfield.specfun import NumericError
+
+        argv = ["analytic", "--scenario", "case_a", "--detection", "noncoherent",
+                "--snr-db=-31:-29:1", "--workers", workers]
+        clean = tmp_path / "clean.csv"
+        assert cli.main(argv + ["--out", str(clean)]) == 0
+        capsys.readouterr()
+        original = cli.analytic_ber.ber
+
+        def fail_at_minus_30(cfg, case, detection):
+            if cfg.snr_linear == 10.0 ** (-30.0 / 10.0):
+                raise NumericError("synthetic quadrature breakdown")
+            return original(cfg, case, detection)
+
+        monkeypatch.setattr(cli.analytic_ber, "ber", fail_at_minus_30)
+        out = tmp_path / "fail.csv"
+        assert cli.main(argv + ["--out", str(out)]) == 2
+        failures = [line for line in capsys.readouterr().err.splitlines()
+                    if line.startswith("numeric failure:")]
+        assert failures == ["numeric failure: case_a/noncoherent sf=7 n=25 m=2.0 snr=-30.0: "
+                            "synthetic quadrature breakdown"]
+        header, *rows = [line.split(",") for line in out.read_text().splitlines()]
+        _, *clean_rows = [line.split(",") for line in clean.read_text().splitlines()]
+        got = [dict(zip(header, row)) for row in rows]
+        assert [row["snr_db"] for row in got] == ["-31", "-30", "-29"]
+        assert [got[1][column] for column in ("ber_analytic", "p_noise", "p_interf")] == [""] * 3
+        assert [rows[0], rows[2]] == [clean_rows[0], clean_rows[2]]
 
     @pytest.mark.parametrize("mode", ["analytic", "both"])
     def test_overflowing_moments_fail_as_numeric(self, mode, tmp_path, capsys):

@@ -52,6 +52,16 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="finite"):
             sim_config(snr_db_grid=(-25.0, snr_db))
 
+    @pytest.mark.parametrize("snr_db", [-4000.0, -3000.5, 3100.0])
+    def test_snr_beyond_the_limit(self, snr_db):
+        # past it the linear SNR or the noise std overflows or vanishes
+        with pytest.raises(ValueError, match="within \\+-3000 dB"):
+            sim_config(snr_db_grid=(-25.0, snr_db))
+
+    def test_snr_at_the_limit(self):
+        assert sim_config(snr_db_grid=(-mc.MAX_SNR_DB, mc.MAX_SNR_DB)).snr_db_grid == (
+            -3000.0, 3000.0)
+
     def test_repeated_snr(self):
         with pytest.raises(ValueError, match="repeat"):
             sim_config(snr_db_grid=(-25.0, -20.0, -25.0))
