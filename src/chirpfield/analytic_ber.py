@@ -26,17 +26,25 @@ reaches ~100, which the element counts used here routinely produce.
 The interference term averages the conditional double sum f(x) over every
 multiplier x: chi on the (offset, difference) grid, 8,320 values at SF 7
 and 8.4 M at SF 12, and for coherent detection chi*cos of each staircase
-angle as well.  f is smooth in x, so the double sum is evaluated only at
-the Chebyshev points of an adaptive piecewise interpolant on
-[min x, max x].  Every weight and interferer amplitude is >= 0, so f does
-not decrease in x and its largest value on the range is f(max x), one
-full double sum taken before any piece is sampled.  Each piece is
-bisected until its trailing Chebyshev coefficients fall below the fixed
+angle as well.  f is the same for both detectors; only the range of x
+differs: [min chi, max chi] for non-coherent detection, and down to lo =
+max chi * the staircase's smallest cosine (-max chi) for coherent.  f is
+smooth in x, so the double sum is evaluated only at the Chebyshev points
+of one adaptive piecewise interpolant per point, on [lo, max chi], built
+for every detector the point asks for.  Every weight and interferer
+amplitude is >= 0, so f does not decrease in x and its largest value on
+the range is f(max x), one full double sum taken before any piece is
+sampled.  The root's first cut is at min chi, not at its midpoint: the
+right subtree [min chi, max chi] is the non-coherent interpolant, and the
+left subtree [lo, min chi], bisected only for the coherent detector,
+completes the coherent one.  Each subtree is bisected from depth 0 until
+its pieces' trailing Chebyshev coefficients fall below the fixed
 tolerance _CHEB_TOL * f(max x) (Trefethen, Approximation Theory and
 Approximation Practice, ch. 3 and 8); a piece that cannot get there
-raises NumericError.  The interpolant has to be piecewise: at -12 dB f
-can span more than 200 decades over the range, and one global polynomial
-of degree 64 misses the mean by up to 4e-4.
+raises NumericError, which below min chi fails the coherent detector
+alone.  The interpolant has to be piecewise: at -12 dB f can span more
+than 200 decades over the range, and one global polynomial of degree 64
+misses the mean by up to 4e-4.
 
 The interpolant is then averaged over a compressed quadrature of the chi
 table rather than over every multiplier (Sommariva and Vianello,
@@ -65,18 +73,19 @@ f(max x), a term whose value bound is at most budget / n is left out of
 the piece, a term whose shortfall bound is at most that is counted as its
 weight, and only the rest are summed at the piece's 33 points.  Each end
 of the bisection is bounded once.  The Q pass that gives f(max x) bounds
-every term's value on the first piece, and one shortfall pass at min x
-those it keeps.  A cut at mid takes gap = target - interf * mid once over
-the piece's live terms: the left half leaves out those whose
-weight * Q(gap) is at most budget / n, the right half saturates those
-whose weight * Q(-gap) is, and each half takes its other bound from the
-piece, whose other end it shares.  The bounds are taken at the ends, not
-at the Chebyshev points, which lie strictly inside a piece and so miss
-the outer points of its halves.  Each term is thus given up at most once
-on any path down the bisection, and every sample is within budget of the
-full sum, 500 times below the tolerance the interpolant accepts.  At SF 7
-(case_a, coherent, N 25, m 2) the median sampled piece sums 1,770 of the
-4,900 terms at -36 dB, 100 at -12 dB and 2 at +30 dB.
+every term's value at the root.  A cut (at min chi for the root, at its
+midpoint for any other piece) takes gap = target - interf * cut once over
+the piece's live terms: the left half leaves out those whose weight * Q(gap) is at most
+budget / n, the right half saturates those whose weight * Q(-gap) is, and
+each half takes its other bound from the piece, whose other end it
+shares; the left subtree alone takes one more shortfall pass, at lo.  The
+bounds are taken at the ends, not at the Chebyshev points, which lie
+strictly inside a piece and so miss the outer points of its halves.  Each
+term is thus given up at most once on any path down the bisection, and
+every sample is within budget of the full sum, 500 times below the
+tolerance the interpolant accepts.  At SF 7 (case_a, coherent, N 25, m 2)
+the median sampled piece sums 1,760 of the 4,900 terms at -36 dB, 98 at
+-12 dB and 2 at +30 dB.
 
 Every closed form has an adaptive-quadrature twin in `reference`, the
 oracle of `validate` and the tests.  The interference sums always take
@@ -131,7 +140,7 @@ _CHEB_TAIL = 3
 _CHEB_MAX_DEPTH = 24
 # Share of that acceptance level that an interpolant sample may give up by
 # leaving out or saturating the terms its piece cannot feel, bounded once
-# per cut (_interpolant): 2e-16 of the largest value, below even the sum's
+# per cut (_bisect): 2e-16 of the largest value, below even the sum's
 # own rounding (about 1e-15 of it).
 _PRUNE_FRACTION = 2e-3
 # Compressed quadrature of the peak-bound table: Gauss nodes per
@@ -616,11 +625,12 @@ def _rule_level(pieces, chi_lo: float, chi_hi: float) -> int:
     are at most _RULE_BIN_SHARE of its narrowest piece wide.
 
     A staircase cosine scales a bin by at most 1, so the bound holds for
-    every angle.  Bisection stops at depth _CHEB_MAX_DEPTH, so every piece
-    is at least 2**-24 of the interpolant's range wide, and that range
-    covers [chi_lo, chi_hi]; with _RULE_BIN_SHARE = 1/4 the level is at
-    most 26, far below the 62 up to which _chi_rule's int64 bin indices
-    hold.
+    every angle.  Each subtree of the interpolant is bisected to depth
+    _CHEB_MAX_DEPTH at most, so every piece is at least 2**-24 of its
+    subtree wide: [chi_lo, chi_hi] above min chi, and below it [lo, chi_lo],
+    at least chi_hi / 2 wide for a staircase of more than one angle.  With
+    _RULE_BIN_SHARE = 1/4 the level is at most 27, far below the 62 up to
+    which _chi_rule's int64 bin indices hold.
     """
     narrowest = min(right - left for left, right, *_ in pieces)
     level = math.ceil(math.log2((chi_hi - chi_lo) / (_RULE_BIN_SHARE * narrowest)))
@@ -709,29 +719,21 @@ _CHEB_TRANSFORM[0] *= 0.5
 _CHEB_NODES.flags.writeable = _CHEB_TRANSFORM.flags.writeable = False
 
 
-def _interpolant(cfg: AnalyticConfig, case: str, detection: str):
-    """Adaptive piecewise Chebyshev interpolant of the conditional sum over
-    every multiplier of one point.
+def _bisect(terms, left: float, right: float, live, saturated, tol: float, floor: float, where: str):
+    """Adaptive piecewise Chebyshev interpolant of the conditional sum on
+    [left, right], whose ends have been bounded already.
 
     Returns the pieces in ascending order as (left, right, coefficients,
     (live, saturated)): the indices of the terms the piece summed and of
-    those it counted as their weight; it left out every other term.  Each
-    end of the bisection is bounded once (see the module docstring): the
-    root at max x and min x, and a cut at mid for both halves, which take
-    every other bound from the piece they were cut from.
+    those it counted as their weight; it left out every other term.  A cut
+    at mid bounds the piece's live terms once for both halves, which take
+    every other bound from the piece they were cut from (see the module
+    docstring).  A piece still unresolved at depth _CHEB_MAX_DEPTH raises
+    NumericError; `where` names the point and detectors it fails.
     """
-    cosines, _ = _staircase(detection, cfg.staircase_m)
-    values, _ = _distinct_chi(cfg.params)
-    ends = np.outer(cosines, values[[0, -1]])
-    lo, hi = float(ends.min()), float(ends.max())
-    target, interf, weight = terms = _double_sum_terms(cfg, case)
-    q_top = q_exact(target - interf * hi)
-    scale = float(weight @ q_top)
-    tol, floor = _CHEB_TOL * scale, _PRUNE_FRACTION * _CHEB_TOL * scale / weight.size
-    live = np.flatnonzero(weight * q_top > floor)
-    felt = weight[live] * q_exact(interf[live] * lo - target[live]) > floor
+    target, interf, weight = terms
     pieces = []
-    stack = [(lo, hi, 0, live[felt], live[~felt])]
+    stack = [(left, right, 0, live, saturated)]
     while stack:
         left, right, depth, live, saturated = stack.pop()
         x = 0.5 * (left + right) + 0.5 * (right - left) * _CHEB_NODES
@@ -745,9 +747,7 @@ def _interpolant(cfg: AnalyticConfig, case: str, detection: str):
             continue
         if depth == _CHEB_MAX_DEPTH:
             raise NumericError(
-                f"conditional-sum interpolant did not converge (case={case}, "
-                f"detection={detection}, "
-                f"SNR={10.0 * math.log10(cfg.snr_linear):.10g} dB): "
+                f"conditional-sum interpolant did not converge ({where}): "
                 f"piece [{left!r}, {right!r}] still has trailing coefficients "
                 f"{tail:.3g} against a tolerance of {tol:.3g}"
             )
@@ -760,15 +760,51 @@ def _interpolant(cfg: AnalyticConfig, case: str, detection: str):
     return pieces
 
 
-def _interf_ser(cfg: AnalyticConfig, case: str, detection: str) -> float:
-    """Mean conditional interference error over the (offset, difference)
-    grid and the staircase.
+def _interpolants(cfg: AnalyticConfig, case: str, detections: tuple[str, ...]) -> dict:
+    """The pieces of each detector's interpolant of the conditional sum, in
+    the order of `detections`, or the NumericError that stopped them.
 
-    The double sum is evaluated only at the Chebyshev points of the
-    interpolant's pieces; the interpolant is averaged over the chi rule
-    its narrowest piece calls for.
+    One root on [lo, max chi] is cut first at min chi (see the module
+    docstring): the right subtree is the non-coherent interpolant, and the
+    left one, built only for the coherent detector, joins it to make the
+    coherent one.  A failure in the left subtree stops the coherent
+    interpolant alone.
     """
-    pieces = _interpolant(cfg, case, detection)
+    known = ("noncoherent", "coherent")
+    if not detections or set(detections) - set(known) or len(set(detections)) < len(detections):
+        raise ValueError(f"detections must be distinct entries of {known}, got {detections!r}")
+    values, _ = _distinct_chi(cfg.params)
+    chi_lo, chi_hi = float(values[0]), float(values[-1])
+    target, interf, weight = terms = _double_sum_terms(cfg, case)
+    q_top = q_exact(target - interf * chi_hi)
+    scale = float(weight @ q_top)
+    tol, floor = _CHEB_TOL * scale, _PRUNE_FRACTION * _CHEB_TOL * scale / weight.size
+    live = np.flatnonzero(weight * q_top > floor)
+    gap = target[live] - interf[live] * chi_lo
+    felt = weight[live] * q_exact(-gap) > floor
+    snr = f"SNR={10.0 * math.log10(cfg.snr_linear):.10g} dB"
+    try:
+        right = _bisect(terms, chi_lo, chi_hi, live[felt], live[~felt], tol, floor,
+                        f"case={case}, detection={'/'.join(detections)}, {snr}")
+    except NumericError as exc:
+        return dict.fromkeys(detections, exc)
+    pieces = dict.fromkeys(detections, right)
+    lo = float(_staircase("coherent", cfg.staircase_m)[0].min()) * chi_hi
+    if "coherent" in detections and lo < chi_lo:
+        kept = live[weight[live] * q_exact(gap) > floor]
+        felt = weight[kept] * q_exact(interf[kept] * lo - target[kept]) > floor
+        try:
+            pieces["coherent"] = _bisect(terms, lo, chi_lo, kept[felt], kept[~felt], tol, floor,
+                                         f"case={case}, detection=coherent, {snr}") + right
+        except NumericError as exc:
+            pieces["coherent"] = exc
+    return pieces
+
+
+def _interf_mean(cfg: AnalyticConfig, pieces, detection: str) -> float:
+    """Mean conditional interference error of one detector over the
+    (offset, difference) grid and the staircase: its interpolant averaged
+    over the chi rule its narrowest piece calls for."""
     values, _ = _distinct_chi(cfg.params)
     level = _rule_level(pieces, float(values[0]), float(values[-1]))
     nodes, weights = _chi_rule(cfg.params, level)
@@ -820,10 +856,22 @@ def _combine(cfg: AnalyticConfig, detection: str, p_noise: float, p_interf: floa
     return BerBreakdown(p_noise, p_interf, ber, _calibration_notes(cfg, detection))
 
 
-def ber(cfg: AnalyticConfig, case: str, detection: str) -> BerBreakdown:
-    """Closed-form bit error rate for one topology and detector."""
-    p_noise = _noise_part(cfg, detection)
-    return _combine(cfg, detection, p_noise, _interf_ser(cfg, case, detection))
+def ber(
+    cfg: AnalyticConfig, case: str, detections: tuple[str, ...]
+) -> tuple[BerBreakdown | NumericError, ...]:
+    """Closed-form bit error rate for one topology and each of the point's
+    distinct detectors, all from one interpolant (see _interpolants).
+
+    Returns one entry per detector, in the order of `detections`: its
+    BerBreakdown, or the NumericError that stopped its interpolant, so that
+    a failure below min chi leaves the non-coherent result standing.
+    """
+    return tuple(
+        pieces if isinstance(pieces, NumericError)
+        else _combine(cfg, detection, _noise_part(cfg, detection),
+                      _interf_mean(cfg, pieces, detection))
+        for detection, pieces in _interpolants(cfg, case, detections).items()
+    )
 
 
 def ber_no_interference(cfg: AnalyticConfig, detection: str) -> BerBreakdown:

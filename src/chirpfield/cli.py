@@ -20,8 +20,10 @@ least one point, 3 validation failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import math
+import os
 import sys
 from dataclasses import dataclass, fields
 
@@ -338,45 +340,74 @@ def _label(row: _Row) -> str:
             f"m={row.m} snr={row.snr_db}")
 
 
-def _analytic_task(spec: ExperimentSpec, row: _Row):
-    """Evaluate the closed forms for one CSV row; runs in a pool thread, or
-    in the calling thread of a serial run.  Returns the BerBreakdown, or
-    the NumericError it raised."""
+@contextlib.contextmanager
+def _named(what: str):
+    """Name the work that failed on stderr before its exception goes on."""
     try:
-        cfg = analytic_ber.AnalyticConfig.from_fading(
-            LoRaParams(row.sf),
-            FadingConfig.uniform(row.m, row.n_elements),
-            10.0 ** (row.snr_db / 10.0),
-            paper_literal_estimator=spec.paper_literal_estimator,
-            quadrature_order_v1=spec.quadrature_order_v1,
-            quadrature_order_v2=spec.quadrature_order_v2,
-            staircase_m=spec.staircase_m,
-        )
-        if row.scenario == "no_interference":
-            return analytic_ber.ber_no_interference(cfg, row.detection)
-        return analytic_ber.ber(cfg, row.scenario, row.detection)
-    except NumericError as exc:
-        return exc
+        yield
+    except Exception as exc:
+        print(f"error: {what} failed: {type(exc).__name__}: {exc}", file=sys.stderr)
+        raise
+
+
+def _analytic_task(spec: ExperimentSpec, rows: list[_Row]):
+    """Evaluate the closed forms for the rows of one (scenario, sf, n, m,
+    snr) point, one per detector, from one shared interpolant; runs in a
+    pool thread, or in the calling thread of a serial run.  Returns one
+    BerBreakdown, or the NumericError that stopped it, per row."""
+    row = rows[0]
+    detections = tuple(r.detection for r in rows)
+    with _named(f"closed forms at {row.scenario}/{'/'.join(detections)} sf={row.sf} "
+                f"n={row.n_elements} m={row.m} snr={row.snr_db}"):
+        try:
+            cfg = analytic_ber.AnalyticConfig.from_fading(
+                LoRaParams(row.sf),
+                FadingConfig.uniform(row.m, row.n_elements),
+                10.0 ** (row.snr_db / 10.0),
+                paper_literal_estimator=spec.paper_literal_estimator,
+                quadrature_order_v1=spec.quadrature_order_v1,
+                quadrature_order_v2=spec.quadrature_order_v2,
+                staircase_m=spec.staircase_m,
+            )
+            if row.scenario == "no_interference":
+                return [analytic_ber.ber_no_interference(cfg, d) for d in detections]
+            return analytic_ber.ber(cfg, row.scenario, detections)
+        except NumericError as exc:
+            return [exc] * len(rows)
 
 
 def _fill_analytic(spec: ExperimentSpec, rows: list[_Row]) -> list[str]:
     """Fill the closed-form columns of every row that has them, on a pool of
     `spec.workers` threads, and print their notes in row order; returns
-    the numeric failures, each prefixed with the row it names."""
-    todo = [row for row in rows if row.scenario in _ANALYTIC_SCENARIOS]
-    failures = []
+    the numeric failures, each prefixed with the row it names.
+
+    One task per (scenario, sf, n, m, snr), in order of first appearance,
+    evaluates every detector of that point's rows.
+    """
+    groups: dict[tuple, list[_Row]] = {}
+    for row in rows:
+        if row.scenario in _ANALYTIC_SCENARIOS:
+            key = (row.scenario, row.sf, row.n_elements, row.m, row.snr_db)
+            groups.setdefault(key, []).append(row)
+    results = {}
     with montecarlo.worker_pool(spec.workers) as pool:
-        results = (map if pool is None else pool.map)(
-            _analytic_task, itertools.repeat(spec), todo
+        tasks = (map if pool is None else pool.map)(
+            _analytic_task, itertools.repeat(spec), groups.values()
         )
-        for row, result in zip(todo, results):
-            if isinstance(result, NumericError):
-                failures.append(f"{_label(row)}: {result}")
-                continue
-            row.ber_analytic, row.p_noise = result.ber, result.p_noise
-            row.p_interf = result.p_interf
-            for note in result.notes:
-                print(f"warning: {_label(row)}: {note}", file=sys.stderr)
+        for group, group_results in zip(groups.values(), tasks):
+            results.update(zip(map(id, group), group_results))
+    failures = []
+    for row in rows:
+        result = results.get(id(row))
+        if result is None:
+            continue
+        if isinstance(result, NumericError):
+            failures.append(f"{_label(row)}: {result}")
+            continue
+        row.ber_analytic, row.p_noise = result.ber, result.p_noise
+        row.p_interf = result.p_interf
+        for note in result.notes:
+            print(f"warning: {_label(row)}: {note}", file=sys.stderr)
     return failures
 
 
@@ -402,12 +433,27 @@ def _fill_simulated(spec: ExperimentSpec, rows: list[_Row]) -> None:
             seed=spec.seed,
             full_offset_range=spec.full_offset_range,
         )
-        sweep = montecarlo.run_sweep(cfg, spec.workers, detections=detections)
+        with _named(f"simulated sweep at {scenario}/{'/'.join(detections)} sf={sf} n={n} m={m}"):
+            sweep = montecarlo.run_sweep(cfg, spec.workers, detections=detections)
         for detection, group in by_detection.items():
             for row in group:
                 est = sweep[row.snr_db, detection]
                 row.ber_sim, row.ci_low, row.ci_high = est.ber, est.ci95_low, est.ci95_high
                 row.bits_sent = est.bits_sent
+
+
+def _open_beside(out: str):
+    """Open where the CSV goes: a new file beside `out` (beside the file a
+    link names), which `os.replace` moves onto it once every row is
+    written, so that a run that fails leaves `out` as it was.  A special
+    file (a pipe, a terminal) cannot be replaced and is written in place.
+    Returns the handle and the new file's path, or None for a special
+    file."""
+    if os.path.exists(out) and not os.path.isfile(out):
+        return open(out, "w", encoding="utf-8", newline=""), None
+    directory, name = os.path.split(os.path.realpath(out))
+    temporary = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
+    return open(temporary, "x", encoding="utf-8", newline=""), temporary
 
 
 def run(spec: ExperimentSpec) -> int:
@@ -416,7 +462,9 @@ def run(spec: ExperimentSpec) -> int:
     The rows are built first, in grid order (branches, then (sf, n, m),
     then SNR), and each route fills its columns in place.  Each sweep, and
     the closed forms, run on a pool of `spec.workers` threads of their
-    own; at one worker everything runs in the calling thread.
+    own; at one worker everything runs in the calling thread.  The CSV
+    replaces `spec.out` only once it is complete: on an exception the old
+    file keeps its bytes and the exception goes on.
     """
     if spec.mode == "validate":
         return _run_validation(spec)
@@ -432,19 +480,26 @@ def run(spec: ExperimentSpec) -> int:
     # opened before anything runs, so a path that cannot be written fails
     # at once rather than after the whole sweep
     try:
-        handle = open(spec.out, "w", encoding="utf-8", newline="")
+        handle, temporary = _open_beside(spec.out)
     except OSError as exc:
         print(f"error: cannot write {spec.out}: {exc}", file=sys.stderr)
         return 1
 
-    with handle:
-        if spec.mode != "analytic":
-            _fill_simulated(spec, rows)
-        failures = _fill_analytic(spec, rows) if spec.mode != "simulate" else []
+    try:
+        with handle:
+            if spec.mode != "analytic":
+                _fill_simulated(spec, rows)
+            failures = _fill_analytic(spec, rows) if spec.mode != "simulate" else []
 
-        handle.write(",".join(_CSV_COLUMNS) + "\n")
-        for row in rows:
-            handle.write(row.csv() + "\n")
+            handle.write(",".join(_CSV_COLUMNS) + "\n")
+            for row in rows:
+                handle.write(row.csv() + "\n")
+        if temporary is not None:
+            os.replace(temporary, os.path.realpath(spec.out))
+    except BaseException:
+        if temporary is not None:
+            os.unlink(temporary)
+        raise
 
     print(f"wrote {len(rows)} rows to {spec.out}")
     if failures:

@@ -194,8 +194,9 @@ def interf_ser_conditional_numeric(
 
 
 def pieces_given_up(terms, pieces) -> tuple[np.ndarray, float]:
-    """The mass each piece of `analytic_ber._interpolant` gives up, and the
-    full double sum at its top multiplier, which the budget is a share of.
+    """The mass each piece of an `analytic_ber._interpolants` interpolant
+    gives up, and the full double sum at its top multiplier, which the
+    budget is a share of.
 
     terms are the point's _double_sum_terms.  A piece [left, right] that
     kept (live, saturated) gives up, for each term it left out, its value

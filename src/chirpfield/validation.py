@@ -301,6 +301,16 @@ def _check_interference_closed_form(params: LoRaParams, fading: FadingConfig, _t
     )
 
 
+def _interpolants(cfg: analytic_ber.AnalyticConfig, case: str) -> dict:
+    """Both detectors' interpolants from one build; a NumericError that
+    stopped either fails the check that asked."""
+    interpolants = analytic_ber._interpolants(cfg, case, montecarlo.DETECTIONS)
+    for pieces in interpolants.values():
+        if isinstance(pieces, specfun.NumericError):
+            raise pieces
+    return interpolants
+
+
 def _check_piece_bounded_sum(params: LoRaParams, fading: FadingConfig, _trials, _rng):
     # every piece the interpolant kept, against the terms it gave up
     # (reference.pieces_given_up), which may not pass _PRUNE_FRACTION *
@@ -311,8 +321,7 @@ def _check_piece_bounded_sum(params: LoRaParams, fading: FadingConfig, _trials, 
         cfg = analytic_ber.AnalyticConfig.from_fading(params, fading, 10 ** (snr_db / 10.0))
         for case in (analytic_ber.CASE_SHARED, analytic_ber.CASE_PAIRED):
             terms = analytic_ber._double_sum_terms(cfg, case)
-            for detection in ("noncoherent", "coherent"):
-                pieces = analytic_ber._interpolant(cfg, case, detection)
+            for pieces in _interpolants(cfg, case).values():
                 given_up, scale = reference.pieces_given_up(terms, pieces)
                 ok &= bool(np.all(given_up <= budget * scale))
                 worst = max(worst, float(given_up.max()) / max(scale, np.finfo(float).tiny))
@@ -335,8 +344,7 @@ def _check_compressed_rule(params: LoRaParams, fading: FadingConfig, _trials, _r
     for snr_db in (-35.0, -12.0, 10.0):
         cfg = analytic_ber.AnalyticConfig.from_fading(params, fading, 10 ** (snr_db / 10.0))
         for case in (analytic_ber.CASE_SHARED, analytic_ber.CASE_PAIRED):
-            for detection in ("noncoherent", "coherent"):
-                pieces = analytic_ber._interpolant(cfg, case, detection)
+            for detection, pieces in _interpolants(cfg, case).items():
                 level = analytic_ber._rule_level(pieces, values[0], values[-1])
                 cosines, shares = analytic_ber._staircase(detection, cfg.staircase_m)
                 rule = analytic_ber._rule_mean(
@@ -430,7 +438,10 @@ def _check_sim_vs_analytic(params: LoRaParams, fading: FadingConfig, trials, _rn
     # double sum gets dearer above it
     def closed_form(snr_db):
         acfg = _analytic_config(params, fading, snr_db)
-        return analytic_ber.ber(acfg, analytic_ber.CASE_SHARED, "noncoherent")
+        [result] = analytic_ber.ber(acfg, analytic_ber.CASE_SHARED, ("noncoherent",))
+        if isinstance(result, specfun.NumericError):
+            raise result
+        return result
 
     snr_db = _crossing_snr_db(lambda s: closed_form(s).ber, _SIM_CHECK_LEVEL, -10.0)
     if snr_db is None:

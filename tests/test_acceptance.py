@@ -34,7 +34,8 @@ def analytic_ber_value(sf, n, m, snr_db, case, detection, **kwargs) -> float:
     cfg = ab.AnalyticConfig.from_fading(
         LoRaParams(sf), FadingConfig.uniform(m, n), 10 ** (snr_db / 10.0), **kwargs
     )
-    return ab.ber(cfg, case, detection).ber
+    [result] = ab.ber(cfg, case, (detection,))
+    return result.ber
 
 
 def simulate(scenario, detection, n, m, snr_db, trials, seed,

@@ -32,6 +32,26 @@ def config(snr_db: float, fading=FADING_25, **kwargs) -> ab.AnalyticConfig:
     return ab.AnalyticConfig.from_fading(SF7, fading, 10 ** (snr_db / 10.0), **kwargs)
 
 
+def ber(cfg: ab.AnalyticConfig, case: str, detection: str) -> ab.BerBreakdown:
+    """One detector's closed form, raising the NumericError that stopped it."""
+    [result] = ab.ber(cfg, case, (detection,))
+    if isinstance(result, NumericError):
+        raise result
+    return result
+
+
+def interpolant(cfg: ab.AnalyticConfig, case: str, detection: str):
+    """One detector's interpolant, raising the NumericError that stopped it."""
+    pieces = ab._interpolants(cfg, case, (detection,))[detection]
+    if isinstance(pieces, NumericError):
+        raise pieces
+    return pieces
+
+
+def interf_ser(cfg: ab.AnalyticConfig, case: str, detection: str) -> float:
+    return ab._interf_mean(cfg, interpolant(cfg, case, detection), detection)
+
+
 def noted(result: ab.BerBreakdown, match: str) -> bool:
     """Whether a note of the result matches, as `pytest.warns(match=...)` would."""
     return any(re.search(match, note) for note in result.notes)
@@ -98,7 +118,7 @@ class TestCalibratedDomain:
     @pytest.mark.parametrize("detection", ["noncoherent", "coherent"])
     def test_no_warning_inside(self, detection):
         # SF 7, N=25 at -30 dB: a share of at most 1e-9 below the fit's zero
-        assert ab.ber(config(-30.0), "case_a", detection).notes == ()
+        assert ber(config(-30.0), "case_a", detection).notes == ()
 
     def test_warns_outside_and_names_the_point(self):
         # SF 7, N=25 at -40 dB non-coherent: a share of 0.148
@@ -220,15 +240,15 @@ class TestInterferenceBranch:
     def test_paired_worse_than_shared(self):
         for snr_db in (-30.0, -20.0, -10.0):
             cfg = config(snr_db)
-            shared = ab._interf_ser(cfg, "case_a", "noncoherent")
-            paired = ab._interf_ser(cfg, "case_b", "noncoherent")
+            shared = interf_ser(cfg, "case_a", "noncoherent")
+            paired = interf_ser(cfg, "case_b", "noncoherent")
             assert paired > shared
 
     def test_paired_interference_floor(self):
         # the paired-topology interferer scales with the signal, so its
         # error probability approaches a positive constant at high SNR
-        high = ab._interf_ser(config(10.0), "case_b", "noncoherent")
-        very_high = ab._interf_ser(config(30.0), "case_b", "noncoherent")
+        high = interf_ser(config(10.0), "case_b", "noncoherent")
+        very_high = interf_ser(config(30.0), "case_b", "noncoherent")
         assert high > 0.01
         assert very_high == pytest.approx(high, rel=0.05)
 
@@ -236,21 +256,23 @@ class TestInterferenceBranch:
         base = config(-25.0)
         finer = config(-25.0, quadrature_order_v1=90, quadrature_order_v2=90)
         for case in ("case_a", "case_b"):
-            coarse_val = ab._interf_ser(base, case, "noncoherent")
-            fine_val = ab._interf_ser(finer, case, "noncoherent")
+            coarse_val = interf_ser(base, case, "noncoherent")
+            fine_val = interf_ser(finer, case, "noncoherent")
             assert coarse_val == pytest.approx(fine_val, rel=1e-3)
 
     def test_staircase_convergence(self):
-        coarse = ab._interf_ser(config(-28.0), "case_a", "coherent")
-        fine = ab._interf_ser(config(-28.0, staircase_m=40), "case_a", "coherent")
+        coarse = interf_ser(config(-28.0), "case_a", "coherent")
+        fine = interf_ser(config(-28.0, staircase_m=40), "case_a", "coherent")
         assert coarse == pytest.approx(fine, rel=1e-3)
 
     def test_unknown_case_and_detection(self):
         cfg = config(-25.0)
         with pytest.raises(ValueError):
-            ab._interf_ser(cfg, "case_c", "noncoherent")
-        with pytest.raises(ValueError):
-            ab._interf_ser(cfg, "case_a", "semi")
+            ab.ber(cfg, "case_c", ("noncoherent",))
+        # the point's detectors, as a sweep takes them: distinct and known
+        for detections in (("semi",), ("noncoherent", "semi"), ("coherent", "coherent"), ()):
+            with pytest.raises(ValueError, match="detections must be distinct entries"):
+                ab.ber(cfg, "case_a", detections)
 
 
 def brute_force_interf_ser(cfg: ab.AnalyticConfig, case: str, detection: str) -> float:
@@ -292,7 +314,7 @@ class TestInterpolatedSum:
         # against the full (unpruned) double sum
         cfg = config(snr_db, FadingConfig.uniform(2.0, elements))
         oracle = brute_force_interf_ser(cfg, case, detection)
-        got = ab._interf_ser(cfg, case, detection)
+        got = interf_ser(cfg, case, detection)
         assert got == pytest.approx(oracle, rel=1e-8, abs=0.0)
 
     @pytest.mark.parametrize("case", ["case_a", "case_b"])
@@ -316,12 +338,19 @@ class TestInterpolatedSum:
         with pytest.raises(
             NumericError, match=r"case=case_b, detection=coherent, SNR=-12 dB.*piece \["
         ):
-            ab.ber(config(-12.0), "case_b", "coherent")
+            ber(config(-12.0), "case_b", "coherent")
         # the Q pass at the top multiplier sets the tolerance without a
-        # sampled sum; bisection then samples one piece per depth down to
-        # the limit and stops on the first unresolved piece
+        # sampled sum; bisection of the subtree above min chi, which both
+        # detectors read, then samples one piece per depth down to the
+        # limit and stops on the first unresolved piece
         assert calls
         assert len(calls) <= ab._CHEB_MAX_DEPTH + 1
+        # that failure is both detectors' when both are asked for
+        calls.clear()
+        results = ab.ber(config(-12.0), "case_b", DETECTIONS)
+        assert results[0] is results[1] and isinstance(results[0], NumericError)
+        assert "case=case_b, detection=noncoherent/coherent, SNR=-12 dB" in str(results[0])
+        assert 0 < len(calls) <= ab._CHEB_MAX_DEPTH + 1
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -368,9 +397,57 @@ class TestInterpolatedSum:
         cfg = ab.AnalyticConfig.from_fading(
             LoRaParams(sf), FadingConfig.uniform(m, elements), 10 ** (snr_db / 10.0)
         )
-        pieces = ab._interpolant(cfg, case, detection)
+        pieces = interpolant(cfg, case, detection)
         given_up, top = reference.pieces_given_up(ab._double_sum_terms(cfg, case), pieces)
         assert np.all(given_up <= ab._PRUNE_FRACTION * ab._CHEB_TOL * top)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        sf=st.sampled_from((7, 12)),
+        elements=ELEMENTS,
+        m=NAKAGAMI_M,
+        snr_db=st.floats(-40.0, 20.0),
+        case=st.sampled_from(CASES),
+    )
+    @example(sf=7, elements=25, m=2.0, snr_db=-12.0, case="case_a")
+    def test_noncoherent_interpolant_is_shared(self, sf, elements, m, snr_db, case):
+        # a point built for both detectors gives the non-coherent row the
+        # pieces and value of a build for that detector alone, bit for bit;
+        # the coherent interpolant is the same pieces with the subtree
+        # below min chi in front
+        cfg = ab.AnalyticConfig.from_fading(
+            LoRaParams(sf), FadingConfig.uniform(m, elements), 10 ** (snr_db / 10.0)
+        )
+        alone = ab._interpolants(cfg, case, ("noncoherent",))["noncoherent"]
+        shared = ab._interpolants(cfg, case, DETECTIONS)
+        assert len(shared["noncoherent"]) == len(alone)
+        for got, want in zip(shared["noncoherent"], alone):
+            assert got[:2] == want[:2] and got[2].tobytes() == want[2].tobytes()
+            assert all(np.array_equal(a, b) for a, b in zip(got[3], want[3]))
+        coherent = shared["coherent"]
+        assert coherent[-len(alone):] == shared["noncoherent"]
+        values, _ = ab._distinct_chi(cfg.params)
+        assert coherent[0][0] == -values[-1] and coherent[-len(alone) - 1][1] == values[0]
+        [noncoherent] = ab.ber(cfg, case, ("noncoherent",))
+        both = ab.ber(cfg, case, DETECTIONS)
+        assert both[0] == noncoherent and isinstance(both[1], ab.BerBreakdown)
+
+    def test_coherent_subtree_failure_leaves_the_noncoherent_row(self, monkeypatch):
+        # a NumericError below min chi stops the coherent interpolant alone
+        cfg = config(-20.0)
+        [clean] = ab.ber(cfg, "case_b", ("noncoherent",))
+        original = ab._bisect
+
+        def fail_below_min_chi(terms, left, right, *args):
+            if left < 0.0:
+                raise NumericError("synthetic coherent-subtree failure")
+            return original(terms, left, right, *args)
+
+        monkeypatch.setattr(ab, "_bisect", fail_below_min_chi)
+        noncoherent, coherent = ab.ber(cfg, "case_b", DETECTIONS)
+        assert noncoherent == clean
+        assert isinstance(coherent, NumericError)
+        assert str(coherent) == "synthetic coherent-subtree failure"
 
     @pytest.mark.parametrize("detection", DETECTIONS)
     @pytest.mark.parametrize("case", CASES)
@@ -378,8 +455,12 @@ class TestInterpolatedSum:
         # one Q pass at the top multiplier covers every term, and each cut
         # bounds its piece's live terms once, at mid: a half sums a subset
         # of what its piece summed and saturates a superset of what it
-        # saturated.  The count of Q evaluations shows that no end of the
-        # bisection is bounded twice
+        # saturated.  The first cut, at min chi, is bounded the same way:
+        # the non-coherent subtree [min chi, max chi] takes one pass over
+        # the top's live terms, and the coherent subtree below it another,
+        # plus a shortfall pass at its own lower end over those it keeps.
+        # The count of Q evaluations shows that no end of the bisection is
+        # bounded twice
         evaluated, sampled = [], {}
         original_q, original_sums = ab.q_exact, ab._conditional_sums
 
@@ -388,19 +469,32 @@ class TestInterpolatedSum:
             return original_q(x, out=out)
 
         def counted_sums(terms, multipliers):
-            # the piece being sampled, as the interpolant's loop holds it
+            # the piece being sampled, as the bisection's loop holds it
             piece = sys._getframe(1).f_locals
             sampled[piece["left"], piece["right"]] = piece["live"], piece["saturated"]
             return original_sums(terms, multipliers)
 
         monkeypatch.setattr(ab, "q_exact", counted_q)
         monkeypatch.setattr(ab, "_conditional_sums", counted_sums)
-        pieces = ab._interpolant(config(-12.0), case, detection)
+        pieces = interpolant(config(-12.0), case, detection)
         n = 70 * 70
         assert evaluated[0] == n and evaluated.count(n) == 1
-        root_live, root_saturated = sampled[pieces[0][0], pieces[-1][1]]
+        values, _ = ab._distinct_chi(SF7)
+        chi_lo, chi_hi = float(values[0]), float(values[-1])
+        right_live, right_saturated = sampled[chi_lo, chi_hi]
+        top_live = right_live.size + right_saturated.size
+        roots = {(chi_lo, chi_hi)}
+        root_passes = top_live
+        if detection == "coherent":
+            assert pieces[0][0] == -chi_hi
+            left_live, left_saturated = sampled[-chi_hi, chi_lo]
+            assert set(left_live) | set(left_saturated) <= set(right_live) | set(right_saturated)
+            roots.add((-chi_hi, chi_lo))
+            root_passes += top_live + left_live.size + left_saturated.size
+        else:
+            assert pieces[0][0] == chi_lo
         cut = set(sampled) - {(left, right) for left, right, *_ in pieces}
-        assert cut and len(sampled) == 2 * len(cut) + 1
+        assert cut and len(sampled) == 2 * len(cut) + len(roots)
         for left, right in cut:
             live, saturated = sampled[left, right]
             mid = 0.5 * (left + right)
@@ -410,8 +504,7 @@ class TestInterpolatedSum:
                 assert not set(half_live) & set(half_saturated)
         assert sum(evaluated) == (
             n
-            + root_live.size
-            + root_saturated.size
+            + root_passes
             + sum(2 * sampled[ends][0].size for ends in cut)
             + (ab._CHEB_DEGREE + 1) * sum(live.size for live, _ in sampled.values())
         )
@@ -452,7 +545,7 @@ def test_double_sum_terms_built_once_per_point(monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(ab, "_double_sum_terms", counted)
-    ab.ber(config(-20.0), "case_a", "coherent")
+    ab.ber(config(-20.0), "case_a", DETECTIONS)
     assert len(calls) == 1
 
 
@@ -552,19 +645,19 @@ class TestChiRule:
         cfg = ab.AnalyticConfig.from_fading(LoRaParams(sf), FADING_25, 10 ** (snr_db / 10.0))
         values, _ = ab._distinct_chi(cfg.params)
         for case, detection in (("case_a", "coherent"), ("case_b", "noncoherent")):
-            pieces = ab._interpolant(cfg, case, detection)
+            pieces = interpolant(cfg, case, detection)
             level = ab._rule_level(pieces, values[0], values[-1])
             oracle = table_mean(pieces, cfg.params, detection)
             got = rule_mean(pieces, cfg.params, detection, level)
             assert got == pytest.approx(oracle, rel=1e-13, abs=0.0), (case, detection)
-            assert got == ab._interf_ser(cfg, case, detection)
+            assert got == interf_ser(cfg, case, detection)
 
     def test_fixed_quarter_symbol_bins_are_not_enough(self):
         # K/4 bins whatever the pieces: at +30 dB the interpolant has pieces
         # far narrower than such a bin, and the mean drifts
         cfg = config(30.0)
         values, _ = ab._distinct_chi(SF7)
-        pieces = ab._interpolant(cfg, "case_b", "noncoherent")
+        pieces = interpolant(cfg, "case_b", "noncoherent")
         oracle = table_mean(pieces, SF7, "noncoherent")
         fixed = rule_mean(pieces, SF7, "noncoherent", int(math.log2(SF7.K // 4)))
         assert abs(fixed - oracle) > 1e-13 * oracle
@@ -572,16 +665,16 @@ class TestChiRule:
 
     def test_sf10_coherent_row(self):
         cfg = ab.AnalyticConfig.from_fading(LoRaParams(10), FADING_25, 10 ** (-1.2))
-        pieces = ab._interpolant(cfg, "case_b", "coherent")
+        pieces = interpolant(cfg, "case_b", "coherent")
         oracle = table_mean(pieces, cfg.params, "coherent")
-        got = ab._interf_ser(cfg, "case_b", "coherent")
+        got = interf_ser(cfg, "case_b", "coherent")
         assert got == pytest.approx(oracle, rel=1e-13, abs=0.0)
 
     def test_sf12_noncoherent_row(self):
         cfg = ab.AnalyticConfig.from_fading(LoRaParams(12), FADING_25, 10 ** (-2.4))
-        pieces = ab._interpolant(cfg, "case_a", "noncoherent")
+        pieces = interpolant(cfg, "case_a", "noncoherent")
         oracle = table_mean(pieces, cfg.params, "noncoherent")
-        got = ab._interf_ser(cfg, "case_a", "noncoherent")
+        got = interf_ser(cfg, "case_a", "noncoherent")
         assert got == pytest.approx(oracle, rel=1e-13, abs=0.0)
 
     def test_threads_build_each_rule_once(self, monkeypatch):
@@ -655,11 +748,11 @@ class TestCombinedBer:
         detection=st.sampled_from(DETECTIONS),
     )
     def test_ber_within_bit_scale(self, elements, m, snr_db, case, detection):
-        result = ab.ber(config(snr_db, FadingConfig.uniform(m, elements)), case, detection)
+        result = ber(config(snr_db, FadingConfig.uniform(m, elements)), case, detection)
         assert 0.0 <= result.ber <= 64.0 / 127.0
 
     def test_union_and_scale_relation(self):
-        result = ab.ber(config(-30.0), "case_a", "noncoherent")
+        result = ber(config(-30.0), "case_a", "noncoherent")
         union = 1.0 - (1.0 - result.p_interf) * (1.0 - result.p_noise)
         assert result.ber == pytest.approx(64.0 / 127.0 * union, rel=1e-12)
 
@@ -680,7 +773,7 @@ class TestCombinedBer:
             values = []
             for n in (15, 20, 25, 30, 35):
                 cfg = ab.AnalyticConfig.from_fading(SF7, FadingConfig.uniform(2.0, n), snr)
-                values.append(ab.ber(cfg, case, "noncoherent").ber)
+                values.append(ber(cfg, case, "noncoherent").ber)
             assert all(a >= b - 1e-12 for a, b in zip(values, values[1:])), (case, values)
 
     def test_total_coherent_ber_non_increasing_in_element_count(self):
@@ -689,7 +782,7 @@ class TestCombinedBer:
             values = []
             for n in (15, 25, 35):
                 cfg = ab.AnalyticConfig.from_fading(SF7, FadingConfig.uniform(2.0, n), snr)
-                values.append(ab.ber(cfg, case, "coherent").ber)
+                values.append(ber(cfg, case, "coherent").ber)
             assert all(a >= b - 1e-12 for a, b in zip(values, values[1:])), (case, values)
 
     def test_invalid_configuration(self):

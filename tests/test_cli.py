@@ -1,5 +1,8 @@
 import json
+import math
+import os
 import re
+import subprocess
 import sys
 import threading
 import time
@@ -557,7 +560,7 @@ class TestRuns:
     def test_numeric_failure_exit_code(self, tmp_path, monkeypatch):
         from chirpfield.specfun import NumericError
 
-        def boom(cfg, case, detection):
+        def boom(cfg, case, detections):
             raise NumericError("synthetic quadrature breakdown")
 
         monkeypatch.setattr(cli.analytic_ber, "ber", boom)
@@ -583,10 +586,10 @@ class TestRuns:
         capsys.readouterr()
         original = cli.analytic_ber.ber
 
-        def fail_at_minus_30(cfg, case, detection):
+        def fail_at_minus_30(cfg, case, detections):
             if cfg.snr_linear == 10.0 ** (-30.0 / 10.0):
                 raise NumericError("synthetic quadrature breakdown")
-            return original(cfg, case, detection)
+            return original(cfg, case, detections)
 
         monkeypatch.setattr(cli.analytic_ber, "ber", fail_at_minus_30)
         out = tmp_path / "fail.csv"
@@ -601,6 +604,36 @@ class TestRuns:
         assert [row["snr_db"] for row in got] == ["-31", "-30", "-29"]
         assert [got[1][column] for column in ("ber_analytic", "p_noise", "p_interf")] == [""] * 3
         assert [rows[0], rows[2]] == [clean_rows[0], clean_rows[2]]
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_coherent_subtree_failure_fails_the_coherent_row_only(
+        self, workers, tmp_path, monkeypatch, capsys
+    ):
+        from chirpfield.specfun import NumericError
+
+        argv = ["analytic", "--scenario", "case_b", "--detection", "both",
+                "--snr-db=-30", "--workers", workers]
+        clean = tmp_path / "clean.csv"
+        assert cli.main(argv + ["--out", str(clean)]) == 0
+        capsys.readouterr()
+        original = cli.analytic_ber._bisect
+
+        def fail_below_min_chi(terms, left, right, *args):
+            if left < 0.0:
+                raise NumericError("synthetic coherent-subtree failure")
+            return original(terms, left, right, *args)
+
+        monkeypatch.setattr(cli.analytic_ber, "_bisect", fail_below_min_chi)
+        out = tmp_path / "fail.csv"
+        assert cli.main(argv + ["--out", str(out)]) == 2
+        failures = [line for line in capsys.readouterr().err.splitlines()
+                    if line.startswith("numeric failure:")]
+        assert failures == ["numeric failure: case_b/coherent sf=7 n=25 m=2.0 snr=-30.0: "
+                            "synthetic coherent-subtree failure"]
+        header, noncoherent, coherent = [line.split(",") for line in out.read_text().splitlines()]
+        assert noncoherent == clean.read_text().splitlines()[1].split(",")
+        row = dict(zip(header, coherent))
+        assert [row[column] for column in ("ber_analytic", "p_noise", "p_interf")] == [""] * 3
 
     @pytest.mark.parametrize("mode", ["analytic", "both"])
     def test_overflowing_moments_fail_as_numeric(self, mode, tmp_path, capsys):
@@ -621,6 +654,84 @@ class TestRuns:
         assert (fields["ber_sim"] != "") == (mode == "both")
 
 
+# A run whose work raises: one `simulate` sweep whose Monte Carlo block
+# fails, or one `analytic` point whose closed forms fail (at -29 dB, the
+# second of three), with an exception that is not a NumericError.
+FAILING_RUN = """
+import sys
+from chirpfield import analytic_ber, cli, montecarlo
+
+site, workers, out = sys.argv[1:]
+if site == "block":
+    def fail(*args):
+        raise MemoryError("synthetic block failure")
+    montecarlo._run_block = fail
+    argv = ["simulate", "--trials", "20000", "--snr-db=-30"]
+else:
+    original = analytic_ber.ber
+    def fail(cfg, case, detections):
+        if cfg.snr_linear == 10.0 ** (-29.0 / 10.0):
+            raise RuntimeError("synthetic closed-form failure")
+        return original(cfg, case, detections)
+    analytic_ber.ber = fail
+    argv = ["analytic", "--snr-db=-30:-28:1"]
+sys.exit(cli.main([*argv, "--scenario", "case_a", "--detection", "both",
+                   "--workers", workers, "--out", out]))
+"""
+
+
+class TestFailedRunKeepsOutput:
+    NAMED = {
+        "block": "error: simulated sweep at case_a/noncoherent/coherent sf=7 n=25 m=2.0 "
+                 "failed: MemoryError: synthetic block failure",
+        "closed_form": "error: closed forms at case_a/noncoherent/coherent sf=7 n=25 m=2.0 "
+                       "snr=-29.0 failed: RuntimeError: synthetic closed-form failure",
+    }
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("site", ["block", "closed_form"])
+    def test_previous_csv_survives(self, site, workers, tmp_path):
+        # the exception ends the process (status 1, with its traceback)
+        # after stderr names the work that raised it; the CSV of an earlier
+        # run keeps its bytes and no temporary file is left beside it
+        out = tmp_path / "ber.csv"
+        previous = b"scenario,detection\nearlier,run\n"
+        out.write_bytes(previous)
+        src = Path(cli.__file__).resolve().parents[1]
+        done = subprocess.run(
+            [sys.executable, "-c", FAILING_RUN, site, workers, str(out)],
+            capture_output=True, text=True, timeout=300,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(
+                filter(None, [str(src), os.environ.get("PYTHONPATH")]))},
+        )
+        assert done.returncode == 1, done.stderr
+        assert self.NAMED[site] in done.stderr.splitlines()
+        assert out.read_bytes() == previous
+        assert os.listdir(tmp_path) == ["ber.csv"]
+
+    def test_successful_run_replaces_the_csv(self, tmp_path):
+        out = tmp_path / "ber.csv"
+        out.write_text("stale\n")
+        assert cli.main(["analytic", "--snr-db=-30", "--detection", "noncoherent",
+                         "--out", str(out)]) == 0
+        assert out.read_text().startswith("scenario,detection,")
+        assert os.listdir(tmp_path) == ["ber.csv"]
+
+    def test_pipe_is_written_in_place(self, tmp_path):
+        # a pipe cannot be replaced: the rows go into it, and it stays a pipe
+        pipe = tmp_path / "rows"
+        os.mkfifo(pipe)
+        reader = os.open(pipe, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            assert cli.main(["analytic", "--snr-db=-30", "--detection", "noncoherent",
+                             "--out", str(pipe)]) == 0
+            received = os.read(reader, 1 << 16).decode()
+        finally:
+            os.close(reader)
+        assert received.startswith("scenario,detection,") and received.count("\n") == 2
+        assert os.listdir(tmp_path) == ["rows"] and not pipe.is_file()
+
+
 class TestBenchmarkReference:
     """The closed-form workload of the benchmark (`analytic_sf7`) at full
     size: every recorded row within 1e-9 relative, the gate closed-form
@@ -632,12 +743,14 @@ class TestBenchmarkReference:
     def test_analytic_sf7_rows(self, tmp_path, monkeypatch):
         # compared unrounded, since the CSV's 10 digits alone move a value
         # by up to 5e-10; one worker keeps the closed forms in this process
-        results = []
+        results = {}
         original = cli.analytic_ber.ber
 
-        def recorded(*args):
-            results.append(original(*args))
-            return results[-1]
+        def recorded(cfg, case, detections):
+            point = original(cfg, case, detections)
+            snr_db = f"{10.0 * math.log10(cfg.snr_linear):.10g}"
+            results.update({(case, d, snr_db): r for d, r in zip(detections, point)})
+            return point
 
         monkeypatch.setattr(cli.analytic_ber, "ber", recorded)
         rows = []
@@ -652,7 +765,8 @@ class TestBenchmarkReference:
         expected = json.loads(self.REFERENCE.read_text())["analytic"]
         assert len(expected) == 52 and len(results) == len(rows)
         got = {}
-        for row, result in zip(rows, results):
+        for row in rows:
+            result = results[row["scenario"], row["detection"], row["snr_db"]]
             values = [result.ber, result.p_noise, result.p_interf]
             assert [row[column] for column in self.COLUMNS] == list(map(cli._format, values))
             got[f"{row['scenario']}/{row['detection']}/{row['snr_db']}"] = values

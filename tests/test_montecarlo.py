@@ -674,7 +674,8 @@ class TestAgainstClosedForms:
                          trials_per_point=300_000, seed=77, max_bit_errors=None)
         est = mc.run_point(cfg, snr_db)
         acfg = ab.AnalyticConfig.from_fading(SF7, fading, 10 ** (snr_db / 10.0))
-        model = ab.ber(acfg, "case_a", "noncoherent").ber
+        [result] = ab.ber(acfg, "case_a", ("noncoherent",))
+        model = result.ber
         assert est.bit_errors > 200
         assert model == pytest.approx(est.ber, rel=0.25)
 

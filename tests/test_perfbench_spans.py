@@ -45,7 +45,7 @@ def test_closed_forms_reach_q_through_the_wrapped_name(monkeypatch):
 
     monkeypatch.setattr(ab, "q_exact", counted)
     cfg = ab.AnalyticConfig.from_fading(LoRaParams(7), FadingConfig.uniform(2.0, 25), 1e-3)
-    ab.ber(cfg, "case_a", "noncoherent")
+    ab.ber(cfg, "case_a", ("noncoherent",))
     assert sum(evaluated) > 0
 
 
